@@ -30,11 +30,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
+    _finite,
+    _matrices,
     as_matrix,
     as_state,
     dagger,
     hermitian_eigenvalues,
     max_abs,
+    validate_states,
 )
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "ChannelValidation",
     "kraus",
     "apply",
+    "apply_kraus",
     "complementary",
     "selfcomplementarity_defect",
     "is_selfcomplementary",
@@ -55,6 +59,10 @@ __all__ = [
     "choi_to_kraus",
     "choi_matrix",
     "choi_state",
+    "choi_states",
+    "completeness_residuals",
+    "require_cptp_stack",
+    "kraus_stack",
     "channel_rank",
     "stinespring",
     "kraus_from_unitary",
@@ -103,13 +111,37 @@ class KrausSet:
     @property
     def completeness_residual(self) -> float:
         """max |sum_i K_i^dagger K_i - 1|."""
-        acc = sum(dagger(op) @ op for op in self.operators)
-        return max_abs(acc - np.eye(self.n_in))
+        return float(completeness_residuals(kraus_stack([self]))[0])
 
     def require_cptp(self, tol: float = DEFAULT_TOL) -> None:
-        res = self.completeness_residual
-        if res > tol:
-            raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {tol:.3e}")
+        require_cptp_stack(kraus_stack([self]), tol)
+
+
+def _as_kraus_stack(kraus) -> np.ndarray:
+    """Coerce to a finite complex Kraus stack of shape (N, k, n_out, n_in)."""
+    return _finite(kraus, (4,), "a Kraus stack (N, k, n_out, n_in)")
+
+
+def completeness_residuals(kraus) -> np.ndarray:
+    """max |sum_i K_i^dagger K_i - 1| of each channel of a Kraus stack."""
+    kraus = _as_kraus_stack(kraus)
+    acc = sum(dagger(op) @ op for op in np.moveaxis(kraus, 1, 0))
+    return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+
+
+def require_cptp_stack(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Coerce a Kraus stack, refusing it unless every channel in it is trace
+    preserving within ``tol``."""
+    kraus = _as_kraus_stack(kraus)
+    res = float(completeness_residuals(kraus).max())
+    if res > tol:
+        raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {tol:.3e}")
+    return kraus
+
+
+def kraus_stack(channels) -> np.ndarray:
+    """Operators of equally shaped channels as one stack (N, k, n_out, n_in)."""
+    return np.array([channel.operators for channel in channels])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +232,18 @@ def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     state = as_state(rho)
     if state.dim != channel.n_in:
         raise ValueError(f"state dimension {state.dim} != channel input dimension {channel.n_in}")
-    out = sum(op @ state.matrix @ dagger(op) for op in channel.operators)
-    return DensityMatrix(out)
+    return DensityMatrix(apply_kraus(_kraus_tensor(channel), state.matrix))
+
+
+def apply_kraus(kraus, states) -> np.ndarray:
+    """sum_i K_i rho K_i^dagger, broadcast over leading axes.
+
+    ``kraus`` holds the operators on its third-to-last axis, shape
+    (..., k, n_out, n_in), and ``states`` has shape (..., n_in, n_in).
+    Nothing is checked: :func:`apply` is the checked call for one state,
+    and callers of the stacked form validate what they pass and get.
+    """
+    return sum(op @ states @ dagger(op) for op in np.moveaxis(kraus, -3, 0))
 
 
 def _kraus_tensor(channel: KrausSet) -> np.ndarray:
@@ -234,22 +276,32 @@ def is_selfcomplementary(channel: KrausSet, tol: float = DEFAULT_TOL) -> bool:
 
 def kraus_to_superop(channel: KrausSet) -> SuperOperator:
     """S = sum_i K_i (x) conj(K_i)."""
-    m = sum(np.kron(op, op.conj()) for op in channel.operators)
-    return SuperOperator(channel.n_in, channel.n_out, m)
+    return SuperOperator(channel.n_in, channel.n_out, _superops(kraus_stack([channel]))[0])
+
+
+def _superops(kraus: np.ndarray) -> np.ndarray:
+    """S = sum_i K_i (x) conj(K_i) for each channel of a Kraus stack."""
+    n, _, n_out, n_in = kraus.shape
+    return sum(
+        (op[:, :, None, :, None] * op.conj()[:, None, :, None, :]).reshape(n, n_out**2, n_in**2)
+        for op in np.moveaxis(kraus, 1, 0)
+    )
 
 
 def reshuffle_superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
-    """Reindex a superoperator into a Choi matrix on (input copy) (x) (output).
+    """Reindex a superoperator, or each of a stack, into a Choi matrix on
+    (input copy) (x) (output).
 
     D[(k,i),(l,j)] = S[(i,j),(k,l)] with i,j output indices and k,l input
     indices; applied to ``sum K (x) conj(K)`` this gives
     ``sum_kl E_kl (x) Phi(E_kl)``.
     """
-    m = as_matrix(matrix)
-    if m.shape != (n_out**2, n_in**2):
+    m = _matrices(matrix)
+    if m.shape[-2:] != (n_out**2, n_in**2):
         raise ValueError(f"shape {m.shape} does not match ({n_out**2}, {n_in**2})")
-    t = m.reshape(n_out, n_out, n_in, n_in)
-    return t.transpose(2, 0, 3, 1).reshape(n_in * n_out, n_in * n_out)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, n_out, n_out, n_in, n_in)
+    return t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, n_in * n_out, n_in * n_out)
 
 
 def reshuffle_choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
@@ -276,9 +328,28 @@ def choi_matrix(channel: KrausSet) -> ChoiMatrix:
 
 
 def choi_state(channel: KrausSet) -> DensityMatrix:
-    """Normalized Choi state D / n_in of a CPTP channel."""
+    """Normalized Choi state D / n_in of a CPTP channel.
+
+    The single-channel case of :func:`choi_states`: the same completeness
+    check, Choi build and state validation, each at N = 1.
+    """
     channel.require_cptp()
     return DensityMatrix(choi_matrix(channel).matrix / channel.n_in)
+
+
+def choi_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validated Choi states D / n_in of a stack of channels, with their spectra.
+
+    ``kraus`` has shape (N, k, n_out, n_in).  Every channel must pass the
+    completeness check of :meth:`KrausSet.require_cptp` and every Choi
+    state the checks of :func:`validate_states`; the first failure raises
+    ValueError.  Returns the states (N, d, d), d = n_in * n_out, and their
+    ascending spectra (N, d), which the entropies reuse.
+    """
+    kraus = require_cptp_stack(kraus, tol)
+    _, _, n_out, n_in = kraus.shape
+    states = reshuffle_superop_to_choi(_superops(kraus), n_in, n_out) / n_in
+    return states, validate_states(states)
 
 
 def channel_rank(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> int:

@@ -24,11 +24,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import KrausSet, choi_state, validate_channel
+from .channels import KrausSet, kraus_stack, validate_channel
 from .dynamics import (
     bloch_image,
     increase_duration,
@@ -43,14 +43,14 @@ from .families import (
     qubit_family_a,
     qubit_family_b,
 )
-from .linalg import DEFAULT_TOL, DensityMatrix, NumericalError
+from .linalg import DEFAULT_TOL, DensityMatrix, NumericalError, blocks
 from .measures import (
+    capacity_lower_bounds,
+    choi_measures,
     classical_capacity_lower_bound,
     coherent_information,
-    concurrence,
     concurrence_closed_form,
     map_entropy,
-    negativity,
     negativity_closed_form,
 )
 from .serialize import (
@@ -93,6 +93,10 @@ class RunConfig:
     channel_path: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{f.name.replace('_', '-')} must be finite, got {value}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.points < 1:
@@ -193,22 +197,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("theta-max must lie in (0, pi/2], the closed forms' domain")
     thetas = np.linspace(0.0, cfg.theta_max, cfg.points)
     scale = 1.0 / LN2 if cfg.bits else 1.0
-    rows = []
     basis = [DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0])]
-    for theta in thetas:
-        channel = qubit_family_a(float(theta), cfg.phi)
-        omega_state = choi_state(channel)
-        rows.append(
-            [
-                theta,
-                negativity(omega_state, (2, 2)),
-                negativity_closed_form(theta),
-                concurrence(omega_state),
-                concurrence_closed_form(float(theta)),
-                classical_capacity_lower_bound(channel, basis) * scale,
-                map_entropy(channel) * scale,
-            ]
-        )
+    neg, conc, ent, chi = np.empty((4, cfg.points))
+    for block in blocks(cfg.points):
+        kraus = kraus_stack([qubit_family_a(float(theta), cfg.phi) for theta in thetas[block]])
+        neg[block], conc[block], ent[block] = choi_measures(kraus)
+        chi[block] = capacity_lower_bounds(kraus, basis)
+    rows = [
+        [
+            theta,
+            neg[i],
+            negativity_closed_form(theta),
+            conc[i],
+            concurrence_closed_form(float(theta)),
+            chi[i] * scale,
+            ent[i] * scale,
+        ]
+        for i, theta in enumerate(thetas)
+    ]
     header = [
         "theta",
         "negativity_numeric",

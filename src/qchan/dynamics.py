@@ -14,16 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet, apply, choi_state
+from .channels import KrausSet, apply, apply_kraus, kraus_stack
 from .families import amplitude_damping, qubit_family_a, qubit_family_b
-from .linalg import DensityMatrix, as_state
-from .measures import concurrence, map_entropy, negativity
+from .linalg import DensityMatrix, as_stack, as_state, blocks, validate_states
+from .measures import choi_measures
 
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]]),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+
+_PAULI_STACK = np.array(_PAULIS)
 
 TRAJECTORY_FAMILIES = ("qubit-a", "qubit-b", "ad")
 
@@ -47,20 +49,29 @@ class AffineQubitMap:
         return self.linear @ np.asarray(r, dtype=float) + self.shift
 
 
+def bloch_vectors(states) -> np.ndarray:
+    """Pauli expectation values of each qubit state of a validated stack, as rows."""
+    states = as_stack(states)
+    if states.shape[-1] != 2:
+        raise ValueError(f"Bloch coordinates need a qubit state, got dim {states.shape[-1]}")
+    return np.trace(_PAULI_STACK[:, None] @ states, axis1=-2, axis2=-1).real.T
+
+
 def bloch_vector(rho) -> np.ndarray:
     """Pauli expectation values of a qubit state."""
-    state = as_state(rho)
-    if state.dim != 2:
-        raise ValueError(f"Bloch coordinates need a qubit state, got dim {state.dim}")
-    return np.array([float(np.real(np.trace(p @ state.matrix))) for p in _PAULIS])
+    return bloch_vectors(as_state(rho).matrix[None])[0]
+
+
+def _bloch_matrices(points) -> np.ndarray:
+    """(1 + r . sigma) / 2 for each row r of an (N, 3) array inside the unit ball."""
+    r = np.asarray(points, dtype=float)
+    if r.ndim != 2 or r.shape[1] != 3 or np.any(np.linalg.norm(r, axis=1) > 1.0 + 1e-9):
+        raise ValueError("Bloch vector must be a 3-vector inside the unit ball")
+    return 0.5 * (np.eye(2, dtype=complex) + sum(r[:, i, None, None] * _PAULIS[i] for i in range(3)))
 
 
 def density_from_bloch(r) -> DensityMatrix:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-9:
-        raise ValueError("Bloch vector must be a 3-vector inside the unit ball")
-    m = 0.5 * (np.eye(2, dtype=complex) + sum(r[i] * _PAULIS[i] for i in range(3)))
-    return DensityMatrix(m)
+    return DensityMatrix(_bloch_matrices(np.asarray(r, dtype=float)[None])[0])
 
 
 def affine_of_channel(channel: KrausSet) -> AffineQubitMap:
@@ -93,10 +104,21 @@ def bloch_image(channel: KrausSet, n_points: int) -> np.ndarray:
 
     Each sampled pure state is pushed through the channel and converted
     back to Bloch coordinates (no affine shortcut, so this doubles as a
-    cross-check of :func:`affine_of_channel`).
+    cross-check of :func:`affine_of_channel`), STACK_BLOCK states at a time.
     """
+    channel.require_cptp()
+    if channel.n_in != 2:
+        raise ValueError(f"state dimension 2 != channel input dimension {channel.n_in}")
+    kraus = np.stack(channel.operators)
     points = fibonacci_sphere(n_points)
-    return np.array([bloch_vector(apply(channel, density_from_bloch(r))) for r in points])
+    image = np.empty((n_points, 3))
+    for block in blocks(n_points):
+        inputs = _bloch_matrices(points[block])
+        validate_states(inputs)
+        outputs = apply_kraus(kraus, inputs)
+        validate_states(outputs)
+        image[block] = bloch_vectors(outputs)
+    return image
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,23 +167,24 @@ def _channel_at(family: str, omega: float, t: float) -> tuple[float, KrausSet]:
 
 
 def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Trajectory:
-    """Evaluate Choi-state measures on a uniform time grid of n_steps samples."""
+    """Evaluate Choi-state measures on a uniform time grid of n_steps samples.
+
+    The channels of the grid are stacked and evaluated STACK_BLOCK samples
+    at a time.
+    """
     if n_steps < 2:
         raise ValueError("need at least two samples")
+    if not all(math.isfinite(x) for x in (omega, t_max, omega * t_max)):
+        raise ValueError("omega, t_max and omega * t_max must be finite")
     if omega <= 0 or t_max <= 0:
         raise ValueError("omega and t_max must be positive")
     times = np.linspace(0.0, t_max, n_steps)
     params = np.empty(n_steps)
-    neg = np.empty(n_steps)
-    conc = np.empty(n_steps)
-    ent = np.empty(n_steps)
-    for idx, t in enumerate(times):
-        params[idx], channel = _channel_at(family, omega, float(t))
-        omega_state = choi_state(channel)
-        neg[idx] = negativity(omega_state, (2, 2))
-        conc[idx] = concurrence(omega_state)
-        ent[idx] = map_entropy(channel)
-    return Trajectory(family, omega, times, params, neg, conc, ent)
+    records = np.empty((3, n_steps))
+    for block in blocks(n_steps):
+        params[block], channels = zip(*(_channel_at(family, omega, float(t)) for t in times[block]))
+        records[:, block] = choi_measures(kraus_stack(channels))
+    return Trajectory(family, omega, times, params, *records)
 
 
 def positive_variation(values) -> float:

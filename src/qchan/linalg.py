@@ -24,6 +24,10 @@ PSD_TOL = 1e-10
 # clipped to zero; anything larger is a genuine structural violation.
 SPECTRUM_TOL = 1e-9
 
+# Long stacks are evaluated this many samples at a time, so that the numpy
+# temporaries of a stacked evaluation stay small whatever the stack length.
+STACK_BLOCK = 256
+
 
 class NumericalError(Exception):
     """An eigen/SVD routine failed or a spectrum violated its expected structure."""
@@ -31,17 +35,35 @@ class NumericalError(Exception):
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
+    return _finite(a, (2,), "a 2-D matrix")
+
+
+def as_stack(a) -> np.ndarray:
+    """Coerce to a finite 3-D complex array: a stack of matrices (N, rows, cols)."""
+    return _finite(a, (3,), "a stack of matrices")
+
+
+def _matrices(a) -> np.ndarray:
+    return _finite(a, (2, 3), "a 2-D matrix or a stack of matrices")
+
+
+def _finite(a, ndims: tuple, what: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim not in ndims:
+        raise ValueError(f"expected {what}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
+
+
+def blocks(n: int) -> list:
+    """Slices that cover ``range(n)`` in runs of STACK_BLOCK samples."""
+    return [slice(lo, lo + STACK_BLOCK) for lo in range(0, n, STACK_BLOCK)]
 
 
 def kron(a, b) -> np.ndarray:
@@ -55,7 +77,8 @@ def max_abs(a) -> float:
 
 
 def hermiticity_defect(a) -> float:
-    m = as_matrix(a)
+    """max |a - a^dagger| over a matrix, or over every matrix of a stack."""
+    m = _matrices(a)
     return max_abs(m - dagger(m))
 
 
@@ -64,11 +87,11 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending.
+    """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
     Raises ValueError if the input is not Hermitian within ``tol``.
     """
-    m = as_matrix(a)
+    m = _matrices(a)
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
@@ -79,9 +102,9 @@ def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def general_eigenvalues(a) -> np.ndarray:
-    """Full complex spectrum of a square matrix (unordered)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    """Full complex spectrum of a square matrix (unordered); row by row for a stack."""
+    m = _matrices(a)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"matrix is not square: shape {m.shape}")
     try:
         return np.linalg.eigvals(m)
@@ -136,12 +159,39 @@ def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 
 def partial_transpose(a, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose the first tensor factor of a bipartite matrix."""
+    """Transpose the first tensor factor of a bipartite matrix, or of each
+    matrix in a stack."""
     d1, d2 = dims
-    m = as_matrix(a)
-    if m.shape != (d1 * d2, d1 * d2):
+    m = _matrices(a)
+    if m.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return m.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
+    t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
+    return np.swapaxes(t, -4, -2).reshape(m.shape)
+
+
+def validate_states(states) -> np.ndarray:
+    """Check a stack (N, d, d) of density matrices, sample by sample.
+
+    Every sample must be finite, Hermitian within HERMITICITY_TOL, of unit
+    trace within TRACE_TOL and positive semidefinite within PSD_TOL; the
+    first check that some sample fails raises ValueError.  Returns the
+    spectra, ascending, one row per sample: the eigensolve of the PSD check.
+    """
+    m = as_stack(states)
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"density matrix must be square, got {m.shape[-2:]}")
+    defect = max_abs(m - dagger(m))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"density matrix trace {complex(tr[off][0])} differs from 1")
+    spectra = np.linalg.eigvalsh(m)
+    lo = float(spectra.min()) if spectra.size else 0.0
+    if lo < -PSD_TOL:
+        raise ValueError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
+    return spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,17 +202,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
+        validate_states(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property

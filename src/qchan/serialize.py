@@ -70,6 +70,8 @@ def read_channel(path) -> KrausSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    except OSError as exc:
+        raise ChannelFormatError(f"cannot read channel file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return channel_from_dict(data)

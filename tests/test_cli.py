@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,48 @@ def test_analyze_missing_fields_exits_3(tmp_path):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({"n_in": 2}))
     assert run("analyze", "--in", bad, "--out", tmp_path / "r.json") == 3
+
+
+def test_analyze_missing_input_file_exits_3(tmp_path, capsys):
+    assert run("analyze", "--in", tmp_path / "missing.json", "--out", tmp_path / "r.json") == 3
+    assert "format" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_zero_entropies_are_written_as_positive_zero(tmp_path):
+    ident = tmp_path / "id.json"
+    write_json_atomic(ident, channel_to_dict(identity_channel(2)))
+    assert run("analyze", "--in", ident, "--out", tmp_path / "id_report.json") == 0
+    assert '"map_entropy_nats": 0.0,' in (tmp_path / "id_report.json").read_text()
+    assert run("dynamics", "--family", "ad", "--steps", 4, "--out", tmp_path / "ad.csv") == 0
+    assert (tmp_path / "ad.csv").read_text().splitlines()[1] == "0,0,0.5,1,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--id", "qubit-a", "--theta", 0.3, "--tol", "nan"],
+        ["family", "--id", "qubit-a", "--theta", 0.3, "--tol", "inf"],
+        ["family", "--id", "qubit-a", "--theta", "nan"],
+        ["family", "--id", "ad", "--p", "nan"],
+        ["sweep", "--theta-max", "nan"],
+        ["sweep", "--phi", "inf"],
+        ["bloch", "--theta", "nan"],
+        ["dynamics", "--omega", "nan"],
+        ["dynamics", "--omega", "inf"],
+        ["dynamics", "--t-max", "inf"],
+        ["dynamics", "--t-max=-inf"],
+        ["dynamics", "--omega", "1e200", "--t-max", "1e200"],
+    ],
+)
+def test_non_finite_arguments_exit_2_without_warnings(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_analyze_reports_structural_fields_for_broken_channels(tmp_path):

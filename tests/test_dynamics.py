@@ -21,10 +21,71 @@ from qchan import (
     non_markovianity_measure,
     positive_variation,
     qubit_family_a,
+    qubit_family_b,
     random_density_matrix,
     run_trajectory,
     svd_values,
 )
+from qchan.linalg import STACK_BLOCK, sanitize_nonnegative_spectrum
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, WOOTTERS_EIGENVALUE_FLOOR
+
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+YY = np.kron(PAULIS[1], PAULIS[1])
+
+
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+# ---------------------------------------------- per-sample reference loop
+#
+# The loop that the stacked evaluation replaced, one channel and one state
+# at a time, with the same arithmetic: the stacked results must equal it
+# bit for bit.
+
+
+def reference_entropy(ev) -> float:
+    ev = ev[ev > ENTROPY_EIGENVALUE_FLOOR]
+    return 0.0 - float((ev * np.log(ev)).sum())
+
+
+def reference_choi_measures(channel) -> tuple[float, float, float]:
+    superop = sum(np.kron(op, op.conj()) for op in channel.operators)
+    omega = superop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4) / 2
+    pt = omega.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    neg = max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0))
+    product = omega @ (YY @ omega.conj() @ YY)
+    ev = sanitize_nonnegative_spectrum(np.linalg.eigvals(product))
+    ev[ev < WOOTTERS_EIGENVALUE_FLOOR * max(1.0, float(np.abs(product).max()))] = 0.0
+    lam = np.sqrt(np.sort(ev)[::-1])
+    conc = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return neg, conc, reference_entropy(np.linalg.eigvalsh(omega))
+
+
+def reference_trajectory(family, omega, t_max, n_steps):
+    rows = []
+    for t in np.linspace(0.0, t_max, n_steps):
+        if family == "ad":
+            param = 1.0 - math.exp(-omega * float(t))
+            channel = amplitude_damping(param)
+        else:
+            param = math.fmod(omega * float(t), math.pi)
+            channel = (qubit_family_a if family == "qubit-a" else qubit_family_b)(param)
+        rows.append((param, *reference_choi_measures(channel)))
+    return np.array(rows).T
+
+
+def reference_bloch_image(channel, n_points):
+    rows = []
+    for r in fibonacci_sphere(n_points):
+        rho = 0.5 * (np.eye(2, dtype=complex) + sum(r[i] * PAULIS[i] for i in range(3)))
+        out = sum(op @ rho @ np.conj(op).T for op in channel.operators)
+        rows.append([float(np.real(np.trace(p @ out))) for p in PAULIS])
+    return np.array(rows)
 
 
 def test_affine_of_unitary_channel(rng):
@@ -189,6 +250,35 @@ def test_trajectory_alignment_validation():
         Trajectory("qubit-a", 1.0, times, times, times[:-1], times, times)
     with pytest.raises(ValueError, match="ascending"):
         Trajectory("qubit-a", 1.0, times[::-1], times, times, times, times)
+
+
+@pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
+@pytest.mark.parametrize("n_steps", [2, STACK_BLOCK + 1, 4097])
+def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
+    # 257 and 4097 samples end in a partial block of one sample.
+    traj = run_trajectory(family, omega=1.3, t_max=2.9, n_steps=n_steps)
+    param, neg, conc, ent = reference_trajectory(family, 1.3, 2.9, n_steps)
+    assert bits(traj.parameter) == bits(param)
+    assert bits(traj.negativity) == bits(neg)
+    assert bits(traj.concurrence) == bits(conc)
+    assert bits(traj.map_entropy) == bits(ent)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [qubit_family_a(0.0), qubit_family_a(1.1, 2.3), qubit_family_b(2.7, 0.4), identity_channel(2)],
+)
+@pytest.mark.parametrize("n_points", [1, STACK_BLOCK, 600])
+def test_stacked_bloch_image_equals_per_point_loop_bitwise(channel, n_points):
+    image = bloch_image(channel, n_points)
+    assert image.shape == (n_points, 3)
+    assert bits(image) == bits(reference_bloch_image(channel, n_points))
+
+
+def test_trajectory_rejects_non_finite_arguments():
+    for omega, t_max in ((math.nan, 1.0), (1.0, math.inf), (1e200, 1e200)):
+        with pytest.raises(ValueError, match="finite"):
+            run_trajectory("qubit-a", omega, t_max, 8)
 
 
 def test_amplitude_damping_choi_negativity_closed_form():

@@ -10,7 +10,9 @@ from qchan import (
     Ensemble,
     amplitude_damping,
     apply,
+    capacity_lower_bounds,
     choi_state,
+    choi_states,
     classical_capacity_lower_bound,
     coherent_information,
     concurrence,
@@ -21,7 +23,10 @@ from qchan import (
     holevo_chi,
     identity_channel,
     kraus,
+    kraus_stack,
+    map_entropies,
     map_entropy,
+    negativities,
     negativity,
     negativity_closed_form,
     ndim_theta0,
@@ -30,9 +35,13 @@ from qchan import (
     qutrit_family,
     random_density_matrix,
     spin_flip,
+    validate_states,
+    von_neumann_entropies,
     von_neumann_entropy,
     wootters_spectrum,
 )
+from qchan.linalg import STACK_BLOCK
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
 
 from conftest import bell_state, pure_concurrence, x_state_concurrence
 
@@ -357,3 +366,103 @@ def test_closed_form_agreement_at_exact_axes():
         omega = choi_state(qubit_family_a(theta))
         assert abs(concurrence(omega) - concurrence_closed_form(theta)) <= 1e-12
         assert abs(negativity(omega, (2, 2)) - negativity_closed_form(theta)) <= 1e-12
+
+
+# ------------------------------------------------------- stacked evaluation
+
+
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def reference_entropy(rho) -> float:
+    """The per-state entropy that the stacked kernel replaced."""
+    ev = np.linalg.eigvalsh(rho)
+    ev = ev[ev > ENTROPY_EIGENVALUE_FLOOR]
+    return 0.0 - float((ev * np.log(ev)).sum())
+
+
+def reference_capacity_bound(channel) -> float:
+    outputs = [
+        sum(op @ s.matrix @ np.conj(op).T for op in channel.operators) for s in basis_states()
+    ]
+    mixed = reference_entropy(sum(0.5 * out for out in outputs))
+    return max(0.0, mixed - sum(0.5 * reference_entropy(out) for out in outputs))
+
+
+def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
+    channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
+    got = capacity_lower_bounds(kraus_stack(channels), basis_states())
+    assert bits(got) == bits([reference_capacity_bound(ch) for ch in channels])
+    assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], basis_states())])
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_map_entropy_is_the_single_case_of_the_stack_bitwise(rng, n):
+    from qchan import random_cptp
+
+    channels = [ndim_theta0(n), random_cptp(n, n, n, rng)]
+    for ch in channels:
+        superop = sum(np.kron(op, op.conj()) for op in ch.operators)
+        choi = superop.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n) / n
+        assert bits([map_entropy(ch)]) == bits([reference_entropy(choi)])
+    assert bits(map_entropies(kraus_stack(channels))) == bits([map_entropy(c) for c in channels])
+
+
+def test_zero_entropies_are_positive_zero():
+    for value in (
+        map_entropy(identity_channel(2)),
+        map_entropy(amplitude_damping(0.0)),
+        von_neumann_entropy(DensityMatrix.pure([0.6, 0.8j])),
+    ):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+GOOD_STATE = choi_state(qubit_family_a(0.3)).matrix
+BAD_STATES = {
+    "non-Hermitian": GOOD_STATE + np.triu(np.full((4, 4), 1e-3), 1),
+    "non-PSD": np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex),
+    "wrong trace": 2.0 * GOOD_STATE,
+    "NaN entry": np.where(np.eye(4) > 0, np.nan, GOOD_STATE),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STATES)
+def test_state_stack_with_one_bad_sample_raises_like_its_single_call(bad):
+    stack = np.array([GOOD_STATE] * (STACK_BLOCK + 44))
+    stack[STACK_BLOCK + 7] = BAD_STATES[bad]
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(BAD_STATES[bad])
+    with pytest.raises(type(single.value)):
+        validate_states(stack)
+    with pytest.raises(ValueError) as single:
+        von_neumann_entropy(BAD_STATES[bad])
+    with pytest.raises(type(single.value)):
+        von_neumann_entropies(stack)
+    validate_states(stack[:STACK_BLOCK])  # the good samples pass
+
+
+BAD_KRAUS = {
+    "non-CPTP": np.array([np.eye(2), np.eye(2)], dtype=complex),
+    "NaN entry": np.array([[[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2))], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_KRAUS)
+def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
+    channels = [qubit_family_a(float(t)) for t in np.linspace(0.0, math.pi, STACK_BLOCK + 1)]
+    stack = kraus_stack(channels)
+    stack[100] = BAD_KRAUS[bad]
+    with pytest.raises(ValueError) as single:
+        map_entropy(kraus(list(BAD_KRAUS[bad])))
+    for stacked in (choi_states, map_entropies, lambda k: capacity_lower_bounds(k, basis_states())):
+        with pytest.raises(type(single.value)):
+            stacked(stack)
+
+
+def test_stacked_measures_equal_per_state_loop_on_full_rank_states(rng):
+    stack = np.array([random_density_matrix(4, rng).matrix for _ in range(STACK_BLOCK + 3)])
+    pts = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(stack.shape)
+    negs = [max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0)) for pt in pts]
+    assert bits(negativities(stack, (2, 2))) == bits(negs)
+    assert bits(von_neumann_entropies(stack)) == bits([reference_entropy(m) for m in stack])
