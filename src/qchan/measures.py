@@ -32,6 +32,7 @@ from .channels import (
     choi_state,
     choi_states,
     complementary,
+    gram_states,
     kraus_stack,
     require_cptp_stack,
 )
@@ -129,8 +130,9 @@ def von_neumann_entropy(rho) -> float:
 
 def map_entropies(kraus) -> np.ndarray:
     """Entropy of the normalized Choi state of each channel of a Kraus stack,
-    from the spectrum that validated the state."""
-    return _entropies(choi_states(kraus)[1])
+    from the spectrum that validated its Gram state, the Choi state's
+    nonzero spectrum."""
+    return _entropies(gram_states(kraus)[1])
 
 
 def map_entropy(channel: KrausSet) -> float:
@@ -174,14 +176,18 @@ def capacity_lower_bounds(kraus, basis_states, tol: float = DEFAULT_TOL) -> np.n
     states = [as_state(s) for s in basis_states]
     if not states:
         raise ValueError("need at least one basis state")
-    for i, s in enumerate(states):
-        purity = float(np.real(np.trace(s.matrix @ s.matrix)))
+    # tr(rho_j rho_i) of Hermitian states is the flattened inner product.
+    flat = np.array([s.matrix.reshape(-1) for s in states])
+    overlaps = flat.conj() @ flat.T
+    for i in range(len(states)):
+        purity = float(np.real(overlaps[i, i]))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError(f"basis state {i} is not pure (purity {purity})")
-        for j in range(i):
-            overlap = float(abs(np.trace(states[j].matrix @ s.matrix)))
-            if overlap > tol:
-                raise ValueError(f"basis states {j} and {i} overlap by {overlap:.3e}")
+        bad = np.flatnonzero(np.abs(overlaps[:i, i]) > tol)
+        if bad.size:
+            j = int(bad[0])
+            overlap = float(abs(overlaps[j, i]))
+            raise ValueError(f"basis states {j} and {i} overlap by {overlap:.3e}")
     kraus = require_cptp_stack(kraus)
     n_in = kraus.shape[-1]
     if states[0].dim != n_in:

@@ -52,11 +52,13 @@ def channel_from_dict(data) -> KrausSet:
     if not isinstance(data, dict):
         raise ChannelFormatError("channel document must be a JSON object")
     try:
-        n_in = int(data["n_in"])
-        n_out = int(data["n_out"])
-        raw = data["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChannelFormatError(f"missing or malformed channel fields: {exc}") from exc
+        n_in, n_out, raw = data["n_in"], data["n_out"], data["kraus"]
+    except KeyError as exc:
+        raise ChannelFormatError(f"missing channel field {exc}") from exc
+    for name, value in (("n_in", n_in), ("n_out", n_out)):
+        # bool is an int subclass; JSON true is not a dimension.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ChannelFormatError(f"'{name}' must be an integer, got {value!r}")
     if not isinstance(raw, list) or not raw:
         raise ChannelFormatError("'kraus' must be a nonempty list of matrices")
     ops = tuple(matrix_from_pairs(mat) for mat in raw)

@@ -104,6 +104,22 @@ def test_analyze_identity_and_depolarizing(tmp_path):
     assert load(out2)["choi_rank"] == 4
 
 
+def test_family_and_analyze_build_no_superoperator(tmp_path, monkeypatch):
+    def family_then_analyze(tag):
+        ch, report = tmp_path / f"{tag}.json", tmp_path / f"{tag}.report.json"
+        assert run("family", "--id", "ndim-theta0", "--n", 8, "--out", ch) == 0
+        assert run("analyze", "--in", ch, "--out", report) == 0
+        return ch.read_bytes(), report.read_bytes()
+
+    expected = family_then_analyze("free")
+
+    def refuse(kraus):
+        raise AssertionError("superoperator built")
+
+    monkeypatch.setattr("qchan.channels._superops", refuse)
+    assert family_then_analyze("guarded") == expected
+
+
 def test_analyze_malformed_json_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -115,6 +131,18 @@ def test_analyze_missing_fields_exits_3(tmp_path):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({"n_in": 2}))
     assert run("analyze", "--in", bad, "--out", tmp_path / "r.json") == 3
+
+
+@pytest.mark.parametrize("field", ["n_in", "n_out"])
+@pytest.mark.parametrize("value", [1.7, True, "1"])
+def test_analyze_non_integer_dimension_exits_3(tmp_path, capsys, field, value):
+    doc = {"n_in": 1, "n_out": 1, "kraus": [[[[1.0, 0.0]]]]}
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("analyze", "--in", bad, "--out", tmp_path / "r.json") == 3
+    assert f"'{field}' must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_analyze_missing_input_file_exits_3(tmp_path, capsys):

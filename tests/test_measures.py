@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from qchan import (
     DensityMatrix,
     Ensemble,
+    FamilyParams,
     amplitude_damping,
     apply,
     capacity_lower_bounds,
+    channel_rank,
+    choi_matrix,
     choi_state,
     choi_states,
     classical_capacity_lower_bound,
@@ -19,13 +22,16 @@ from qchan import (
     concurrence_closed_form,
     concurrence_from_negativity,
     dephasing,
+    dft_matrix,
     entanglement_evolution_factor,
     holevo_chi,
     identity_channel,
     kraus,
     kraus_stack,
+    make_family,
     map_entropies,
     map_entropy,
+    ndim_family,
     negativities,
     negativity,
     negativity_closed_form,
@@ -33,8 +39,10 @@ from qchan import (
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
+    random_cptp,
     random_density_matrix,
     spin_flip,
+    validate_channel,
     validate_states,
     von_neumann_entropies,
     von_neumann_entropy,
@@ -194,6 +202,17 @@ def test_capacity_bound_rejects_bad_alphabets():
     mixed = DensityMatrix.maximally_mixed(2)
     with pytest.raises(ValueError, match="pure"):
         classical_capacity_lower_bound(qubit_family_a(0.3), [mixed])
+    # The first failure in state order is reported, also past the first pair.
+    e = [DensityMatrix.pure(v) for v in np.eye(3)]
+    tilted = DensityMatrix.pure([0.0, 1.0, 1.0])
+    mixed = DensityMatrix.maximally_mixed(3)
+    with pytest.raises(ValueError, match=r"basis states 1 and 2 overlap by 5\.000e-01"):
+        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], tilted, mixed])
+    diagonal = DensityMatrix.pure([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"basis states 0 and 2 overlap by 3\.333e-01"):
+        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], diagonal])
+    with pytest.raises(ValueError, match="basis state 2 is not pure"):
+        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], mixed, tilted])
 
 
 # ------------------------------------------------------- entanglement
@@ -399,14 +418,51 @@ def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
 
 @pytest.mark.parametrize("n", [2, 8, 16])
 def test_map_entropy_is_the_single_case_of_the_stack_bitwise(rng, n):
-    from qchan import random_cptp
-
     channels = [ndim_theta0(n), random_cptp(n, n, n, rng)]
     for ch in channels:
-        superop = sum(np.kron(op, op.conj()) for op in ch.operators)
-        choi = superop.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n) / n
-        assert bits([map_entropy(ch)]) == bits([reference_entropy(choi)])
+        flat = np.array([op.reshape(-1) for op in ch.operators])
+        gram = flat.conj() @ flat.T  # G_ab = tr(K_a^dagger K_b)
+        gram_state = (gram + gram.conj().T) / 2 / n
+        assert bits([map_entropy(ch)]) == bits([reference_entropy(gram_state)])
     assert bits(map_entropies(kraus_stack(channels))) == bits([map_entropy(c) for c in channels])
+
+
+def gram_vs_choi_channels():
+    """Every family id, random channels, two non-CPTP maps, an isometry and
+    two channels at the rank tolerance."""
+    rng = np.random.default_rng(31)
+    params = [
+        FamilyParams("qubit-a", theta=0.3, phi=0.7),
+        FamilyParams("qubit-b", theta=1.1, phi=0.2),
+        FamilyParams("ad", p=0.25),
+        FamilyParams("qutrit", theta=0.0, w=dft_matrix(3)),
+        FamilyParams("qutrit", theta=0.4, w=np.eye(3)),
+        FamilyParams("ndim", theta=0.0, dim=5),
+        FamilyParams("ndim-theta0", dim=6),
+    ]
+    chans = {f"{p.family}-{p.theta}-{p.dim}": make_family(p) for p in params}
+    chans["ndim-fourier"] = ndim_family(8, 0.7, dft_matrix(8))  # not CPTP
+    chans["isometry-2-3"] = random_cptp(2, 3, 1, rng)
+    # The second Choi eigenvalue, 2 eps, lies on either side of the rank tolerance.
+    for eps in (1e-8, 1e-12):
+        chans[f"near-unitary-{eps}"] = kraus(
+            [math.sqrt(1.0 - eps) * np.eye(2), math.sqrt(eps) * np.array([[0.0, 1.0], [1.0, 0.0]])]
+        )
+    for n in range(2, 17):
+        for k in (1, n, 2 * n):
+            chans[f"random-{n}-{k}"] = random_cptp(n, n, k, rng)
+    return chans
+
+
+def test_gram_route_matches_choi_route():
+    chans = gram_vs_choi_channels()
+    assert not validate_channel(chans["ndim-fourier"]).cptp_ok
+    for name, ch in chans.items():
+        report = validate_channel(ch, 1e-10)
+        assert report.choi_rank == channel_rank(choi_matrix(ch), 1e-10), name
+        if report.cptp_ok:
+            choi_route = von_neumann_entropy(choi_state(ch))
+            assert abs(map_entropy(ch) - choi_route) <= 1e-12, name
 
 
 def test_zero_entropies_are_positive_zero():
