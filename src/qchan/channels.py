@@ -54,7 +54,6 @@ __all__ = [
     "SuperOperator",
     "ChoiMatrix",
     "StinespringUnitary",
-    "CptpReport",
     "ChannelValidation",
     "kraus",
     "apply",
@@ -78,7 +77,6 @@ __all__ = [
     "kraus_from_unitary",
     "tensor_channel",
     "compose",
-    "is_cptp",
     "validate_channel",
     "random_cptp",
     "reshuffle_superop_to_choi",
@@ -207,13 +205,6 @@ class StinespringUnitary:
 
     def unitarity_defect(self) -> float:
         return max_abs(dagger(self.matrix) @ self.matrix - np.eye(self.matrix.shape[0]))
-
-
-@dataclass(frozen=True)
-class CptpReport:
-    residual: float
-    tol: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -477,21 +468,16 @@ def compose(outer: KrausSet, inner: KrausSet) -> KrausSet:
     return KrausSet(inner.n_in, outer.n_out, ops)
 
 
-def is_cptp(channel: KrausSet, tol: float = DEFAULT_TOL) -> CptpReport:
-    res = channel.completeness_residual
-    return CptpReport(residual=res, tol=tol, ok=res <= tol)
-
-
 def validate_channel(channel: KrausSet, tol: float = DEFAULT_TOL) -> ChannelValidation:
     """Structural report; the Choi rank is counted on the Gram matrix, which
     needs no completeness, so non-channels are reported too."""
-    report = is_cptp(channel, tol)
+    residual = channel.completeness_residual
     defect = selfcomplementarity_defect(channel)
     ev = hermitian_eigenvalues(_grams(kraus_stack([channel]))[0])
     rank = int(np.count_nonzero(ev > tol))
     return ChannelValidation(
-        cptp_residual=report.residual,
-        cptp_ok=report.ok,
+        cptp_residual=residual,
+        cptp_ok=residual <= tol,
         selfcomplementary=defect <= tol,
         selfcomplementarity_defect=defect,
         choi_rank=rank,

@@ -24,25 +24,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import KrausSet, kraus_stack, validate_channel
+from .channels import KrausSet, validate_channel
 from .dynamics import (
     bloch_image,
     increase_duration,
     non_markovianity_measure,
     run_trajectory,
 )
-from .families import (
-    FamilyParams,
-    dft_matrix,
-    identity_channel,
-    make_family,
-    qubit_family_a,
-    qubit_family_b,
-)
+from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a_stack
 from .linalg import DEFAULT_TOL, DensityMatrix, NumericalError, blocks
 from .measures import (
     capacity_lower_bounds,
@@ -54,6 +46,7 @@ from .measures import (
     negativity_closed_form,
 )
 from .serialize import (
+    MAX_DIM,
     ChannelFormatError,
     channel_to_dict,
     matrix_from_pairs,
@@ -68,39 +61,6 @@ EXIT_FORMAT = 3
 EXIT_NUMERICAL = 4
 
 LN2 = math.log(2.0)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, family parameters, grids, output, display."""
-
-    command: str
-    out: str
-    tol: float = DEFAULT_TOL
-    bits: bool = False
-    family: str = "qubit-a"
-    theta: float = 0.0
-    phi: float = 0.0
-    p: float = 0.5
-    dim: int = 2
-    w_source: str = "identity"
-    points: int = 100
-    theta_max: float = math.pi / 2
-    batch: bool = False
-    omega: float = 1.0
-    t_max: float = math.pi
-    steps: int = 4096
-    channel_path: str = ""
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{f.name.replace('_', '-')} must be finite, got {value}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.points < 1:
-            raise ValueError("grid size must be at least 1")
 
 
 def _fmt(x: float) -> str:
@@ -128,26 +88,29 @@ def _load_w(source: str, dim: int) -> np.ndarray:
     return matrix_from_pairs(data)
 
 
-def _family_channel(cfg: RunConfig) -> KrausSet:
-    w = None
-    if cfg.family in ("qutrit", "ndim"):
-        w = _load_w(cfg.w_source, 3 if cfg.family == "qutrit" else cfg.dim)
-    params = FamilyParams(
-        family=cfg.family, theta=cfg.theta, phi=cfg.phi, p=cfg.p, dim=cfg.dim, w=w
-    )
-    return make_family(params)
+def _build(args: argparse.Namespace) -> KrausSet:
+    """The channel of ``args.family``, built from the options its table row
+    names, in order."""
+    family = FAMILIES[args.family]
+
+    def option(name: str):
+        if name == "w":  # the qutrit family's W is 3 x 3, the ndim family's n x n
+            return _load_w(args.w_source, args.dim if "dim" in family.params else 3)
+        return getattr(args, name)
+
+    return family.build(*map(option, family.params))
 
 
-def cmd_family(cfg: RunConfig) -> int:
-    channel = _family_channel(cfg)
-    validation = validate_channel(channel, cfg.tol)
+def cmd_family(args: argparse.Namespace) -> int:
+    channel = _build(args)
+    validation = validate_channel(channel, args.tol)
     doc = channel_to_dict(channel)
     doc["validation"] = {
         "cptp_residual": validation.cptp_residual,
         "selfcomplementary": validation.selfcomplementary,
         "choi_rank": validation.choi_rank,
     }
-    write_json_atomic(cfg.out, doc)
+    write_json_atomic(args.out, doc)
     return EXIT_OK
 
 
@@ -155,10 +118,10 @@ def _entropy_key(base: str, bits: bool) -> str:
     return base.replace("_nats", "_bits") if bits else base
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    channel = read_channel(cfg.channel_path)
-    validation = validate_channel(channel, cfg.tol)
-    scale = 1.0 / LN2 if cfg.bits else 1.0
+def cmd_analyze(args: argparse.Namespace) -> int:
+    channel = read_channel(args.channel_path)
+    validation = validate_channel(channel, args.tol)
+    scale = 1.0 / LN2 if args.bits else 1.0
     report: dict = {
         "n_in": channel.n_in,
         "n_out": channel.n_out,
@@ -173,11 +136,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         basis = [
             DensityMatrix.pure(np.eye(channel.n_in)[:, i]) for i in range(channel.n_in)
         ]
-        report[_entropy_key("map_entropy_nats", cfg.bits)] = map_entropy(channel) * scale
-        report[_entropy_key("coherent_information_nats", cfg.bits)] = (
+        report[_entropy_key("map_entropy_nats", args.bits)] = map_entropy(channel) * scale
+        report[_entropy_key("coherent_information_nats", args.bits)] = (
             coherent_information(channel, rho_star) * scale
         )
-        report[_entropy_key("chi_bound_nats", cfg.bits)] = (
+        report[_entropy_key("chi_bound_nats", args.bits)] = (
             classical_capacity_lower_bound(channel, basis) * scale
         )
     else:
@@ -186,21 +149,21 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report["map_entropy_nats"] = None
         report["coherent_information_nats"] = None
         report["chi_bound_nats"] = None
-    write_json_atomic(cfg.out, report)
+    write_json_atomic(args.out, report)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.points < 2:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.points < 2:
         raise ValueError("sweep needs a grid of at least 2 points")
-    if not 0.0 < cfg.theta_max <= math.pi / 2:
+    if not 0.0 < args.theta_max <= math.pi / 2:
         raise ValueError("theta-max must lie in (0, pi/2], the closed forms' domain")
-    thetas = np.linspace(0.0, cfg.theta_max, cfg.points)
-    scale = 1.0 / LN2 if cfg.bits else 1.0
+    thetas = np.linspace(0.0, args.theta_max, args.points)
+    scale = 1.0 / LN2 if args.bits else 1.0
     basis = [DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0])]
-    neg, conc, ent, chi = np.empty((4, cfg.points))
-    for block in blocks(cfg.points):
-        kraus = kraus_stack([qubit_family_a(float(theta), cfg.phi) for theta in thetas[block]])
+    neg, conc, ent, chi = np.empty((4, args.points))
+    for block in blocks(args.points):
+        kraus = qubit_family_a_stack(thetas[block], args.phi)
         neg[block], conc[block], ent[block] = choi_measures(kraus)
         chi[block] = capacity_lower_bounds(kraus, basis)
     rows = [
@@ -221,48 +184,41 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "negativity_closed",
         "concurrence_numeric",
         "concurrence_closed",
-        _entropy_key("chi_bound_nats", cfg.bits),
-        _entropy_key("map_entropy_nats", cfg.bits),
+        _entropy_key("chi_bound_nats", args.bits),
+        _entropy_key("map_entropy_nats", args.bits),
     ]
-    write_text_atomic(cfg.out, _csv(header, rows))
+    write_text_atomic(args.out, _csv(header, rows))
     return EXIT_OK
 
 
-def _bloch_channel(cfg: RunConfig, theta: float) -> KrausSet:
-    if cfg.family == "identity":
-        return identity_channel(2)
-    if cfg.family == "qubit-b":
-        return qubit_family_b(theta, cfg.phi)
-    return qubit_family_a(theta, cfg.phi)
-
-
-def cmd_bloch(cfg: RunConfig) -> int:
+def cmd_bloch(args: argparse.Namespace) -> int:
     header = ["x", "y", "z"]
-    if cfg.batch:
-        stem, ext = os.path.splitext(cfg.out)
+    if args.batch:
+        stem, ext = os.path.splitext(args.out)
         ext = ext or ".csv"
         for k in range(9):
-            points = bloch_image(_bloch_channel(cfg, k * math.pi / 8.0), cfg.points)
+            member = argparse.Namespace(**{**vars(args), "theta": k * math.pi / 8.0})
+            points = bloch_image(_build(member), args.points)
             write_text_atomic(f"{stem}_k{k}{ext}", _csv(header, [list(p) for p in points]))
         return EXIT_OK
-    points = bloch_image(_bloch_channel(cfg, cfg.theta), cfg.points)
-    write_text_atomic(cfg.out, _csv(header, [list(p) for p in points]))
+    points = bloch_image(_build(args), args.points)
+    write_text_atomic(args.out, _csv(header, [list(p) for p in points]))
     return EXIT_OK
 
 
-def cmd_dynamics(cfg: RunConfig) -> int:
-    if cfg.steps < 2:
+def cmd_dynamics(args: argparse.Namespace) -> int:
+    if args.steps < 2:
         raise ValueError("dynamics needs at least 2 steps")
     # --steps counts uniform intervals; sampling the endpoints too keeps the
     # grid aligned with the extrema of the driven records.
-    traj = run_trajectory(cfg.family, cfg.omega, cfg.t_max, cfg.steps + 1)
-    scale = 1.0 / LN2 if cfg.bits else 1.0
+    traj = run_trajectory(args.family, args.omega, args.t_max, args.steps + 1)
+    scale = 1.0 / LN2 if args.bits else 1.0
     header = [
         "t",
         "theta",
         "negativity",
         "concurrence",
-        _entropy_key("map_entropy_nats", cfg.bits),
+        _entropy_key("map_entropy_nats", args.bits),
     ]
     rows = [
         [
@@ -274,17 +230,17 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         ]
         for i in range(traj.times.size)
     ]
-    write_text_atomic(cfg.out, _csv(header, rows))
+    write_text_atomic(args.out, _csv(header, rows))
     summary = {
-        "family": cfg.family,
-        "omega": cfg.omega,
-        "t_max": cfg.t_max,
-        "steps": cfg.steps,
+        "family": args.family,
+        "omega": args.omega,
+        "t_max": args.t_max,
+        "steps": args.steps,
         "non_markovianity_positive_variation": non_markovianity_measure(traj, "negativity"),
         "increase_duration": increase_duration(traj, "negativity"),
         "concurrence_positive_variation": non_markovianity_measure(traj, "concurrence"),
     }
-    stem = os.path.splitext(cfg.out)[0] or cfg.out
+    stem = os.path.splitext(args.out)[0] or args.out
     write_json_atomic(stem + ".summary.json", summary)
     return EXIT_OK
 
@@ -308,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--id",
         dest="family",
         required=True,
-        choices=["qubit-a", "qubit-b", "ad", "qutrit", "ndim", "ndim-theta0"],
+        choices=family_ids("family"),
     )
     p_family.add_argument("--theta", type=float, default=0.0)
     p_family.add_argument("--phi", type=float, default=0.0)
@@ -333,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
 
     p_bloch = sub.add_parser("bloch", help="Bloch-sphere image CSV")
-    p_bloch.add_argument("--family", default="qubit-a", choices=["qubit-a", "qubit-b", "identity"])
+    p_bloch.add_argument("--family", default="qubit-a", choices=family_ids("bloch"))
     p_bloch.add_argument("--theta", type=float, default=0.0)
     p_bloch.add_argument("--phi", type=float, default=0.0)
     p_bloch.add_argument("--points", type=int, default=500)
@@ -343,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bloch)
 
     p_dyn = sub.add_parser("dynamics", help="driven-family trajectory CSV + summary JSON")
-    p_dyn.add_argument("--family", default="qubit-a", choices=["qubit-a", "qubit-b", "ad"])
+    p_dyn.add_argument("--family", default="qubit-a", choices=family_ids("dynamics"))
     p_dyn.add_argument("--omega", type=float, default=1.0)
     p_dyn.add_argument("--t-max", dest="t_max", type=float, default=math.pi)
     p_dyn.add_argument("--steps", type=int, default=4096, help="number of uniform time intervals")
@@ -361,13 +317,25 @@ COMMANDS = {
 }
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Refuse a non-finite float option, a nonpositive --tol, an empty grid
+    and a dimension above MAX_DIM before anything is built."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if args.tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if getattr(args, "points", 1) < 1:
+        raise ValueError("grid size must be at least 1")
+    if getattr(args, "dim", 1) > MAX_DIM:
+        raise ValueError(f"--n {args.dim} is above the dimension cap {MAX_DIM}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None}
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**fields)
-        return COMMANDS[cfg.command](cfg)
+        _check_options(args)
+        return COMMANDS[args.command](args)
     except (ChannelFormatError,) as exc:
         print(f"qchan: input format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet, apply, apply_kraus, kraus_stack
-from .families import amplitude_damping, qubit_family_a, qubit_family_b
+from .channels import KrausSet, apply, apply_kraus
+from .families import FAMILIES, family_ids
 from .linalg import DensityMatrix, as_stack, as_state, blocks, validate_states
 from .measures import choi_measures
 
@@ -26,8 +26,6 @@ _PAULIS = (
 )
 
 _PAULI_STACK = np.array(_PAULIS)
-
-TRAJECTORY_FAMILIES = ("qubit-a", "qubit-b", "ad")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,24 +151,11 @@ class Trajectory:
         return getattr(self, measure)
 
 
-def _channel_at(family: str, omega: float, t: float) -> tuple[float, KrausSet]:
-    if family == "qubit-a":
-        theta = math.fmod(omega * t, math.pi)
-        return theta, qubit_family_a(theta)
-    if family == "qubit-b":
-        theta = math.fmod(omega * t, math.pi)
-        return theta, qubit_family_b(theta)
-    if family == "ad":
-        p = 1.0 - math.exp(-omega * t)
-        return p, amplitude_damping(p)
-    raise ValueError(f"unknown trajectory family {family!r}; choose from {TRAJECTORY_FAMILIES}")
-
-
 def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Trajectory:
     """Evaluate Choi-state measures on a uniform time grid of n_steps samples.
 
-    The channels of the grid are stacked and evaluated STACK_BLOCK samples
-    at a time.
+    The family's schedule gives the driving parameter on the grid, and its
+    stacked constructor builds the channels STACK_BLOCK samples at a time.
     """
     if n_steps < 2:
         raise ValueError("need at least two samples")
@@ -178,12 +163,16 @@ def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Tra
         raise ValueError("omega, t_max and omega * t_max must be finite")
     if omega <= 0 or t_max <= 0:
         raise ValueError("omega and t_max must be positive")
+    driven = FAMILIES.get(family)
+    if driven is None or "dynamics" not in driven.commands:
+        raise ValueError(
+            f"unknown trajectory family {family!r}; choose from {family_ids('dynamics')}"
+        )
     times = np.linspace(0.0, t_max, n_steps)
-    params = np.empty(n_steps)
+    params = driven.schedule(omega, times)
     records = np.empty((3, n_steps))
     for block in blocks(n_steps):
-        params[block], channels = zip(*(_channel_at(family, omega, float(t)) for t in times[block]))
-        records[:, block] = choi_measures(kraus_stack(channels))
+        records[:, block] = choi_measures(driven.stack(params[block]))
     return Trajectory(family, omega, times, params, *records)
 
 

@@ -7,12 +7,18 @@ from theta = 0 their repeated-row structure breaks the completeness sum, so
 they are generated as-is and judged by a validation report instead of being
 asserted valid.  Use :func:`qchan.channels.validate_channel` for the
 report; operations that need a genuine channel refuse the violators.
+
+:data:`FAMILIES` is the one table of the families: their constructors, the
+CLI options each takes, the commands that accept it, and for the driven
+families a constructor over a whole array of the driving parameter, of
+which the single-channel constructor is the N = 1 call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,14 +27,18 @@ from .linalg import DEFAULT_TOL, as_matrix, dagger, max_abs
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-FAMILY_IDS = ("qubit-a", "qubit-b", "ad", "qutrit", "ndim", "ndim-theta0")
+
+def _check_range(name: str, values, hi) -> np.ndarray:
+    """Values as a float array, refusing the first one outside [0, hi] (nan too)."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= 0.0) & (v <= hi))
+    if bad.any():
+        raise ValueError(f"{name} = {float(v[bad][0])} outside [0, {hi}]")
+    return v
 
 
 def _check_angle(name: str, value: float, hi: float) -> float:
-    v = float(value)
-    if not 0.0 <= v <= hi:
-        raise ValueError(f"{name} = {v} outside [0, {hi}]")
-    return v
+    return float(_check_range(name, [value], hi)[0])
 
 
 def _check_unitary(w, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -41,8 +51,8 @@ def _check_unitary(w, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def qubit_family_a(theta: float, phi: float = 0.0) -> KrausSet:
-    """First qubit family:
+def qubit_family_a_stack(theta, phi: float = 0.0) -> np.ndarray:
+    """Kraus stack (N, 2, 2, 2) of the first qubit family at each theta:
 
         K1 = [[sin t, 0      ],      K2 = [[0,            1/sqrt2],
               [0,     1/sqrt2]],           [cos t e^(i p), 0      ]]
@@ -50,38 +60,56 @@ def qubit_family_a(theta: float, phi: float = 0.0) -> KrausSet:
     CPTP and self-complementary for every theta in [0, pi], phi in [0, 2pi].
     theta = pi/2 is amplitude damping with decay probability 1/2.
     """
-    theta = _check_angle("theta", theta, math.pi)
+    theta = _check_range("theta", theta, math.pi)
     phi = _check_angle("phi", phi, 2 * math.pi)
-    s, c = math.sin(theta), math.cos(theta)
-    k1 = np.array([[s, 0.0], [0.0, SQRT_HALF]], dtype=complex)
-    k2 = np.array([[0.0, SQRT_HALF], [c * np.exp(1j * phi), 0.0]], dtype=complex)
-    return KrausSet(2, 2, (k1, k2))
+    kraus = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 0] = np.sin(theta)
+    kraus[..., 0, 1, 1] = SQRT_HALF
+    kraus[..., 1, 0, 1] = SQRT_HALF
+    kraus[..., 1, 1, 0] = np.cos(theta) * np.exp(1j * phi)
+    return kraus
 
 
-def qubit_family_b(theta: float, phi: float = 0.0) -> KrausSet:
-    """Second qubit family:
+def qubit_family_a(theta: float, phi: float = 0.0) -> KrausSet:
+    """First qubit family at one theta: :func:`qubit_family_a_stack` at N = 1."""
+    return KrausSet(2, 2, tuple(qubit_family_a_stack([theta], phi)[0]))
+
+
+def qubit_family_b_stack(theta, phi: float = 0.0) -> np.ndarray:
+    """Kraus stack (N, 2, 2, 2) of the second qubit family at each theta:
 
         K1 = [[1, 0            ],    K2 = [[0, sin t / sqrt2],
               [0, sin t / sqrt2]],         [0, cos t e^(i p)]]
 
     theta = phi = 0 gives the dephasing channel.
     """
-    theta = _check_angle("theta", theta, math.pi)
+    theta = _check_range("theta", theta, math.pi)
     phi = _check_angle("phi", phi, 2 * math.pi)
-    s, c = math.sin(theta), math.cos(theta)
-    k1 = np.array([[1.0, 0.0], [0.0, s * SQRT_HALF]], dtype=complex)
-    k2 = np.array([[0.0, s * SQRT_HALF], [0.0, c * np.exp(1j * phi)]], dtype=complex)
-    return KrausSet(2, 2, (k1, k2))
+    kraus = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 0] = 1.0
+    kraus[..., 0, 1, 1] = kraus[..., 1, 0, 1] = np.sin(theta) * SQRT_HALF
+    kraus[..., 1, 1, 1] = np.cos(theta) * np.exp(1j * phi)
+    return kraus
+
+
+def qubit_family_b(theta: float, phi: float = 0.0) -> KrausSet:
+    """Second qubit family at one theta: :func:`qubit_family_b_stack` at N = 1."""
+    return KrausSet(2, 2, tuple(qubit_family_b_stack([theta], phi)[0]))
+
+
+def amplitude_damping_stack(p) -> np.ndarray:
+    """Kraus stack (N, 2, 2, 2): decay to the ground state with probability p."""
+    p = _check_range("p", p, 1)
+    kraus = np.zeros(p.shape + (2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 0] = 1.0
+    kraus[..., 0, 1, 1] = np.sqrt(1.0 - p)
+    kraus[..., 1, 0, 1] = np.sqrt(p)
+    return kraus
 
 
 def amplitude_damping(p: float) -> KrausSet:
-    """Decay to the ground state with probability p."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
-    k1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    k2 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausSet(2, 2, (k1, k2))
+    """Amplitude damping at one p: :func:`amplitude_damping_stack` at N = 1."""
+    return KrausSet(2, 2, tuple(amplitude_damping_stack([p])[0]))
 
 
 def dephasing() -> KrausSet:
@@ -187,34 +215,48 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * j * k / n) / math.sqrt(n)
 
 
+def _wrapped_phase(omega: float, times: np.ndarray) -> np.ndarray:
+    """theta = (omega t) mod pi."""
+    return np.fmod(omega * times, math.pi)
+
+
+def _decay(omega: float, times: np.ndarray) -> np.ndarray:
+    """p = 1 - exp(-omega t), sample by sample through math.exp: np.exp
+    differs from it in the last bit at some t."""
+    return np.array([1.0 - math.exp(-omega * t) for t in times.tolist()])
+
+
 @dataclass(frozen=True)
-class FamilyParams:
-    """Validated parameter bundle for the family constructors."""
+class Family:
+    """One row of :data:`FAMILIES`.
 
-    family: str
-    theta: float = 0.0
-    phi: float = 0.0
-    p: float = 0.5
-    dim: int = 2
-    w: np.ndarray | None = field(default=None)
+    ``build`` takes the CLI options named in ``params``, in that order;
+    ``commands`` are the CLI commands that accept the family.  A driven
+    family also has ``stack``, the Kraus stack over an array of its driving
+    parameter, and ``schedule``, the driving parameter at (omega, times).
+    """
 
-    def __post_init__(self):
-        if self.family not in FAMILY_IDS:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILY_IDS}")
+    build: Callable[..., KrausSet]
+    params: tuple[str, ...]
+    commands: tuple[str, ...]
+    stack: Callable[..., np.ndarray] | None = None
+    schedule: Callable[[float, np.ndarray], np.ndarray] | None = None
 
 
-def make_family(params: FamilyParams) -> KrausSet:
-    """Dispatch a FamilyParams bundle to the matching constructor."""
-    fam = params.family
-    if fam == "qubit-a":
-        return qubit_family_a(params.theta, params.phi)
-    if fam == "qubit-b":
-        return qubit_family_b(params.theta, params.phi)
-    if fam == "ad":
-        return amplitude_damping(params.p)
-    if fam == "ndim-theta0":
-        return ndim_theta0(params.dim)
-    w = params.w if params.w is not None else np.eye(params.dim if fam == "ndim" else 3)
-    if fam == "qutrit":
-        return qutrit_family(params.theta, w)
-    return ndim_family(params.dim, params.theta, w)
+FAMILIES = {
+    "qubit-a": Family(qubit_family_a, ("theta", "phi"), ("family", "bloch", "dynamics"),
+                      qubit_family_a_stack, _wrapped_phase),
+    "qubit-b": Family(qubit_family_b, ("theta", "phi"), ("family", "bloch", "dynamics"),
+                      qubit_family_b_stack, _wrapped_phase),
+    "ad": Family(amplitude_damping, ("p",), ("family", "dynamics"),
+                 amplitude_damping_stack, _decay),
+    "qutrit": Family(qutrit_family, ("theta", "w"), ("family",)),
+    "ndim": Family(ndim_family, ("dim", "theta", "w"), ("family",)),
+    "ndim-theta0": Family(ndim_theta0, ("dim",), ("family",)),
+    "identity": Family(identity_channel, (), ("bloch",)),
+}
+
+
+def family_ids(command: str) -> tuple[str, ...]:
+    """Ids of the families that a CLI command accepts, in table order."""
+    return tuple(name for name, family in FAMILIES.items() if command in family.commands)

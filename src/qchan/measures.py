@@ -292,17 +292,13 @@ def negativity_closed_form(theta: float) -> float:
     return abs(math.cos(2.0 * float(theta))) / 4.0
 
 
-def concurrence_from_negativity(neg: float, branch: str = "lower") -> float:
+def concurrence_from_negativity(neg: float) -> float:
     """Concurrence of a family Choi state as a monotone function of its
     negativity.
 
     With N = |cos 2t|/4 the concurrence is sqrt((1 - sqrt(1 - 16 N^2)) / 2)
-    on every branch; the branch argument ("lower" for t < pi/4, "point" for
-    the entanglement-breaking point, "upper" for t > pi/4) is retained for
-    callers that track which side of pi/4 produced the negativity.
+    on both sides of the entanglement-breaking point t = pi/4.
     """
-    if branch not in ("lower", "point", "upper"):
-        raise ValueError(f"unknown branch {branch!r}")
     neg = float(neg)
     if not 0.0 <= neg <= 0.25 + 1e-12:
         raise ValueError(f"negativity {neg} outside [0, 1/4]")

@@ -20,6 +20,11 @@ import numpy as np
 from .channels import KrausSet
 from .linalg import as_matrix
 
+# Largest n_in / n_out a channel document, or `qchan family --n`, may ask
+# for.  At the cap, analyze's capacity bound holds 128^3 complex entries
+# (34 MB); without it a request for a huge n fails only in the allocator.
+MAX_DIM = 128
+
 
 class ChannelFormatError(ValueError):
     """Malformed channel document."""
@@ -59,6 +64,8 @@ def channel_from_dict(data) -> KrausSet:
         # bool is an int subclass; JSON true is not a dimension.
         if not isinstance(value, int) or isinstance(value, bool):
             raise ChannelFormatError(f"'{name}' must be an integer, got {value!r}")
+        if value > MAX_DIM:
+            raise ChannelFormatError(f"'{name}' = {value} is above the dimension cap {MAX_DIM}")
     if not isinstance(raw, list) or not raw:
         raise ChannelFormatError("'kraus' must be a nonempty list of matrices")
     ops = tuple(matrix_from_pairs(mat) for mat in raw)

@@ -15,7 +15,6 @@ from qchan import (
     compose,
     dephasing,
     identity_channel,
-    is_cptp,
     is_selfcomplementary,
     kraus,
     kraus_from_unitary,
@@ -344,13 +343,13 @@ def test_compose_dimension_mismatch():
         compose(qubit_family_a(0.1), identity_channel(3))
 
 
-def test_is_cptp_reports():
-    ok = is_cptp(qubit_family_a(0.8, 0.8))
-    assert ok.ok and ok.residual <= 1e-12
-    bad = is_cptp(kraus([np.eye(2, dtype=complex)] * 2))
-    assert not bad.ok and abs(bad.residual - 1.0) <= 1e-12
+def test_validate_channel_cptp_verdicts():
+    ok = validate_channel(qubit_family_a(0.8, 0.8))
+    assert ok.cptp_ok and ok.cptp_residual <= 1e-12
+    bad = validate_channel(kraus([np.eye(2, dtype=complex)] * 2))
+    assert not bad.cptp_ok and abs(bad.cptp_residual - 1.0) <= 1e-12
     for n in range(2, 7):
-        assert is_cptp(ndim_theta0(n)).ok
+        assert validate_channel(ndim_theta0(n)).cptp_ok
 
 
 def test_validate_channel_report():

@@ -7,7 +7,8 @@ import pytest
 
 from qchan import identity_channel, kraus
 from qchan.cli import main
-from qchan.serialize import channel_to_dict, read_channel, write_json_atomic
+from qchan.families import FAMILIES, family_ids
+from qchan.serialize import MAX_DIM, channel_to_dict, read_channel, write_json_atomic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -145,6 +146,32 @@ def test_analyze_non_integer_dimension_exits_3(tmp_path, capsys, field, value):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("field", ["n_in", "n_out"])
+def test_analyze_dimension_above_cap_exits_3(tmp_path, capsys, field):
+    doc = {"n_in": 1, "n_out": 1, "kraus": [[[[1.0, 0.0]]]]}
+    doc[field] = MAX_DIM + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("analyze", "--in", bad, "--out", tmp_path / "r.json") == 3
+    assert f"'{field}' = {MAX_DIM + 1} is above the dimension cap {MAX_DIM}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    # At the cap the document is read, and refused only for its 1 x 1 operator.
+    doc[field] = MAX_DIM
+    bad.write_text(json.dumps(doc))
+    assert run("analyze", "--in", bad, "--out", tmp_path / "r.json") == 3
+    assert "cap" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["ndim", "ndim-theta0"])
+@pytest.mark.parametrize("n", [MAX_DIM + 1, 10_000_000])
+def test_family_dimension_above_cap_exits_2(tmp_path, capsys, family, n):
+    out = tmp_path / "big.json"
+    assert run("family", "--id", family, "--n", n, "--out", out) == 2
+    assert f"--n {n} is above the dimension cap {MAX_DIM}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("family", "--id", "qubit-a", "--n", MAX_DIM, "--out", out) == 0
+
+
 def test_analyze_missing_input_file_exits_3(tmp_path, capsys):
     assert run("analyze", "--in", tmp_path / "missing.json", "--out", tmp_path / "r.json") == 3
     assert "format" in capsys.readouterr().err
@@ -185,6 +212,33 @@ def test_non_finite_arguments_exit_2_without_warnings(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "finite" in err and "Warning" not in err
     assert not out.exists()
+
+
+CLI_FAMILY_OPTION = {"family": "--id", "bloch": "--family", "dynamics": "--family"}
+# The ids each command has accepted since the first release, in order.
+CLI_FAMILY_IDS = {
+    "family": ("qubit-a", "qubit-b", "ad", "qutrit", "ndim", "ndim-theta0"),
+    "bloch": ("qubit-a", "qubit-b", "identity"),
+    "dynamics": ("qubit-a", "qubit-b", "ad"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FAMILY_OPTION))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_table_decides_what_each_command_accepts(tmp_path, capsys, command, family):
+    out = tmp_path / "out.csv"
+    argv = [command, CLI_FAMILY_OPTION[command], family, "--out", out]
+    argv += {"family": [], "bloch": ["--points", 8], "dynamics": ["--steps", 8]}[command]
+    assert family_ids(command) == CLI_FAMILY_IDS[command]
+    if family in CLI_FAMILY_IDS[command]:
+        assert run(*argv) == 0
+        assert out.exists()
+    else:
+        with pytest.raises(SystemExit) as refused:
+            run(*argv)
+        assert refused.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze_reports_structural_fields_for_broken_channels(tmp_path):

@@ -26,6 +26,7 @@ from qchan import (
     run_trajectory,
     svd_values,
 )
+from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK, sanitize_nonnegative_spectrum
 from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, WOOTTERS_EIGENVALUE_FLOOR
 
@@ -35,6 +36,7 @@ PAULIS = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 YY = np.kron(PAULIS[1], PAULIS[1])
+SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def bits(values) -> bytes:
@@ -45,7 +47,24 @@ def bits(values) -> bytes:
 #
 # The loop that the stacked evaluation replaced, one channel and one state
 # at a time, with the same arithmetic: the stacked results must equal it
-# bit for bit.
+# bit for bit.  The driven families' Kraus operators are written out from
+# their definitions with math, not taken from qchan's constructors.
+
+
+def reference_kraus(family, param, phi=0.0) -> np.ndarray:
+    """Kraus operators (2, 2, 2) of a driven family at one parameter value."""
+    if family == "ad":
+        k1 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - param)]]
+        k2 = [[0.0, math.sqrt(param)], [0.0, 0.0]]
+    else:
+        s, c = math.sin(param), math.cos(param) * complex(math.cos(phi), math.sin(phi))
+        if family == "qubit-a":
+            k1 = [[s, 0.0], [0.0, SQ2]]
+            k2 = [[0.0, SQ2], [c, 0.0]]
+        else:
+            k1 = [[1.0, 0.0], [0.0, s * SQ2]]
+            k2 = [[0.0, s * SQ2], [0.0, c]]
+    return np.array([k1, k2], dtype=complex)
 
 
 def reference_entropy(ev) -> float:
@@ -53,8 +72,8 @@ def reference_entropy(ev) -> float:
     return 0.0 - float((ev * np.log(ev)).sum())
 
 
-def reference_choi_measures(channel) -> tuple[float, float, float]:
-    superop = sum(np.kron(op, op.conj()) for op in channel.operators)
+def reference_choi_measures(operators) -> tuple[float, float, float]:
+    superop = sum(np.kron(op, op.conj()) for op in operators)
     omega = superop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4) / 2
     pt = omega.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
     neg = max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0))
@@ -71,11 +90,9 @@ def reference_trajectory(family, omega, t_max, n_steps):
     for t in np.linspace(0.0, t_max, n_steps):
         if family == "ad":
             param = 1.0 - math.exp(-omega * float(t))
-            channel = amplitude_damping(param)
         else:
             param = math.fmod(omega * float(t), math.pi)
-            channel = (qubit_family_a if family == "qubit-a" else qubit_family_b)(param)
-        rows.append((param, *reference_choi_measures(channel)))
+        rows.append((param, *reference_choi_measures(reference_kraus(family, param))))
     return np.array(rows).T
 
 
@@ -262,6 +279,41 @@ def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
     assert bits(traj.negativity) == bits(neg)
     assert bits(traj.concurrence) == bits(conc)
     assert bits(traj.map_entropy) == bits(ent)
+
+
+@pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
+def test_stacked_constructors_equal_written_out_operators_bitwise(family):
+    hi = 1.0 if family == "ad" else math.pi
+    rng = np.random.default_rng(7)
+    values = np.concatenate([[0.0, hi], np.linspace(0.0, hi, 1001), rng.uniform(0.0, hi, 1000)])
+    stack = FAMILIES[family].stack
+    for phi in [0.0] if family == "ad" else [0.0, 0.7, 2 * math.pi]:
+        got = stack(values) if family == "ad" else stack(values, phi)
+        expected = np.array([reference_kraus(family, float(v), phi) for v in values])
+        assert got.shape == (values.size, 2, 2, 2)
+        assert got.tobytes() == expected.tobytes()
+        single = FAMILIES[family].build(*[values[3]] + ([] if family == "ad" else [phi]))
+        assert np.array(single.operators).tobytes() == expected[3].tobytes()
+
+
+@pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
+def test_stacked_constructors_refuse_the_first_bad_value_like_one_channel(family):
+    hi = 1.0 if family == "ad" else math.pi
+    row = FAMILIES[family]
+    for bad in (hi + 1e-9, -1e-12, math.nan):
+        values = np.linspace(0.0, hi, 9)
+        values[4] = bad
+        with pytest.raises(ValueError) as single:
+            row.build(bad)
+        with pytest.raises(ValueError) as stacked:
+            row.stack(values)
+        assert str(stacked.value) == str(single.value)
+    values = np.array([0.5, -1e-12, math.nan, hi + 1e-9])
+    with pytest.raises(ValueError) as single:
+        row.build(-1e-12)
+    with pytest.raises(ValueError) as stacked:
+        row.stack(values)
+    assert str(stacked.value) == str(single.value)
 
 
 @pytest.mark.parametrize(

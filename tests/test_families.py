@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    FamilyParams,
     amplitude_damping,
     apply,
     channel_rank,
@@ -10,9 +9,7 @@ from qchan import (
     dephasing,
     dft_matrix,
     hermitian_eigenvalues,
-    is_cptp,
     is_selfcomplementary,
-    make_family,
     ndim_family,
     ndim_theta0,
     qubit_family_a,
@@ -21,7 +18,9 @@ from qchan import (
     random_density_matrix,
     random_unitary,
     tensor_channel,
+    validate_channel,
 )
+from qchan.families import FAMILIES
 from qchan.linalg import DensityMatrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -126,13 +125,13 @@ def test_qutrit_family_reduces_to_theta0(rng):
 
 
 def test_qutrit_family_validation_reports():
-    ok = is_cptp(qutrit_family(0.0, np.eye(3)))
-    assert ok.ok and ok.residual <= 1e-12
+    ok = validate_channel(qutrit_family(0.0, np.eye(3)))
+    assert ok.cptp_ok and ok.cptp_residual <= 1e-12
     # Away from theta = 0 this parameterization fails completeness; the
     # report carries the residual instead of asserting.
-    report = is_cptp(qutrit_family(np.pi / 4, np.eye(3)))
-    assert not report.ok
-    assert abs(report.residual - 0.5) <= 1e-12
+    report = validate_channel(qutrit_family(np.pi / 4, np.eye(3)))
+    assert not report.cptp_ok
+    assert abs(report.cptp_residual - 0.5) <= 1e-12
 
 
 def test_qutrit_family_rejects_non_unitary_parameter():
@@ -159,8 +158,8 @@ def test_ndim_family_matches_qutrit_at_shared_point():
 def test_ndim_family_two_dimensional_case_reports():
     ch = ndim_family(2, 0.7, np.eye(2))
     assert ch.n_in == ch.n_out == 2 and ch.k == 2
-    report = is_cptp(ch)
-    assert report.residual >= 0.0  # report-only contract away from theta = 0
+    report = validate_channel(ch)
+    assert report.cptp_residual >= 0.0  # report-only contract away from theta = 0
 
 
 def test_ndim_family_dimension_guard():
@@ -187,14 +186,13 @@ def test_dft_matrix_is_unitary():
         assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
 
 
-def test_family_params_dispatch(rng):
-    assert make_family(FamilyParams("qubit-a", theta=0.4)).k == 2
-    assert make_family(FamilyParams("ad", p=0.25)).k == 2
-    assert make_family(FamilyParams("ndim-theta0", dim=4)).k == 4
-    assert make_family(FamilyParams("qutrit", theta=0.0)).k == 3
-    assert make_family(FamilyParams("ndim", theta=0.0, dim=4)).k == 4
-    with pytest.raises(ValueError, match="unknown family"):
-        FamilyParams("bogus")
+def test_family_table_dispatch():
+    assert FAMILIES["qubit-a"].build(0.4, 0.0).k == 2
+    assert FAMILIES["ad"].build(0.25).k == 2
+    assert FAMILIES["ndim-theta0"].build(4).k == 4
+    assert FAMILIES["qutrit"].build(0.0, np.eye(3)).k == 3
+    assert FAMILIES["ndim"].build(4, 0.0, np.eye(4)).k == 4
+    assert FAMILIES["identity"].build().k == 1
 
 
 def test_random_inputs_spread_through_family(rng):

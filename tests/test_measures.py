@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qchan import (
     DensityMatrix,
     Ensemble,
-    FamilyParams,
     amplitude_damping,
     apply,
     capacity_lower_bounds,
@@ -28,7 +27,6 @@ from qchan import (
     identity_channel,
     kraus,
     kraus_stack,
-    make_family,
     map_entropies,
     map_entropy,
     ndim_family,
@@ -48,6 +46,7 @@ from qchan import (
     von_neumann_entropy,
     wootters_spectrum,
 )
+from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
 from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
 
@@ -318,16 +317,13 @@ def test_concurrence_negativity_ordering():
 
 def test_concurrence_from_negativity():
     root = 1.0 / math.sqrt(2.0)
-    assert abs(concurrence_from_negativity(0.25, "lower") - root) <= 1e-12
-    assert concurrence_from_negativity(0.0, "point") == 0.0
+    assert abs(concurrence_from_negativity(0.25) - root) <= 1e-12
+    assert concurrence_from_negativity(0.0) == 0.0
     for theta in GRID:
-        branch = "lower" if theta < math.pi / 4 else "upper"
-        via_neg = concurrence_from_negativity(negativity_closed_form(float(theta)), branch)
+        via_neg = concurrence_from_negativity(negativity_closed_form(float(theta)))
         assert abs(via_neg - concurrence_closed_form(float(theta))) <= 1e-10
     with pytest.raises(ValueError):
         concurrence_from_negativity(0.3)
-    with pytest.raises(ValueError):
-        concurrence_from_negativity(0.1, "sideways")
 
 
 def test_entanglement_evolution_factor():
@@ -432,15 +428,16 @@ def gram_vs_choi_channels():
     two channels at the rank tolerance."""
     rng = np.random.default_rng(31)
     params = [
-        FamilyParams("qubit-a", theta=0.3, phi=0.7),
-        FamilyParams("qubit-b", theta=1.1, phi=0.2),
-        FamilyParams("ad", p=0.25),
-        FamilyParams("qutrit", theta=0.0, w=dft_matrix(3)),
-        FamilyParams("qutrit", theta=0.4, w=np.eye(3)),
-        FamilyParams("ndim", theta=0.0, dim=5),
-        FamilyParams("ndim-theta0", dim=6),
+        ("qubit-a", 0.3, 0.7),
+        ("qubit-b", 1.1, 0.2),
+        ("ad", 0.25),
+        ("qutrit", 0.0, dft_matrix(3)),
+        ("qutrit", 0.4, np.eye(3)),
+        ("ndim", 5, 0.0, np.eye(5)),
+        ("ndim-theta0", 6),
+        ("identity",),
     ]
-    chans = {f"{p.family}-{p.theta}-{p.dim}": make_family(p) for p in params}
+    chans = {"-".join(str(x) for x in p[:2]): FAMILIES[p[0]].build(*p[1:]) for p in params}
     chans["ndim-fourier"] = ndim_family(8, 0.7, dft_matrix(8))  # not CPTP
     chans["isometry-2-3"] = random_cptp(2, 3, 1, rng)
     # The second Choi eigenvalue, 2 eps, lies on either side of the rank tolerance.
