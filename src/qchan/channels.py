@@ -3,7 +3,13 @@
 Conventions fixed across the package:
 
 * A channel with ``k`` Kraus operators of shape ``(n_out, n_in)`` acts as
-  ``rho -> sum_i K_i rho K_i^dagger``.
+  ``rho -> sum_i K_i rho K_i^dagger``.  Its operators are one C-contiguous
+  complex array of shape ``(k, n_out, n_in)``, the Kraus 3-tensor
+  ``T[i, a, j] = (K_i)_(aj)``, and every other representation is a plain
+  array: functions that need the ``n_in`` / ``n_out`` split of a square
+  matrix take it as arguments.  A stack of channels is ``(N, k, n_out,
+  n_in)``; a single channel's operators are its ``N = 1`` stack
+  ``operators[None]``.
 * The superoperator is ``S = sum_i K_i (x) conj(K_i)``, a
   ``(n_out^2, n_in^2)`` matrix acting on row-major vectorized density
   matrices.
@@ -26,7 +32,8 @@ Conventions fixed across the package:
   fixes the tensor entrywise.
 * A Stinespring dilation uses environment-major ordering env (x) sys with
   the environment prepared in the first basis state, so the Kraus operators
-  are the successive ``n x n`` blocks of the first block-column of ``U``.
+  are the successive ``n x n`` blocks of the first block-column of ``U``:
+  ``K_i = U[i*n:(i+1)*n, :n]``.
 """
 
 from __future__ import annotations
@@ -51,9 +58,6 @@ from .linalg import (
 
 __all__ = [
     "KrausSet",
-    "SuperOperator",
-    "ChoiMatrix",
-    "StinespringUnitary",
     "ChannelValidation",
     "kraus",
     "apply",
@@ -71,7 +75,6 @@ __all__ = [
     "gram_states",
     "completeness_residuals",
     "require_cptp_stack",
-    "kraus_stack",
     "channel_rank",
     "stinespring",
     "kraus_from_unitary",
@@ -79,14 +82,16 @@ __all__ = [
     "compose",
     "validate_channel",
     "random_cptp",
-    "reshuffle_superop_to_choi",
-    "reshuffle_choi_to_superop",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered Kraus operators of a linear map from n_in to n_out dimensions.
+
+    ``operators`` is one C-contiguous complex array (k, n_out, n_in).  An
+    array already of that form is kept as it is, without a copy; a sequence
+    of matrices is stacked once.
 
     Maps that violate the completeness relation are representable (so that
     questionable parameterizations can be inspected numerically), but they
@@ -96,20 +101,24 @@ class KrausSet:
 
     n_in: int
     n_out: int
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
         if self.n_in < 1 or self.n_out < 1:
             raise ValueError("dimensions must be positive")
-        ops = tuple(as_matrix(op) for op in self.operators)
-        if not ops:
+        ops = self.operators
+        if isinstance(ops, np.ndarray):
+            ops = _finite(ops, (3,), "a Kraus array (k, n_out, n_in)")
+        else:
+            ops = [as_matrix(op) for op in ops]
+        if not len(ops):
             raise ValueError("a channel needs at least one Kraus operator")
         for op in ops:
             if op.shape != (self.n_out, self.n_in):
                 raise ValueError(
                     f"Kraus operator shape {op.shape} differs from ({self.n_out}, {self.n_in})"
                 )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", np.ascontiguousarray(ops))
 
     @property
     def k(self) -> int:
@@ -119,10 +128,10 @@ class KrausSet:
     @property
     def completeness_residual(self) -> float:
         """max |sum_i K_i^dagger K_i - 1|."""
-        return float(completeness_residuals(kraus_stack([self]))[0])
+        return float(completeness_residuals(self.operators[None])[0])
 
     def require_cptp(self, tol: float = DEFAULT_TOL) -> None:
-        require_cptp_stack(kraus_stack([self]), tol)
+        require_cptp_stack(self.operators[None], tol)
 
 
 def _as_kraus_stack(kraus) -> np.ndarray:
@@ -147,64 +156,13 @@ def require_cptp_stack(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
     return kraus
 
 
-def kraus_stack(channels) -> np.ndarray:
-    """Operators of equally shaped channels as one stack (N, k, n_out, n_in)."""
-    return np.array([channel.operators for channel in channels])
-
-
-@dataclass(frozen=True, eq=False)
-class SuperOperator:
-    """Matrix of a channel on row-major vectorized density matrices."""
-
-    n_in: int
-    n_out: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape != (self.n_out**2, self.n_in**2):
-            raise ValueError(f"superoperator shape {m.shape} != ({self.n_out**2}, {self.n_in**2})")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """Unnormalized Choi matrix on (input copy) (x) (output), trace n_in."""
-
-    n_in: int
-    n_out: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        side = self.n_in * self.n_out
-        if m.shape != (side, side):
-            raise ValueError(f"Choi matrix shape {m.shape} != ({side}, {side})")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class StinespringUnitary:
-    """Global unitary on env (x) sys realizing a channel by tracing out env.
-
-    The environment starts in the first basis state, so column block
-    ``U[:, :n_sys]`` stacks the Kraus operators vertically:
-    ``K_i = U[i*n_sys:(i+1)*n_sys, :n_sys]``.
-    """
-
-    n_sys: int
-    n_env: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        side = self.n_sys * self.n_env
-        if m.shape != (side, side):
-            raise ValueError(f"unitary shape {m.shape} != ({side}, {side})")
-        object.__setattr__(self, "matrix", m)
-
-    def unitarity_defect(self) -> float:
-        return max_abs(dagger(self.matrix) @ self.matrix - np.eye(self.matrix.shape[0]))
+def _square(matrix, what: str, side: int | None = None) -> np.ndarray:
+    """A finite matrix, refused unless it is square (of the given side)."""
+    m = as_matrix(matrix)
+    side = m.shape[0] if side is None else side
+    if m.shape != (side, side):
+        raise ValueError(f"{what} shape {m.shape} != ({side}, {side})")
+    return m
 
 
 @dataclass(frozen=True)
@@ -224,7 +182,7 @@ def kraus(operators, n_in: int | None = None, n_out: int | None = None) -> Kraus
     if not ops:
         raise ValueError("empty operator list")
     m, n = ops[0].shape
-    return KrausSet(n_in if n_in is not None else n, n_out if n_out is not None else m, tuple(ops))
+    return KrausSet(n_in if n_in is not None else n, n_out if n_out is not None else m, ops)
 
 
 def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -233,7 +191,7 @@ def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     state = as_state(rho)
     if state.dim != channel.n_in:
         raise ValueError(f"state dimension {state.dim} != channel input dimension {channel.n_in}")
-    return DensityMatrix(apply_kraus(_kraus_tensor(channel), state.matrix))
+    return DensityMatrix(apply_kraus(channel.operators, state.matrix))
 
 
 def apply_kraus(kraus, states) -> np.ndarray:
@@ -247,26 +205,20 @@ def apply_kraus(kraus, states) -> np.ndarray:
     return sum(op @ states @ dagger(op) for op in np.moveaxis(kraus, -3, 0))
 
 
-def _kraus_tensor(channel: KrausSet) -> np.ndarray:
-    """Stack operators into the 3-tensor T[i, row, col]."""
-    return np.stack(channel.operators)
-
-
 def complementary(channel: KrausSet) -> KrausSet:
     """Channel into the environment: swap Kraus index and output row index.
 
     A channel with k operators of shape (M, N) yields M operators of shape
     (k, N); applying the swap twice returns the original operator list.
     """
-    t = _kraus_tensor(channel).transpose(1, 0, 2)
-    return KrausSet(channel.n_in, channel.k, tuple(t[i] for i in range(t.shape[0])))
+    return KrausSet(channel.n_in, channel.k, channel.operators.transpose(1, 0, 2))
 
 
 def selfcomplementarity_defect(channel: KrausSet) -> float:
     """max |K^i_(aj) - K^a_(ij)|, or inf when the tensor is not square."""
     if channel.k != channel.n_out:
         return math.inf
-    t = _kraus_tensor(channel)
+    t = channel.operators
     return max_abs(t - t.transpose(1, 0, 2))
 
 
@@ -275,9 +227,9 @@ def is_selfcomplementary(channel: KrausSet, tol: float = DEFAULT_TOL) -> bool:
     return selfcomplementarity_defect(channel) <= tol
 
 
-def kraus_to_superop(channel: KrausSet) -> SuperOperator:
-    """S = sum_i K_i (x) conj(K_i)."""
-    return SuperOperator(channel.n_in, channel.n_out, _superops(kraus_stack([channel]))[0])
+def kraus_to_superop(channel: KrausSet) -> np.ndarray:
+    """S = sum_i K_i (x) conj(K_i), an (n_out^2, n_in^2) matrix."""
+    return _superops(channel.operators[None])[0]
 
 
 def _superops(kraus: np.ndarray) -> np.ndarray:
@@ -289,7 +241,7 @@ def _superops(kraus: np.ndarray) -> np.ndarray:
     )
 
 
-def reshuffle_superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
+def superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
     """Reindex a superoperator, or each of a stack, into a Choi matrix on
     (input copy) (x) (output).
 
@@ -305,27 +257,16 @@ def reshuffle_superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
     return t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, n_in * n_out, n_in * n_out)
 
 
-def reshuffle_choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
-    """Exact inverse of :func:`reshuffle_superop_to_choi`."""
-    m = as_matrix(matrix)
-    side = n_in * n_out
-    if m.shape != (side, side):
-        raise ValueError(f"shape {m.shape} does not match ({side}, {side})")
+def choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
+    """Exact inverse of :func:`superop_to_choi` on one Choi matrix."""
+    m = _square(matrix, "Choi matrix", n_in * n_out)
     t = m.reshape(n_in, n_out, n_in, n_out)
     return t.transpose(1, 3, 0, 2).reshape(n_out**2, n_in**2)
 
 
-def superop_to_choi(s: SuperOperator) -> ChoiMatrix:
-    return ChoiMatrix(s.n_in, s.n_out, reshuffle_superop_to_choi(s.matrix, s.n_in, s.n_out))
-
-
-def choi_to_superop(c: ChoiMatrix) -> SuperOperator:
-    return SuperOperator(c.n_in, c.n_out, reshuffle_choi_to_superop(c.matrix, c.n_in, c.n_out))
-
-
-def choi_matrix(channel: KrausSet) -> ChoiMatrix:
-    """Choi matrix of a channel (via the superoperator reshuffle)."""
-    return superop_to_choi(kraus_to_superop(channel))
+def choi_matrix(channel: KrausSet) -> np.ndarray:
+    """Choi matrix of a channel (via the superoperator reshuffle), trace n_in."""
+    return superop_to_choi(kraus_to_superop(channel), channel.n_in, channel.n_out)
 
 
 def choi_state(channel: KrausSet) -> DensityMatrix:
@@ -335,7 +276,7 @@ def choi_state(channel: KrausSet) -> DensityMatrix:
     check, Choi build and state validation, each at N = 1.
     """
     channel.require_cptp()
-    return DensityMatrix(choi_matrix(channel).matrix / channel.n_in)
+    return DensityMatrix(choi_matrix(channel) / channel.n_in)
 
 
 def choi_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +290,7 @@ def choi_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     """
     kraus = require_cptp_stack(kraus, tol)
     _, _, n_out, n_in = kraus.shape
-    states = reshuffle_superop_to_choi(_superops(kraus), n_in, n_out) / n_in
+    states = superop_to_choi(_superops(kraus), n_in, n_out) / n_in
     return states, validate_states(states)
 
 
@@ -376,20 +317,22 @@ def gram_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return states, validate_states(states)
 
 
-def channel_rank(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Number of Choi eigenvalues above tol: the minimal Kraus count."""
-    ev = hermitian_eigenvalues(c.matrix)
+def channel_rank(choi, tol: float = DEFAULT_TOL) -> int:
+    """Number of eigenvalues above tol of a square Choi matrix: the minimal
+    Kraus count."""
+    ev = hermitian_eigenvalues(_square(choi, "Choi matrix"))
     return int(np.count_nonzero(ev > tol))
 
 
-def choi_to_kraus(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
+def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> KrausSet:
     """Minimal Kraus representation from the Choi eigendecomposition.
 
-    One operator per eigenvalue above ``tol``, ordered by descending
-    eigenvalue with ties broken lexicographically on the real parts of the
-    eigenvector entries.  Raises on non-PSD input.
+    ``choi`` is an (n_in n_out, n_in n_out) Choi matrix.  One operator per
+    eigenvalue above ``tol``, ordered by descending eigenvalue with ties
+    broken lexicographically on the real parts of the eigenvector entries.
+    Raises on non-PSD input.
     """
-    ev, vec = np.linalg.eigh(c.matrix)
+    ev, vec = np.linalg.eigh(_square(choi, "Choi matrix", n_in * n_out))
     lo = float(ev.min())
     if lo < -tol:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {lo:.3e}")
@@ -401,14 +344,14 @@ def choi_to_kraus(c: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
     for lam, _, i in picked:
         # Eigenvector components are indexed (input k, output i); the Kraus
         # operator is the transpose of that reshape.
-        g = (math.sqrt(lam) * vec[:, i]).reshape(c.n_in, c.n_out)
+        g = (math.sqrt(lam) * vec[:, i]).reshape(n_in, n_out)
         ops.append(g.T)
     if not ops:
         raise ValueError("Choi matrix has no eigenvalue above tolerance")
-    return KrausSet(c.n_in, c.n_out, tuple(ops))
+    return KrausSet(n_in, n_out, ops)
 
 
-def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> StinespringUnitary:
+def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dilation unitary on env (x) sys for a square channel.
 
     The first block-column is the stacked Kraus operators; the remaining
@@ -418,14 +361,13 @@ def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> StinespringUnita
     if channel.n_in != channel.n_out:
         raise ValueError("square dilation requires n_in == n_out")
     n = channel.n_in
-    k = channel.k
     res = channel.completeness_residual
     if res > tol:
         raise ValueError(
             f"completeness residual {res:.3e} > {tol:.3e}: block-column is not orthonormal"
         )
-    side = n * k
-    cols = [np.concatenate([op[:, j] for op in channel.operators]) for j in range(n)]
+    side = n * channel.k
+    cols = list(np.ascontiguousarray(channel.operators.reshape(side, n).T))
     for idx in range(side):
         if len(cols) == side:
             break
@@ -439,22 +381,23 @@ def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> StinespringUnita
             cols.append(cand / norm)
     if len(cols) != side:
         raise ValueError("orthonormal completion failed")
-    return StinespringUnitary(n, k, np.column_stack(cols))
+    return np.column_stack(cols)
 
 
-def kraus_from_unitary(u: StinespringUnitary, n_env: int) -> KrausSet:
-    """Read the Kraus operators off the first block-column of a dilation."""
-    side = u.matrix.shape[0]
+def kraus_from_unitary(u, n_env: int) -> KrausSet:
+    """Read the Kraus operators off the first block-column of a square
+    dilation unitary on env (x) sys."""
+    m = _square(u, "unitary")
+    side = m.shape[0]
     if side % n_env:
         raise ValueError(f"unitary side {side} not divisible by environment dimension {n_env}")
     n = side // n_env
-    ops = tuple(u.matrix[i * n : (i + 1) * n, :n] for i in range(n_env))
-    return KrausSet(n, n, ops)
+    return KrausSet(n, n, m[:, :n].reshape(n_env, n, n))
 
 
 def tensor_channel(a: KrausSet, b: KrausSet) -> KrausSet:
     """Tensor product channel; operator (i, j) = A_i (x) B_j, i-major."""
-    ops = tuple(np.kron(x, y) for x in a.operators for y in b.operators)
+    ops = [np.kron(x, y) for x in a.operators for y in b.operators]
     return KrausSet(a.n_in * b.n_in, a.n_out * b.n_out, ops)
 
 
@@ -464,7 +407,7 @@ def compose(outer: KrausSet, inner: KrausSet) -> KrausSet:
         raise ValueError(
             f"inner output dimension {inner.n_out} != outer input dimension {outer.n_in}"
         )
-    ops = tuple(x @ y for x in outer.operators for y in inner.operators)
+    ops = [x @ y for x in outer.operators for y in inner.operators]
     return KrausSet(inner.n_in, outer.n_out, ops)
 
 
@@ -473,7 +416,7 @@ def validate_channel(channel: KrausSet, tol: float = DEFAULT_TOL) -> ChannelVali
     needs no completeness, so non-channels are reported too."""
     residual = channel.completeness_residual
     defect = selfcomplementarity_defect(channel)
-    ev = hermitian_eigenvalues(_grams(kraus_stack([channel]))[0])
+    ev = hermitian_eigenvalues(_grams(channel.operators[None])[0])
     rank = int(np.count_nonzero(ev > tol))
     return ChannelValidation(
         cptp_residual=residual,
@@ -491,5 +434,4 @@ def random_cptp(n_in: int, n_out: int, k: int, rng: np.random.Generator) -> Krau
     g = rng.standard_normal((n_out * k, n_in)) + 1j * rng.standard_normal((n_out * k, n_in))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    ops = tuple(q[i * n_out : (i + 1) * n_out, :] for i in range(k))
-    return KrausSet(n_in, n_out, ops)
+    return KrausSet(n_in, n_out, q.reshape(k, n_out, n_in))

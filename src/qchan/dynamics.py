@@ -28,25 +28,6 @@ _PAULIS = (
 _PAULI_STACK = np.array(_PAULIS)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineQubitMap:
-    """Action of a qubit channel on Bloch vectors: r -> linear @ r + shift."""
-
-    linear: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=float)
-        sh = np.asarray(self.shift, dtype=float)
-        if lin.shape != (3, 3) or sh.shape != (3,):
-            raise ValueError("affine map needs a 3x3 linear part and a 3-vector shift")
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "shift", sh)
-
-    def __call__(self, r) -> np.ndarray:
-        return self.linear @ np.asarray(r, dtype=float) + self.shift
-
-
 def bloch_vectors(states) -> np.ndarray:
     """Pauli expectation values of each qubit state of a validated stack, as rows."""
     states = as_stack(states)
@@ -72,8 +53,10 @@ def density_from_bloch(r) -> DensityMatrix:
     return DensityMatrix(_bloch_matrices(np.asarray(r, dtype=float)[None])[0])
 
 
-def affine_of_channel(channel: KrausSet) -> AffineQubitMap:
-    """Extract M and t from the channel's action on the Pauli basis."""
+def affine_of_channel(channel: KrausSet) -> tuple[np.ndarray, np.ndarray]:
+    """The action r -> linear @ r + shift of a qubit channel on Bloch vectors,
+    as ``(linear, shift)``: a 3 x 3 matrix and a 3-vector, read off the
+    channel's action on the Pauli basis."""
     if channel.n_in != 2 or channel.n_out != 2:
         raise ValueError("affine form is defined for qubit channels only")
     shift = bloch_vector(apply(channel, DensityMatrix.maximally_mixed(2)))
@@ -82,7 +65,7 @@ def affine_of_channel(channel: KrausSet) -> AffineQubitMap:
         # Phi(sigma_j) is traceless; feed (1 + sigma_j)/2 and remove the shift.
         out = apply(channel, DensityMatrix(0.5 * (np.eye(2, dtype=complex) + _PAULIS[j])))
         linear[:, j] = bloch_vector(out) - shift
-    return AffineQubitMap(linear, shift)
+    return linear, shift
 
 
 def fibonacci_sphere(n_points: int) -> np.ndarray:
@@ -107,13 +90,12 @@ def bloch_image(channel: KrausSet, n_points: int) -> np.ndarray:
     channel.require_cptp()
     if channel.n_in != 2:
         raise ValueError(f"state dimension 2 != channel input dimension {channel.n_in}")
-    kraus = np.stack(channel.operators)
     points = fibonacci_sphere(n_points)
     image = np.empty((n_points, 3))
     for block in blocks(n_points):
         inputs = _bloch_matrices(points[block])
         validate_states(inputs)
-        outputs = apply_kraus(kraus, inputs)
+        outputs = apply_kraus(channel.operators, inputs)
         validate_states(outputs)
         image[block] = bloch_vectors(outputs)
     return image

@@ -72,7 +72,7 @@ def qubit_family_a_stack(theta, phi: float = 0.0) -> np.ndarray:
 
 def qubit_family_a(theta: float, phi: float = 0.0) -> KrausSet:
     """First qubit family at one theta: :func:`qubit_family_a_stack` at N = 1."""
-    return KrausSet(2, 2, tuple(qubit_family_a_stack([theta], phi)[0]))
+    return KrausSet(2, 2, qubit_family_a_stack([theta], phi)[0])
 
 
 def qubit_family_b_stack(theta, phi: float = 0.0) -> np.ndarray:
@@ -94,7 +94,7 @@ def qubit_family_b_stack(theta, phi: float = 0.0) -> np.ndarray:
 
 def qubit_family_b(theta: float, phi: float = 0.0) -> KrausSet:
     """Second qubit family at one theta: :func:`qubit_family_b_stack` at N = 1."""
-    return KrausSet(2, 2, tuple(qubit_family_b_stack([theta], phi)[0]))
+    return KrausSet(2, 2, qubit_family_b_stack([theta], phi)[0])
 
 
 def amplitude_damping_stack(p) -> np.ndarray:
@@ -109,7 +109,7 @@ def amplitude_damping_stack(p) -> np.ndarray:
 
 def amplitude_damping(p: float) -> KrausSet:
     """Amplitude damping at one p: :func:`amplitude_damping_stack` at N = 1."""
-    return KrausSet(2, 2, tuple(amplitude_damping_stack([p])[0]))
+    return KrausSet(2, 2, amplitude_damping_stack([p])[0])
 
 
 def dephasing() -> KrausSet:
@@ -118,7 +118,7 @@ def dephasing() -> KrausSet:
 
 
 def identity_channel(dim: int = 2) -> KrausSet:
-    return KrausSet(dim, dim, (np.eye(dim, dtype=complex),))
+    return KrausSet(dim, dim, np.eye(dim, dtype=complex)[None])
 
 
 def qutrit_family(theta: float, w) -> KrausSet:
@@ -179,17 +179,16 @@ def ndim_family(n: int, theta: float, w) -> KrausSet:
     w = _check_unitary(w, n)
     s, c = math.sin(theta), math.cos(theta)
     ch = c * SQRT_HALF
-    ops = [np.diag([c] + [ch] * (n - 1)).astype(complex)]
+    ops = np.zeros((n, n, n), dtype=complex)
+    ops[0] = np.diag([c] + [ch] * (n - 1))
     p = _cycle(n)
     for i in range(1, n):
         wp = np.linalg.matrix_power(p, (n - i) % n) @ w  # P^(-i) W
-        op = np.zeros((n, n), dtype=complex)
-        op[0, i] = ch
+        ops[i, 0, i] = ch
         for r in range(1, n - 1):
-            op[r, :] = wp[:, r - 1] * s / math.sqrt(n - 2)
-        op[n - 1, :] = wp[:, n - 1] * s / math.sqrt(n - 1)
-        ops.append(op)
-    return KrausSet(n, n, tuple(ops))
+            ops[i, r, :] = wp[:, r - 1] * s / math.sqrt(n - 2)
+        ops[i, n - 1, :] = wp[:, n - 1] * s / math.sqrt(n - 1)
+    return KrausSet(n, n, ops)
 
 
 def ndim_theta0(n: int) -> KrausSet:
@@ -201,12 +200,11 @@ def ndim_theta0(n: int) -> KrausSet:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    ops = [np.diag([1.0] + [SQRT_HALF] * (n - 1)).astype(complex)]
-    for i in range(1, n):
-        op = np.zeros((n, n), dtype=complex)
-        op[0, i] = SQRT_HALF
-        ops.append(op)
-    return KrausSet(n, n, tuple(ops))
+    ops = np.zeros((n, n, n), dtype=complex)
+    ops[0] = np.diag([1.0] + [SQRT_HALF] * (n - 1))
+    rest = np.arange(1, n)
+    ops[rest, 0, rest] = SQRT_HALF
+    return KrausSet(n, n, ops)
 
 
 def dft_matrix(n: int) -> np.ndarray:

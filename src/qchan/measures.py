@@ -33,7 +33,6 @@ from .channels import (
     choi_states,
     complementary,
     gram_states,
-    kraus_stack,
     require_cptp_stack,
 )
 from .linalg import (
@@ -137,7 +136,7 @@ def map_entropies(kraus) -> np.ndarray:
 
 def map_entropy(channel: KrausSet) -> float:
     """Entropy of the normalized Choi state; 0 for unitary channels."""
-    return float(map_entropies(kraus_stack([channel]))[0])
+    return float(map_entropies(channel.operators[None])[0])
 
 
 def coherent_information(channel: KrausSet, rho) -> float:
@@ -201,7 +200,7 @@ def classical_capacity_lower_bound(
 ) -> float:
     """Holevo quantity of the channel outputs for an equiprobable orthogonal
     pure-state alphabet; lower-bounds the classical capacity."""
-    return float(capacity_lower_bounds(kraus_stack([channel]), basis_states, tol)[0])
+    return float(capacity_lower_bounds(channel.operators[None], basis_states, tol)[0])
 
 
 def spin_flip(omega) -> np.ndarray:
@@ -321,8 +320,6 @@ def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, flo
         raise ValueError(f"input must be a two-qubit state, got dim {state.dim}")
     omega = choi_state(channel)
     predicted = concurrence(state) * concurrence(omega)
-    extended = KrausSet(
-        4, 4, tuple(np.kron(np.eye(2), op) for op in channel.operators)
-    )
+    extended = KrausSet(4, 4, [np.kron(np.eye(2), op) for op in channel.operators])
     direct = concurrence(apply(extended, state))
     return predicted, direct

@@ -6,7 +6,8 @@ Channel JSON schema::
     {"n_in": int, "n_out": int, "kraus": [matrix, ...]}
 
 where each matrix is a row-major nested list and each scalar a two-element
-array [re, im] of decimal floats.
+array [re, im] of JSON numbers.  A document holds at most MAX_DIM Kraus
+operators, and no finite part of an entry exceeds MAX_ENTRY in magnitude.
 """
 
 from __future__ import annotations
@@ -14,16 +15,24 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
 from .channels import KrausSet
 from .linalg import as_matrix
 
-# Largest n_in / n_out a channel document, or `qchan family --n`, may ask
-# for.  At the cap, analyze's capacity bound holds 128^3 complex entries
-# (34 MB); without it a request for a huge n fails only in the allocator.
+# Largest n_in / n_out / Kraus count a channel document, or `qchan family
+# --n`, may ask for.  At the cap, analyze's capacity bound holds 128^3
+# complex entries (34 MB), and so does its Gram matrix of the Kraus
+# operators; without it a request for a huge n or k fails only in the
+# allocator.
 MAX_DIM = 128
+
+# Largest magnitude of a finite real or imaginary part of a matrix entry
+# read from a file.  With n, k <= MAX_DIM no sum of entry products, such as
+# a Gram, completeness or unitarity entry, can then overflow.
+MAX_ENTRY = 1e150
 
 
 class ChannelFormatError(ValueError):
@@ -35,14 +44,36 @@ def matrix_to_pairs(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _parts(data) -> list | None:
+    """The parts re, im of the entries of a list of rows, in order, or None
+    unless every entry is exactly two JSON numbers."""
+    # Checked by type, not by conversion: float() would take "1" and true.
+    entries = list(chain.from_iterable(data))
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return None
+    parts = list(chain.from_iterable(entries))
+    return parts if set(map(type, parts)) <= {int, float} else None
+
+
 def matrix_from_pairs(data) -> np.ndarray:
-    try:
-        rows = [[complex(float(entry[0]), float(entry[1])) for entry in row] for row in data]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ChannelFormatError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if not rows or len({len(r) for r in rows}) != 1:
+    """A complex matrix from rows of [re, im] pairs of JSON numbers, each
+    finite part at most MAX_ENTRY in magnitude."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ChannelFormatError("a matrix must be a list of rows of [re, im] pairs")
+    if not data or len(set(map(len, data))) != 1:
         raise ChannelFormatError("matrix rows are empty or ragged")
-    return np.array(rows, dtype=complex)
+    parts = _parts(data)
+    if parts is None:
+        raise ChannelFormatError("matrix entries must be [re, im] pairs of two JSON numbers")
+    try:
+        parts = np.array(parts, dtype=float)
+        # Non-finite parts are left to the finiteness check of KrausSet.
+        too_big = np.any((np.abs(parts) > MAX_ENTRY) & np.isfinite(parts))
+    except OverflowError:  # an integer beyond the float range
+        too_big = True
+    if too_big:
+        raise ChannelFormatError(f"matrix entry part above the magnitude cap {MAX_ENTRY:g}")
+    return parts.view(complex).reshape(len(data), -1)
 
 
 def channel_to_dict(channel: KrausSet) -> dict:
@@ -68,6 +99,10 @@ def channel_from_dict(data) -> KrausSet:
             raise ChannelFormatError(f"'{name}' = {value} is above the dimension cap {MAX_DIM}")
     if not isinstance(raw, list) or not raw:
         raise ChannelFormatError("'kraus' must be a nonempty list of matrices")
+    if len(raw) > MAX_DIM:
+        raise ChannelFormatError(
+            f"'kraus' holds {len(raw)} operators, above the Kraus count cap {MAX_DIM}"
+        )
     ops = tuple(matrix_from_pairs(mat) for mat in raw)
     try:
         return KrausSet(n_in, n_out, ops)

@@ -22,6 +22,7 @@ from qchan import (
     ndim_theta0,
     partial_trace,
     qubit_family_a,
+    qubit_family_a_stack,
     random_cptp,
     random_density_matrix,
     selfcomplementarity_defect,
@@ -30,12 +31,9 @@ from qchan import (
     tensor_channel,
     validate_channel,
 )
-from qchan.channels import (
-    KrausSet,
-    StinespringUnitary,
-    reshuffle_choi_to_superop,
-    reshuffle_superop_to_choi,
-)
+from qchan.channels import KrausSet
+from qchan.families import FAMILIES
+from qchan.serialize import channel_from_dict, channel_to_dict
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -48,6 +46,11 @@ def depolarizing_qubit():
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
     return kraus([p / 2 for p in paulis])
+
+
+def unitarity_defect(u):
+    """max |U^dagger U - 1|."""
+    return np.abs(u.conj().T @ u - np.eye(len(u))).max()
 
 
 def family_choi_by_hand(theta):
@@ -125,7 +128,7 @@ def test_complementary_is_involution_on_random_channels(rng):
     for n, k in [(2, 2), (3, 3), (2, 4)]:
         ch = random_cptp(n, k, k, rng)  # k operators of shape (k, n): k == n_out
         twice = complementary(complementary(ch))
-        diff = np.abs(kraus_to_superop(twice).matrix - kraus_to_superop(ch).matrix).max()
+        diff = np.abs(kraus_to_superop(twice) - kraus_to_superop(ch)).max()
         assert diff <= 1e-12
 
 
@@ -150,30 +153,30 @@ def test_selfcomplementary_channels_act_like_their_complement(rng):
 
 
 def test_superop_of_identity_and_dephasing():
-    assert np.array_equal(kraus_to_superop(identity_channel(2)).matrix, np.eye(4))
-    s = kraus_to_superop(dephasing()).matrix
+    assert np.array_equal(kraus_to_superop(identity_channel(2)), np.eye(4))
+    s = kraus_to_superop(dephasing())
     assert np.abs(s - np.diag([1.0, 0.0, 0.0, 1.0])).max() <= 1e-12
 
 
 def test_superop_of_family_has_expected_entry():
-    s = kraus_to_superop(qubit_family_a(np.pi / 2)).matrix
+    s = kraus_to_superop(qubit_family_a(np.pi / 2))
     assert abs(s[0, 3] - 0.5) <= 1e-12
 
 
 def test_choi_of_identity_is_unnormalized_bell():
-    c = choi_matrix(identity_channel(2)).matrix
+    c = choi_matrix(identity_channel(2))
     v = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.abs(c - np.outer(v, v)).max() <= 1e-12
 
 
 def test_choi_of_family_matches_hand_construction():
     for theta in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2):
-        got = choi_matrix(qubit_family_a(theta)).matrix
+        got = choi_matrix(qubit_family_a(theta))
         assert np.abs(got - family_choi_by_hand(theta)).max() <= 1e-12
 
 
 def test_choi_partial_trace_is_identity():
-    d = choi_matrix(qubit_family_a(0.0)).matrix
+    d = choi_matrix(qubit_family_a(0.0))
     assert np.abs(partial_trace(d, (2, 2), keep=0) - np.eye(2)).max() <= 1e-12
 
 
@@ -182,34 +185,32 @@ def test_reshuffle_round_trip_on_random_matrices(rng):
         m = rng.standard_normal((n_out**2, n_in**2)) + 1j * rng.standard_normal(
             (n_out**2, n_in**2)
         )
-        back = reshuffle_choi_to_superop(reshuffle_superop_to_choi(m, n_in, n_out), n_in, n_out)
+        back = choi_to_superop(superop_to_choi(m, n_in, n_out), n_in, n_out)
         assert np.array_equal(back, m)
 
 
 def test_superop_choi_round_trip():
     s = kraus_to_superop(qubit_family_a(0.4, 0.2))
-    back = choi_to_superop(superop_to_choi(s))
-    assert np.array_equal(back.matrix, s.matrix)
+    back = choi_to_superop(superop_to_choi(s, 2, 2), 2, 2)
+    assert np.array_equal(back, s)
 
 
 def test_choi_to_kraus_identity():
-    ks = choi_to_kraus(choi_matrix(identity_channel(2)))
+    ks = choi_to_kraus(choi_matrix(identity_channel(2)), 2, 2)
     assert ks.k == 1
     op = ks.operators[0]
     assert np.abs(op @ op.conj().T - np.eye(2)).max() <= 1e-10
 
 
 def test_choi_to_kraus_family_has_two_operators():
-    ks = choi_to_kraus(choi_matrix(qubit_family_a(0.8, 0.1)))
+    ks = choi_to_kraus(choi_matrix(qubit_family_a(0.8, 0.1)), 2, 2)
     assert ks.k == 2
 
 
 def test_choi_to_kraus_rejects_non_psd():
-    bad = choi_matrix(identity_channel(2)).matrix - 0.5 * np.eye(4)
-    from qchan.channels import ChoiMatrix
-
+    bad = choi_matrix(identity_channel(2)) - 0.5 * np.eye(4)
     with pytest.raises(ValueError, match="PSD"):
-        choi_to_kraus(ChoiMatrix(2, 2, bad))
+        choi_to_kraus(bad, 2, 2)
 
 
 def test_round_trip_kraus_choi_kraus_on_random_channels(rng):
@@ -218,8 +219,8 @@ def test_round_trip_kraus_choi_kraus_on_random_channels(rng):
         n_out = int(rng.integers(2, 4))
         k = int(rng.integers(1, 5))
         ch = random_cptp(n_in, n_out, k, rng)
-        rebuilt = choi_to_kraus(superop_to_choi(kraus_to_superop(ch)))
-        diff = np.abs(kraus_to_superop(rebuilt).matrix - kraus_to_superop(ch).matrix).max()
+        rebuilt = choi_to_kraus(superop_to_choi(kraus_to_superop(ch), n_in, n_out), n_in, n_out)
+        diff = np.abs(kraus_to_superop(rebuilt) - kraus_to_superop(ch)).max()
         assert diff <= 1e-9
 
 
@@ -244,20 +245,20 @@ def test_stinespring_matches_tabulated_unitary_block_column():
             ]
         )
         u = stinespring(qubit_family_a(theta, phi))
-        assert np.abs(u.matrix[:, :2] - tabulated[:, :2]).max() <= 1e-12
-        assert u.unitarity_defect() <= 1e-10
+        assert np.abs(u[:, :2] - tabulated[:, :2]).max() <= 1e-12
+        assert unitarity_defect(u) <= 1e-10
 
 
 def test_stinespring_trivial_channel():
     u = stinespring(identity_channel(1))
-    assert np.array_equal(u.matrix, np.eye(1))
+    assert np.array_equal(u, np.eye(1))
 
 
 def test_stinespring_random_channels_are_unitary_with_exact_readback(rng):
     for n, k in [(2, 2), (3, 2), (2, 4)]:
         ch = random_cptp(n, n, k, rng)
         u = stinespring(ch)
-        assert u.unitarity_defect() <= 1e-10
+        assert unitarity_defect(u) <= 1e-10
         back = kraus_from_unitary(u, k)
         for a, b in zip(back.operators, ch.operators):
             assert np.array_equal(a, b)
@@ -270,15 +271,14 @@ def test_stinespring_rejects_incomplete_channel():
 
 
 def test_kraus_from_unitary_identity():
-    u = StinespringUnitary(2, 1, np.eye(2, dtype=complex))
-    ks = kraus_from_unitary(u, 1)
+    ks = kraus_from_unitary(np.eye(2, dtype=complex), 1)
     assert ks.k == 1 and np.array_equal(ks.operators[0], np.eye(2))
 
 
 def test_kraus_from_swap_unitary_is_reset_channel(rng):
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1
-    ks = kraus_from_unitary(StinespringUnitary(2, 2, swap), 2)
+    ks = kraus_from_unitary(swap, 2)
     rho = random_density_matrix(2, rng)
     out = apply(ks, rho)
     assert np.abs(out.matrix - np.diag([1.0, 0.0])).max() <= 1e-12
@@ -295,7 +295,7 @@ def test_kraus_from_tabulated_unitary_recovers_family():
             [c * np.exp(1j * phi), 0, 0, s],
         ]
     )
-    ks = kraus_from_unitary(StinespringUnitary(2, 2, tabulated), 2)
+    ks = kraus_from_unitary(tabulated, 2)
     expected = qubit_family_a(theta, phi)
     for a, b in zip(ks.operators, expected.operators):
         assert np.abs(a - b).max() <= 1e-12
@@ -313,7 +313,7 @@ def test_tensor_preserves_selfcomplementarity():
 def test_tensor_with_trivial_channel_is_identity_on_superop():
     ch = qubit_family_a(0.5)
     t = tensor_channel(ch, identity_channel(1))
-    assert np.abs(kraus_to_superop(t).matrix - kraus_to_superop(ch).matrix).max() <= 1e-12
+    assert np.abs(kraus_to_superop(t) - kraus_to_superop(ch)).max() <= 1e-12
 
 
 def test_tensor_dimension_bookkeeping():
@@ -324,7 +324,7 @@ def test_tensor_dimension_bookkeeping():
 def test_compose_with_identity():
     ch = qubit_family_a(0.9, 0.2)
     comp = compose(ch, identity_channel(2))
-    assert np.abs(kraus_to_superop(comp).matrix - kraus_to_superop(ch).matrix).max() <= 1e-12
+    assert np.abs(kraus_to_superop(comp) - kraus_to_superop(ch)).max() <= 1e-12
 
 
 def test_compose_family_members_is_generically_not_selfcomplementary():
@@ -335,7 +335,7 @@ def test_compose_family_members_is_generically_not_selfcomplementary():
 
 def test_compose_dephasing_is_idempotent():
     twice = compose(dephasing(), dephasing())
-    assert np.abs(kraus_to_superop(twice).matrix - kraus_to_superop(dephasing()).matrix).max() <= 1e-12
+    assert np.abs(kraus_to_superop(twice) - kraus_to_superop(dephasing())).max() <= 1e-12
 
 
 def test_compose_dimension_mismatch():
@@ -372,3 +372,62 @@ def test_kraus_set_shape_validation():
         KrausSet(2, 2, (np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
     with pytest.raises(ValueError, match="at least one"):
         KrausSet(2, 2, ())
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) differs from \(2, 2\)"):
+        KrausSet(2, 2, np.zeros((1, 2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="at least one"):
+        KrausSet(2, 2, np.zeros((0, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausSet(1, 1, np.array([[[np.nan]]]))
+
+
+# ------------------------------------------------------- the Kraus array
+
+
+def assert_kraus_array(channel):
+    """operators is one C-contiguous complex array (k, n_out, n_in)."""
+    ops = channel.operators
+    assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
+    assert ops.shape == (channel.k, channel.n_out, channel.n_in)
+    assert ops.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_operators_are_one_kraus_array(name):
+    family = FAMILIES[name]
+    options = {"theta": 0.3, "phi": 0.2, "p": 0.4, "dim": 4}
+    options["w"] = np.eye(4 if "dim" in family.params else 3)
+    assert_kraus_array(family.build(*(options[p] for p in family.params)))
+
+
+def test_derived_channels_hold_one_kraus_array(rng):
+    ch = random_cptp(2, 3, 4, rng)
+    comp = complementary(ch)  # built from a transposed view
+    assert_kraus_array(comp)
+    assert np.array_equal(comp.operators, ch.operators.transpose(1, 0, 2))
+    assert_kraus_array(channel_from_dict(channel_to_dict(ch)))
+    assert_kraus_array(tensor_channel(ch, qubit_family_a(0.4)))
+    assert_kraus_array(compose(qubit_family_a(0.4), identity_channel(2)))
+    assert_kraus_array(kraus([np.eye(2), np.zeros((2, 2))]))
+
+
+def test_kraus_array_of_the_right_form_is_kept_without_a_copy():
+    ops = qubit_family_a_stack([0.3, 0.4])[1]
+    assert KrausSet(2, 2, ops).operators is ops
+    floats = np.zeros((1, 2, 2))
+    floats[0] = np.eye(2)
+    assert_kraus_array(KrausSet(2, 2, floats))
+
+
+def test_conversions_refuse_wrong_shapes():
+    with pytest.raises(ValueError, match="Choi matrix shape"):
+        choi_to_kraus(np.eye(4), 2, 3)
+    with pytest.raises(ValueError, match="Choi matrix shape"):
+        choi_to_kraus(np.eye(4)[:, :2], 2, 2)
+    with pytest.raises(ValueError, match="Choi matrix shape"):
+        channel_rank(np.eye(4)[:, :3])
+    with pytest.raises(ValueError, match="Choi matrix shape"):
+        choi_to_superop(np.eye(6), 2, 2)
+    with pytest.raises(ValueError, match="unitary shape"):
+        kraus_from_unitary(np.eye(4)[:, :2], 2)
+    with pytest.raises(ValueError, match="not divisible"):
+        kraus_from_unitary(np.eye(3), 2)

@@ -162,6 +162,63 @@ def test_analyze_dimension_above_cap_exits_3(tmp_path, capsys, field):
     assert "cap" not in capsys.readouterr().err
 
 
+def test_analyze_kraus_count_above_cap_exits_3(tmp_path, capsys):
+    doc_path, out = tmp_path / "k.json", tmp_path / "r.json"
+    k = MAX_DIM + 1
+    doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[[k**-0.5, 0.0]]]] * k}))
+    assert run("analyze", "--in", doc_path, "--out", out) == 3
+    assert f"{k} operators, above the Kraus count cap {MAX_DIM}" in capsys.readouterr().err
+    assert not out.exists()
+    k = MAX_DIM
+    doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[[k**-0.5, 0.0]]]] * k}))
+    assert run("analyze", "--in", doc_path, "--out", out) == 0
+    report = load(out)
+    assert report["kraus_count"] == MAX_DIM and report["cptp_ok"] and report["choi_rank"] == 1
+
+
+# Matrix entries that are not exactly two JSON numbers, or that have a
+# finite part above MAX_ENTRY, are refused.
+BAD_ENTRIES = {
+    "string part": ["1", 0],
+    "bool part": [True, 0],
+    "null part": [None, 0],
+    "three parts": [1, 0, 5],
+    "one part": [1],
+    "bare number": 1,
+    "string entry": "10",
+    "object entry": {"0": 1, "1": 0},
+    "huge real part": [1e200, 0],
+    "huge imaginary part": [0, -1e151],
+    "huge integer": [10**400, 0],
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
+def test_bad_matrix_entries_exit_3_without_warnings(tmp_path, capsys, entry):
+    doc_path, w_path, out = tmp_path / "ch.json", tmp_path / "w.json", tmp_path / "r.json"
+    doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[entry]]]}))
+    w = [[[1, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]
+    w[0][0] = entry
+    w_path.write_text(json.dumps(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", "--in", doc_path, "--out", out) == 3
+        assert run("family", "--id", "qutrit", "--theta", 0.2, "--w", w_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "matrix entr" in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_matrix_entries_at_the_magnitude_cap_and_integer_parts_are_read(tmp_path):
+    doc_path, out = tmp_path / "ch.json", tmp_path / "r.json"
+    doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[[1e150, -1e150]]]]}))
+    assert run("analyze", "--in", doc_path, "--out", out) == 0
+    assert not load(out)["cptp_ok"]
+    doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[[1, 0]]]]}))
+    assert run("analyze", "--in", doc_path, "--out", out) == 0
+    assert load(out)["cptp_ok"]
+
+
 @pytest.mark.parametrize("family", ["ndim", "ndim-theta0"])
 @pytest.mark.parametrize("n", [MAX_DIM + 1, 10_000_000])
 def test_family_dimension_above_cap_exits_2(tmp_path, capsys, family, n):

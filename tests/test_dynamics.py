@@ -109,23 +109,23 @@ def test_affine_of_unitary_channel(rng):
     from qchan import random_unitary
 
     u = random_unitary(2, rng)
-    affine = affine_of_channel(kraus([u]))
-    assert np.abs(svd_values(affine.linear) - 1.0).max() <= 1e-10
-    assert np.abs(affine.shift).max() <= 1e-12
+    linear, shift = affine_of_channel(kraus([u]))
+    assert np.abs(svd_values(linear) - 1.0).max() <= 1e-10
+    assert np.abs(shift).max() <= 1e-12
 
 
 def test_affine_of_dephasing():
-    affine = affine_of_channel(dephasing())
-    assert np.abs(affine.linear - np.diag([0.0, 0.0, 1.0])).max() <= 1e-12
-    assert np.abs(affine.shift).max() <= 1e-12
+    linear, shift = affine_of_channel(dephasing())
+    assert np.abs(linear - np.diag([0.0, 0.0, 1.0])).max() <= 1e-12
+    assert np.abs(shift).max() <= 1e-12
 
 
 def test_affine_of_line_channel_is_rank_one():
-    affine = affine_of_channel(qubit_family_a(math.pi / 4))
-    sv = svd_values(affine.linear)
+    linear, shift = affine_of_channel(qubit_family_a(math.pi / 4))
+    sv = svd_values(linear)
     assert sv[0] > 1e-10
     assert np.abs(sv[1:]).max() <= 1e-10
-    assert np.abs(affine.shift).max() <= 1e-12  # bistochastic at pi/4
+    assert np.abs(shift).max() <= 1e-12  # bistochastic at pi/4
 
 
 def test_affine_rejects_non_qubit_channels():
@@ -135,11 +135,11 @@ def test_affine_rejects_non_qubit_channels():
 
 def test_affine_matches_apply_on_random_states(rng):
     ch = qubit_family_a(0.9, 0.7)
-    affine = affine_of_channel(ch)
+    linear, shift = affine_of_channel(ch)
     for _ in range(100):
         rho = random_density_matrix(2, rng)  # mixed states of varying purity
         direct = bloch_vector(apply(ch, rho))
-        via_affine = affine(bloch_vector(rho))
+        via_affine = linear @ bloch_vector(rho) + shift
         assert np.abs(direct - via_affine).max() <= 1e-10
 
 

@@ -59,9 +59,9 @@ def test_qubit_family_grid_is_cptp_and_selfcomplementary():
 
 def test_family_choi_spectrum_is_phi_independent():
     for theta in (0.0, 0.6, 1.4):
-        base = hermitian_eigenvalues(choi_matrix(qubit_family_a(theta, 0.0)).matrix)
+        base = hermitian_eigenvalues(choi_matrix(qubit_family_a(theta, 0.0)))
         for phi in (0.5, 2.0, 5.5):
-            other = hermitian_eigenvalues(choi_matrix(qubit_family_a(theta, phi)).matrix)
+            other = hermitian_eigenvalues(choi_matrix(qubit_family_a(theta, phi)))
             assert np.abs(base - other).max() <= 1e-10
 
 

@@ -26,7 +26,6 @@ from qchan import (
     holevo_chi,
     identity_channel,
     kraus,
-    kraus_stack,
     map_entropies,
     map_entropy,
     ndim_family,
@@ -407,7 +406,7 @@ def reference_capacity_bound(channel) -> float:
 
 def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
     channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
-    got = capacity_lower_bounds(kraus_stack(channels), basis_states())
+    got = capacity_lower_bounds(np.array([c.operators for c in channels]), basis_states())
     assert bits(got) == bits([reference_capacity_bound(ch) for ch in channels])
     assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], basis_states())])
 
@@ -420,7 +419,7 @@ def test_map_entropy_is_the_single_case_of_the_stack_bitwise(rng, n):
         gram = flat.conj() @ flat.T  # G_ab = tr(K_a^dagger K_b)
         gram_state = (gram + gram.conj().T) / 2 / n
         assert bits([map_entropy(ch)]) == bits([reference_entropy(gram_state)])
-    assert bits(map_entropies(kraus_stack(channels))) == bits([map_entropy(c) for c in channels])
+    assert bits(map_entropies(np.array([c.operators for c in channels]))) == bits([map_entropy(c) for c in channels])
 
 
 def gram_vs_choi_channels():
@@ -504,7 +503,7 @@ BAD_KRAUS = {
 @pytest.mark.parametrize("bad", BAD_KRAUS)
 def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     channels = [qubit_family_a(float(t)) for t in np.linspace(0.0, math.pi, STACK_BLOCK + 1)]
-    stack = kraus_stack(channels)
+    stack = np.array([c.operators for c in channels])
     stack[100] = BAD_KRAUS[bad]
     with pytest.raises(ValueError) as single:
         map_entropy(kraus(list(BAD_KRAUS[bad])))
