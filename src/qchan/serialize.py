@@ -8,6 +8,16 @@ Channel JSON schema::
 where each matrix is a row-major nested list and each scalar a two-element
 array [re, im] of JSON numbers.  A document holds at most MAX_DIM Kraus
 operators, and no finite part of an entry exceeds MAX_ENTRY in magnitude.
+
+Every JSON output is the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)`` plus a newline.  With ``indent`` set that call runs the
+pure-Python encoder, so ``write_json_atomic`` writes a float ndarray value,
+such as the ``(k, n_out, n_in, 2)`` parts of a channel's Kraus operators, in
+bulk: a %-template of ``%r`` fields laid out as the encoder lays out the
+nested list, filled from ``tolist()`` one item of the first axis at a time.
+``float.__repr__`` is how ``json`` writes a finite float; a non-finite array
+value is refused, since ``json`` would write it as ``NaN`` or ``Infinity``,
+which are not JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +30,6 @@ from itertools import chain
 import numpy as np
 
 from .channels import KrausSet
-from .linalg import as_matrix
 
 # Largest n_in / n_out / Kraus count a channel document, or `qchan family
 # --n`, may ask for.  At the cap, analyze's capacity bound holds 128^3
@@ -37,11 +46,6 @@ MAX_ENTRY = 1e150
 
 class ChannelFormatError(ValueError):
     """Malformed channel document."""
-
-
-def matrix_to_pairs(matrix) -> list:
-    m = as_matrix(matrix)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def _parts(data) -> list | None:
@@ -77,10 +81,13 @@ def matrix_from_pairs(data) -> np.ndarray:
 
 
 def channel_to_dict(channel: KrausSet) -> dict:
+    """The channel document, with the Kraus operators' real and imaginary
+    parts as one float array of shape (k, n_out, n_in, 2)."""
+    ops = channel.operators
     return {
         "n_in": channel.n_in,
         "n_out": channel.n_out,
-        "kraus": [matrix_to_pairs(op) for op in channel.operators],
+        "kraus": np.stack([ops.real, ops.imag], axis=-1),
     }
 
 
@@ -97,6 +104,8 @@ def channel_from_dict(data) -> KrausSet:
             raise ChannelFormatError(f"'{name}' must be an integer, got {value!r}")
         if value > MAX_DIM:
             raise ChannelFormatError(f"'{name}' = {value} is above the dimension cap {MAX_DIM}")
+    if isinstance(raw, np.ndarray):  # as channel_to_dict gives it
+        raw = raw.tolist()
     if not isinstance(raw, list) or not raw:
         raise ChannelFormatError("'kraus' must be a nonempty list of matrices")
     if len(raw) > MAX_DIM:
@@ -122,12 +131,17 @@ def read_channel(path) -> KrausSet:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write-then-rename so partially written files are never observed."""
+    """Write-then-rename so partially written files are never observed.  The
+    file gets the mode open(path, "w") gives a new file, 0o666 less the
+    umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # read by setting; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,5 +149,43 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def write_json_atomic(path, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _array_template(shape: tuple, indent: str) -> str:
+    """The %-template json.dumps(indent=2) lays out for a nested list of this
+    shape whose opening bracket sits at ``indent``, one %r per float."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = indent + "  "
+    item = _array_template(shape[1:], inner)
+    return f"[\n{inner}" + f",\n{inner}".join([item] * shape[0]) + f"\n{indent}]"
+
+
+def _encode_value(value) -> list:
+    """The text of one top-level value, as a list of strings."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim):
+        return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")]
+    if not np.isfinite(value).all():
+        raise ValueError("a non-finite array value has no JSON encoding")
+    if not len(value):
+        return ["[]"]
+    # One template per item of the first axis (per Kraus operator) keeps
+    # every string small: one template and one fill of the whole array hold
+    # several copies of its text at once and raise the process's peak RSS.
+    item = _array_template(value.shape[1:], "    ")
+    parts = []
+    for row in value:
+        parts.append(",\n    " if parts else "[\n    ")
+        parts.append(item % tuple(row.ravel().tolist()))
+    return parts + ["\n  ]"]
+
+
+def write_json_atomic(path, obj: dict) -> None:
+    """Write a dict with string keys as json.dumps(obj, indent=2,
+    sort_keys=True) would, and a float ndarray value as its nested list."""
+    parts = []
+    for key in sorted(obj):
+        parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
+        parts.extend(_encode_value(obj[key]))
+    parts.append("\n}\n" if parts else "{}\n")
+    write_text_atomic(path, "".join(parts))

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qchan import identity_channel, kraus
-from qchan.cli import main
+from qchan.cli import MAX_POINTS, _check_options, build_parser, main
 from qchan.families import FAMILIES, family_ids
 from qchan.serialize import MAX_DIM, channel_to_dict, read_channel, write_json_atomic
 
@@ -227,6 +231,58 @@ def test_family_dimension_above_cap_exits_2(tmp_path, capsys, family, n):
     assert f"--n {n} is above the dimension cap {MAX_DIM}" in capsys.readouterr().err
     assert not out.exists()
     assert run("family", "--id", "qubit-a", "--n", MAX_DIM, "--out", out) == 0
+
+
+GRID_COMMANDS = [
+    ["dynamics", "--steps"],
+    ["sweep", "--points"],
+    ["bloch", "--points"],
+    ["bloch", "--batch", "--points"],
+]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@pytest.mark.parametrize("size", [MAX_POINTS + 1, 3_000_000_000])
+def test_grid_above_cap_exits_2_and_writes_nothing(tmp_path, capsys, command, size):
+    assert run(*command, size, "--out", tmp_path / "big.csv") == 2
+    assert f"{command[-1]} {size} is above the grid cap {MAX_POINTS}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_grid_at_cap_is_accepted(tmp_path, command):
+    # Checked, not run: a grid at the cap is a long computation.
+    argv = [*command, str(MAX_POINTS), "--out", str(tmp_path / "cap.csv")]
+    _check_options(build_parser().parse_args(argv))
+
+
+def run_process(*argv, cwd):
+    """``python -m qchan.cli`` in a fresh interpreter, with this checkout's
+    package first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qchan.cli", *map(str, argv)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    ok = run_process("family", "--id", "qubit-a", "--theta", "0.4", "--out", "ch.json", cwd=tmp_path)
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert read_channel(tmp_path / "ch.json").k == 2
+    usage = run_process("family", "--id", "no-such-family", "--out", "x.json", cwd=tmp_path)
+    assert usage.returncode == 2 and "invalid choice" in usage.stderr
+    (tmp_path / "bad.json").write_text("{not json")
+    bad = run_process("analyze", "--in", "bad.json", "--out", "r.json", cwd=tmp_path)
+    assert bad.returncode == 3 and "input format error" in bad.stderr
+    for result in (ok, usage, bad):
+        assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "ch.json"]
 
 
 def test_analyze_missing_input_file_exits_3(tmp_path, capsys):

@@ -91,6 +91,7 @@ def documents(draw):
     k = draw(st.integers(max(1, -(-n_in // n_out)), 6))
     seed = draw(st.integers(0, 2**32 - 1))
     doc = channel_to_dict(random_cptp(n_in, n_out, k, np.random.default_rng(seed)))
+    doc["kraus"] = doc["kraus"].tolist()
     kind = draw(st.sampled_from(["channel", "entry", "fields"]))
     if kind == "entry":
         op = doc["kraus"][draw(st.integers(0, k - 1))]
@@ -183,8 +184,9 @@ def test_fuzzed_float_options(command, family, x, y, tol, size, bits):
             json_outputs, csv_outputs = [os.path.join(tmp, "out.summary.json")], [out]
         else:
             doc_path = os.path.join(tmp, "ch.json")
+            doc = channel_to_dict(random_cptp(2, 2, size, np.random.default_rng(size)))
             with open(doc_path, "w", encoding="utf-8") as fh:
-                json.dump(channel_to_dict(random_cptp(2, 2, size, np.random.default_rng(size))), fh)
+                json.dump({**doc, "kraus": doc["kraus"].tolist()}, fh)
             argv = ["analyze", "--in", doc_path]
         argv += ["--out", out] + ["--bits"] * bits + ([option("tol", tol)] if tol is not None else [])
         check_run(argv, json_outputs=json_outputs, csv_outputs=csv_outputs)
