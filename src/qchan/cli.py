@@ -35,14 +35,12 @@ from .dynamics import (
     run_trajectory,
 )
 from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a_stack
-from .linalg import DEFAULT_TOL, DensityMatrix, NumericalError, blocks
+from .linalg import DEFAULT_TOL, NumericalError, blocks
 from .measures import (
     capacity_lower_bounds,
     choi_measures,
-    classical_capacity_lower_bound,
-    coherent_information,
     concurrence_closed_form,
-    map_entropy,
+    information_quantities,
     negativity_closed_form,
 )
 from .serialize import (
@@ -134,24 +132,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "selfcomplementary": validation.selfcomplementary,
         "choi_rank": validation.choi_rank,
     }
+    # Information measures are meaningless for a non-channel: a non-channel
+    # gets the structural fields and nulls.
+    values = [None] * 3
     if validation.cptp_ok:
-        rho_star = DensityMatrix.maximally_mixed(channel.n_in)
-        basis = [
-            DensityMatrix.pure(np.eye(channel.n_in)[:, i]) for i in range(channel.n_in)
-        ]
-        report[_entropy_key("map_entropy_nats", args.bits)] = map_entropy(channel) * scale
-        report[_entropy_key("coherent_information_nats", args.bits)] = (
-            coherent_information(channel, rho_star) * scale
-        )
-        report[_entropy_key("chi_bound_nats", args.bits)] = (
-            classical_capacity_lower_bound(channel, basis) * scale
-        )
-    else:
-        # Information measures are meaningless for a non-channel; report the
-        # structural fields only.
-        report["map_entropy_nats"] = None
-        report["coherent_information_nats"] = None
-        report["chi_bound_nats"] = None
+        values = [value * scale for value in information_quantities(channel)]
+    for name, value in zip(("map_entropy", "coherent_information", "chi_bound"), values):
+        report[_entropy_key(f"{name}_nats", args.bits)] = value
     write_json_atomic(args.out, report)
     return EXIT_OK
 
@@ -163,12 +150,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("theta-max must lie in (0, pi/2], the closed forms' domain")
     thetas = np.linspace(0.0, args.theta_max, args.points)
     scale = 1.0 / LN2 if args.bits else 1.0
-    basis = [DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0])]
     neg, conc, ent, chi = np.empty((4, args.points))
     for block in blocks(args.points):
         kraus = qubit_family_a_stack(thetas[block], args.phi)
         neg[block], conc[block], ent[block] = choi_measures(kraus)
-        chi[block] = capacity_lower_bounds(kraus, basis)
+        chi[block] = capacity_lower_bounds(kraus, np.eye(2))
     grid = thetas.tolist()
     neg_closed = [negativity_closed_form(theta) for theta in grid]
     conc_closed = [concurrence_closed_form(theta) for theta in grid]

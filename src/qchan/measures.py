@@ -28,7 +28,6 @@ import numpy as np
 from .channels import (
     KrausSet,
     apply,
-    apply_kraus,
     choi_state,
     choi_states,
     complementary,
@@ -38,9 +37,11 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
+    _finite,
     _matrices,
     as_state,
     as_stack,
+    dagger,
     general_eigenvalues,
     hermitian_eigenvalues,
     partial_transpose,
@@ -168,39 +169,79 @@ def holevo_chi(ensemble: Ensemble) -> float:
     return float(holevo_chis(ensemble.probabilities, states)[0])
 
 
-def capacity_lower_bounds(kraus, basis_states, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Holevo quantity of the channel outputs for an equiprobable orthogonal
-    pure-state alphabet, for each channel of a Kraus stack (N, k, n_out,
-    n_in); lower-bounds the classical capacity."""
-    states = [as_state(s) for s in basis_states]
-    if not states:
+def _capacity_bounds(kraus, alphabet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy of the average output, and Holevo quantity, of an equiprobable
+    alphabet of orthonormal state vectors, the rows of ``alphabet`` (M,
+    n_in), for each channel of a Kraus stack (N, k, n_out, n_in), from small
+    spectra.
+
+    The output of psi is W W^dagger, where the columns of W are the vectors
+    K_a psi, so its nonzero spectrum is that of the smaller of W W^dagger
+    (n_out x n_out) and W^dagger W (k x k).  The average output is
+    Y Y^dagger / M, where Y holds the columns of every W; for a complete
+    basis it is Phi(1/n_in).  Every one of these states is checked by
+    :func:`validate_states`.
+    """
+    vectors = _finite(alphabet, (2,), "an alphabet (M, n_in) of state vectors")
+    if not len(vectors):
         raise ValueError("need at least one basis state")
-    # tr(rho_j rho_i) of Hermitian states is the flattened inner product.
-    flat = np.array([s.matrix.reshape(-1) for s in states])
-    overlaps = flat.conj() @ flat.T
-    for i in range(len(states)):
-        purity = float(np.real(overlaps[i, i]))
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError(f"basis state {i} is not pure (purity {purity})")
-        bad = np.flatnonzero(np.abs(overlaps[:i, i]) > tol)
+    inner = vectors.conj() @ vectors.T
+    # |<psi_j|psi_i>|^2 = tr(rho_j rho_i), the overlap of the pure states.
+    overlaps = np.abs(inner) ** 2
+    for i in range(len(vectors)):
+        norm = float(np.real(inner[i, i]))
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"basis state {i} is not normalised (<psi|psi> = {norm})")
+        bad = np.flatnonzero(overlaps[:i, i] > tol)
         if bad.size:
             j = int(bad[0])
-            overlap = float(abs(overlaps[j, i]))
-            raise ValueError(f"basis states {j} and {i} overlap by {overlap:.3e}")
+            raise ValueError(f"basis states {j} and {i} overlap by {overlaps[j, i]:.3e}")
     kraus = require_cptp_stack(kraus)
-    n_in = kraus.shape[-1]
-    if states[0].dim != n_in:
-        raise ValueError(f"state dimension {states[0].dim} != channel input dimension {n_in}")
-    outputs = apply_kraus(kraus[:, None], np.array([s.matrix for s in states]))
-    return holevo_chis(tuple(1.0 / len(states) for _ in states), outputs)
+    n, k, n_out, n_in = kraus.shape
+    m = len(vectors)
+    if vectors.shape[1] != n_in:
+        raise ValueError(f"state dimension {vectors.shape[1]} != channel input dimension {n_in}")
+    # w[:, i, :, a] = K_a psi_i, column a of W for the i-th state.
+    w = vectors @ kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k)
+    w = w.reshape(n, m, n_out, k)
+    small = dagger(w) @ w if k < n_out else w @ dagger(w)
+    side = small.shape[-1]
+    parts = _entropies(validate_states(small.reshape(n * m, side, side))).reshape(n, m)
+    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
+    mixed = _entropies(validate_states(y @ dagger(y) / m))
+    return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
+
+
+def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Holevo quantity of the channel outputs for an equiprobable alphabet of
+    orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
+    channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
+    capacity."""
+    return _capacity_bounds(kraus, alphabet, tol)[1]
 
 
 def classical_capacity_lower_bound(
-    channel: KrausSet, basis_states, tol: float = DEFAULT_TOL
+    channel: KrausSet, alphabet, tol: float = DEFAULT_TOL
 ) -> float:
-    """Holevo quantity of the channel outputs for an equiprobable orthogonal
-    pure-state alphabet; lower-bounds the classical capacity."""
-    return float(capacity_lower_bounds(channel.operators[None], basis_states, tol)[0])
+    """Holevo quantity of the channel outputs for an equiprobable alphabet of
+    orthonormal state vectors, the rows of ``alphabet``; lower-bounds the
+    classical capacity."""
+    return float(capacity_lower_bounds(channel.operators[None], alphabet, tol)[0])
+
+
+def information_quantities(channel: KrausSet) -> tuple[float, float, float]:
+    """Map entropy, coherent information at the maximally mixed input, and the
+    capacity bound of the computational basis, all from small spectra.
+
+    The computational basis is complete, so its average output is
+    Phi(1/n_in), whose entropy serves the capacity bound and the coherent
+    information S(Phi(1/n_in)) - S(Phi^c(1/n_in)) alike; Phi^c(1/n_in) is
+    G^T / n_in, whose entropy is the map entropy (Watrous, The Theory of
+    Quantum Information, 2018, ch. 2).
+    """
+    entropy = map_entropy(channel)
+    mixed, chi = _capacity_bounds(channel.operators[None], np.eye(channel.n_in), DEFAULT_TOL)
+    return entropy, float(mixed[0]) - entropy, float(chi[0])
 
 
 def spin_flip(omega) -> np.ndarray:

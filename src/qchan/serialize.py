@@ -13,11 +13,12 @@ Every JSON output is the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set that call runs the
 pure-Python encoder, so ``write_json_atomic`` writes a float ndarray value,
 such as the ``(k, n_out, n_in, 2)`` parts of a channel's Kraus operators, in
-bulk: a %-template of ``%r`` fields laid out as the encoder lays out the
-nested list, filled from ``tolist()`` one item of the first axis at a time.
-``float.__repr__`` is how ``json`` writes a finite float; a non-finite array
-value is refused, since ``json`` would write it as ``NaN`` or ``Infinity``,
-which are not JSON.
+bulk: a %-template of ``%s`` fields laid out as the encoder lays out the
+nested list, filled one item of the first axis at a time with the ``repr``
+of each distinct float64 bit pattern, formatted once.  ``float.__repr__``
+is how ``json`` writes a finite float; a non-finite array value is refused,
+since ``json`` would write it as ``NaN`` or ``Infinity``, which are not
+JSON.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import numpy as np
 from .channels import KrausSet
 
 # Largest n_in / n_out / Kraus count a channel document, or `qchan family
-# --n`, may ask for.  At the cap, analyze's capacity bound holds 128^3
-# complex entries (34 MB), and so does its Gram matrix of the Kraus
-# operators; without it a request for a huge n or k fails only in the
-# allocator.
+# --n`, may ask for.  At the cap the Kraus array holds 128^3 complex
+# entries (34 MB), and so do analyze's vectors K_a e_i and output matrices
+# of the capacity bound, and the bit index _encode_value takes of the
+# document's 2 * 128^3 floats, one int64 each.  Without the cap a request for
+# a huge n or k fails only in the allocator.
 MAX_DIM = 128
 
 # Largest magnitude of a finite real or imaginary part of a matrix entry
@@ -151,9 +153,9 @@ def write_text_atomic(path, text: str) -> None:
 
 def _array_template(shape: tuple, indent: str) -> str:
     """The %-template json.dumps(indent=2) lays out for a nested list of this
-    shape whose opening bracket sits at ``indent``, one %r per float."""
+    shape whose opening bracket sits at ``indent``, one %s per float."""
     if not shape:
-        return "%r"
+        return "%s"
     if shape[0] == 0:
         return "[]"
     inner = indent + "  "
@@ -169,14 +171,20 @@ def _encode_value(value) -> list:
         raise ValueError("a non-finite array value has no JSON encoding")
     if not len(value):
         return ["[]"]
+    # A channel document holds few distinct floats, so each distinct float64
+    # bit pattern is formatted once; the bits, not the values, keep -0.0
+    # apart from 0.0.
+    bits = np.asarray(value, dtype=np.float64).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     # One template per item of the first axis (per Kraus operator) keeps
     # every string small: one template and one fill of the whole array hold
     # several copies of its text at once and raise the process's peak RSS.
     item = _array_template(value.shape[1:], "    ")
     parts = []
-    for row in value:
+    for row in index.reshape(len(value), -1):
         parts.append(",\n    " if parts else "[\n    ")
-        parts.append(item % tuple(row.ravel().tolist()))
+        parts.append(item % tuple(text[row].tolist()))
     return parts + ["\n  ]"]
 
 

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from qchan import KrausSet
 
 settings.register_profile(
     "qchan",
@@ -36,3 +40,21 @@ def x_state_concurrence(m) -> float:
 def bell_state() -> np.ndarray:
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v)
+
+
+def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> KrausSet:
+    """A strictly self-complementary CPTP channel: a Haar isometry from C^n_in
+    into Sym^2(C^m), read as the Kraus tensor K[a, i, j] = V[(a, i), j].
+
+    Row (a, b) of V is row pair(a, b) of a Haar isometry onto the orthonormal
+    basis (e_a e_b + e_b e_a) / sqrt(2 (1 + delta_ab)) of Sym^2(C^m), so the
+    tensor symmetry K[a, i, j] = K[i, a, j] holds exactly.
+    """
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    g = rng.standard_normal((len(pairs), n_in)) + 1j * rng.standard_normal((len(pairs), n_in))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    v = np.empty((m, m, n_in), dtype=complex)
+    for row, (a, b) in enumerate(pairs):
+        v[a, b] = v[b, a] = q[row] * (1.0 if a == b else math.sqrt(0.5))
+    return KrausSet(n_in, m, v)

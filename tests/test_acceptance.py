@@ -196,9 +196,8 @@ def test_criterion_09_stinespring_reproduction():
 
 
 def _chi_curve():
-    basis = [DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0])]
     return np.array(
-        [classical_capacity_lower_bound(qubit_family_a(float(t)), basis) for t in GRID]
+        [classical_capacity_lower_bound(qubit_family_a(float(t)), np.eye(2)) for t in GRID]
     )
 
 

@@ -125,6 +125,47 @@ def test_family_and_analyze_build_no_superoperator(tmp_path, monkeypatch):
     assert family_then_analyze("guarded") == expected
 
 
+def test_analyze_and_sweep_build_no_state_and_push_none_through_apply_kraus(tmp_path, monkeypatch):
+    ch = tmp_path / "ch.json"
+    assert run("family", "--id", "ndim-theta0", "--n", 6, "--out", ch) == 0
+
+    def analyze_then_sweep(tag):
+        report, sweep = tmp_path / f"{tag}.report.json", tmp_path / f"{tag}.csv"
+        assert run("analyze", "--in", ch, "--out", report) == 0
+        assert run("sweep", "--points", 21, "--out", sweep) == 0
+        return report.read_bytes(), sweep.read_bytes()
+
+    expected = analyze_then_sweep("free")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built or pushed through the Kraus operators")
+
+    monkeypatch.setattr("qchan.channels.apply_kraus", refuse)
+    monkeypatch.setattr("qchan.linalg.DensityMatrix.__post_init__", refuse)
+    assert analyze_then_sweep("guarded") == expected
+
+
+@pytest.mark.parametrize("bits", [False, True])
+def test_analyze_report_keys_do_not_depend_on_the_verdict(tmp_path, bits):
+    flag = ["--bits"] if bits else []
+    unit = "bits" if bits else "nats"
+    keys = {f"{name}_{unit}" for name in ("map_entropy", "coherent_information", "chi_bound")}
+    reports = {}
+    families = {
+        "cptp": ["--id", "ndim-theta0"],
+        "non-cptp": ["--id", "ndim", "--w", "fourier", "--theta", 0.5],
+    }
+    for tag, family in families.items():
+        ch, out = tmp_path / f"{tag}.json", tmp_path / f"{tag}.report.json"
+        assert run("family", *family, "--n", 4, "--out", ch) == 0
+        assert run("analyze", "--in", ch, *flag, "--out", out) == 0
+        reports[tag] = load(out)
+    assert reports["cptp"]["cptp_ok"] and not reports["non-cptp"]["cptp_ok"]
+    assert set(reports["cptp"]) == set(reports["non-cptp"]) and keys <= set(reports["cptp"])
+    assert all(isinstance(reports["cptp"][key], float) for key in keys)
+    assert all(reports["non-cptp"][key] is None for key in keys)
+
+
 def test_analyze_malformed_json_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -10,6 +10,7 @@ from qchan import (
     Ensemble,
     amplitude_damping,
     apply,
+    apply_kraus,
     capacity_lower_bounds,
     channel_rank,
     choi_matrix,
@@ -17,6 +18,7 @@ from qchan import (
     choi_states,
     classical_capacity_lower_bound,
     coherent_information,
+    complementary,
     concurrence,
     concurrence_closed_form,
     concurrence_from_negativity,
@@ -24,6 +26,7 @@ from qchan import (
     dft_matrix,
     entanglement_evolution_factor,
     holevo_chi,
+    holevo_chis,
     identity_channel,
     kraus,
     map_entropies,
@@ -38,6 +41,8 @@ from qchan import (
     qutrit_family,
     random_cptp,
     random_density_matrix,
+    random_unitary,
+    selfcomplementarity_defect,
     spin_flip,
     validate_channel,
     validate_states,
@@ -45,11 +50,12 @@ from qchan import (
     von_neumann_entropy,
     wootters_spectrum,
 )
+from qchan.cli import main
 from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
-from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, information_quantities
 
-from conftest import bell_state, pure_concurrence, x_state_concurrence
+from conftest import bell_state, pure_concurrence, random_symmetric_channel, x_state_concurrence
 
 LN2 = math.log(2.0)
 # High-precision anchors, each derived analytically:
@@ -184,33 +190,34 @@ def test_ensemble_validation():
 
 
 def test_capacity_bound_anchor_and_positivity():
-    assert abs(
-        classical_capacity_lower_bound(qubit_family_a(0.0), basis_states()) - ANCHOR_CHI
-    ) <= 1e-5
-    assert abs(classical_capacity_lower_bound(dephasing(), basis_states()) - LN2) <= 1e-12
+    assert abs(classical_capacity_lower_bound(qubit_family_a(0.0), np.eye(2)) - ANCHOR_CHI) <= 1e-5
+    assert abs(classical_capacity_lower_bound(dephasing(), np.eye(2)) - LN2) <= 1e-12
     for theta in GRID:
-        chi = classical_capacity_lower_bound(qubit_family_a(float(theta)), basis_states())
+        chi = classical_capacity_lower_bound(qubit_family_a(float(theta)), np.eye(2))
         assert chi > 0.0
 
 
 def test_capacity_bound_rejects_bad_alphabets():
-    plus = DensityMatrix.pure([1.0, 1.0])
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(ValueError, match="overlap"):
-        classical_capacity_lower_bound(qubit_family_a(0.3), [basis_states()[0], plus])
-    mixed = DensityMatrix.maximally_mixed(2)
-    with pytest.raises(ValueError, match="pure"):
-        classical_capacity_lower_bound(qubit_family_a(0.3), [mixed])
+        classical_capacity_lower_bound(qubit_family_a(0.3), [[1.0, 0.0], plus])
+    with pytest.raises(ValueError, match="not normalised"):
+        classical_capacity_lower_bound(qubit_family_a(0.3), [[1.0, 1.0]])
     # The first failure in state order is reported, also past the first pair.
-    e = [DensityMatrix.pure(v) for v in np.eye(3)]
-    tilted = DensityMatrix.pure([0.0, 1.0, 1.0])
-    mixed = DensityMatrix.maximally_mixed(3)
+    e = np.eye(3)
+    tilted = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+    short = np.array([0.0, 0.0, 0.5])
     with pytest.raises(ValueError, match=r"basis states 1 and 2 overlap by 5\.000e-01"):
-        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], tilted, mixed])
-    diagonal = DensityMatrix.pure([1.0, 1.0, 1.0])
+        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], tilted, short])
+    diagonal = np.ones(3) / math.sqrt(3.0)
     with pytest.raises(ValueError, match=r"basis states 0 and 2 overlap by 3\.333e-01"):
         classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], diagonal])
-    with pytest.raises(ValueError, match="basis state 2 is not pure"):
-        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], mixed, tilted])
+    with pytest.raises(ValueError, match="basis state 2 is not normalised"):
+        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], short, tilted])
+    with pytest.raises(ValueError, match="state dimension 2 != channel input dimension 3"):
+        classical_capacity_lower_bound(ndim_theta0(3), np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_capacity_lower_bound(qubit_family_a(0.3), [[np.nan, 0.0]])
 
 
 # ------------------------------------------------------- entanglement
@@ -397,18 +404,20 @@ def reference_entropy(rho) -> float:
 
 
 def reference_capacity_bound(channel) -> float:
-    outputs = [
-        sum(op @ s.matrix @ np.conj(op).T for op in channel.operators) for s in basis_states()
-    ]
-    mixed = reference_entropy(sum(0.5 * out for out in outputs))
-    return max(0.0, mixed - sum(0.5 * reference_entropy(out) for out in outputs))
+    """The environment-side capacity bound of the computational basis, one
+    channel at a time: the output of |i> is W_i W_i^dagger, where column a of
+    W_i is K_a |i>, and the average output is Y Y^dagger / 2 for Y = [W_0 W_1]."""
+    w = [channel.operators[:, :, i].T for i in range(2)]
+    parts = [reference_entropy(x @ x.conj().T) for x in w]
+    y = np.concatenate(w, axis=1)
+    return max(0.0, reference_entropy(y @ y.conj().T / 2) - sum(parts) / 2)
 
 
 def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
     channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
-    got = capacity_lower_bounds(np.array([c.operators for c in channels]), basis_states())
+    got = capacity_lower_bounds(np.array([c.operators for c in channels]), np.eye(2))
     assert bits(got) == bits([reference_capacity_bound(ch) for ch in channels])
-    assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], basis_states())])
+    assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], np.eye(2))])
 
 
 @pytest.mark.parametrize("n", [2, 8, 16])
@@ -507,7 +516,7 @@ def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     stack[100] = BAD_KRAUS[bad]
     with pytest.raises(ValueError) as single:
         map_entropy(kraus(list(BAD_KRAUS[bad])))
-    for stacked in (choi_states, map_entropies, lambda k: capacity_lower_bounds(k, basis_states())):
+    for stacked in (choi_states, map_entropies, lambda k: capacity_lower_bounds(k, np.eye(2))):
         with pytest.raises(type(single.value)):
             stacked(stack)
 
@@ -518,3 +527,86 @@ def test_stacked_measures_equal_per_state_loop_on_full_rank_states(rng):
     negs = [max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0)) for pt in pts]
     assert bits(negativities(stack, (2, 2))) == bits(negs)
     assert bits(von_neumann_entropies(stack)) == bits([reference_entropy(m) for m in stack])
+
+
+# ------------------------------------------ capacity bound, environment side
+
+
+def apply_kraus_route(channel, alphabet) -> tuple[float, float]:
+    """The capacity bound and the coherent information at 1/n_in by the route
+    the environment side replaced: each |psi><psi| of the alphabet through
+    apply_kraus, then holevo_chis; the complementary channel's output."""
+    alphabet = np.asarray(alphabet, dtype=complex)
+    outputs = apply_kraus(channel.operators, np.einsum("ij,ik->ijk", alphabet, alphabet.conj()))
+    chi = holevo_chis(np.full(len(alphabet), 1.0 / len(alphabet)), outputs[None])[0]
+    return float(chi), coherent_information(channel, np.eye(channel.n_in) / channel.n_in)
+
+
+def route_channels():
+    """Random channels with n_in != n_out, k = 1, k < n_out and k > n_out,
+    one with k = n_out, and family members."""
+    rng = np.random.default_rng(47)
+    shapes = [(3, 5, 1), (4, 6, 2), (6, 4, 3), (5, 3, 4), (2, 3, 7), (4, 4, 4)]
+    chans = {f"random-{a}-{b}-{c}": random_cptp(a, b, c, rng) for a, b, c in shapes}
+    chans.update(
+        {
+            "qubit-a": qubit_family_a(0.3, 0.7),
+            "ad": amplitude_damping(0.3),
+            "ndim-theta0": ndim_theta0(5),
+            "identity": identity_channel(3),
+        }
+    )
+    return chans
+
+
+@pytest.mark.parametrize("name", list(route_channels()))
+def test_environment_side_matches_the_apply_kraus_route(rng, name):
+    ch = route_channels()[name]
+    entropy, coherent, chi = information_quantities(ch)
+    old_chi, old_coherent = apply_kraus_route(ch, np.eye(ch.n_in))
+    assert abs(entropy - von_neumann_entropy(choi_state(ch))) <= 1e-12
+    assert abs(coherent - old_coherent) <= 1e-12
+    assert abs(chi - old_chi) <= 1e-12
+    assert abs(classical_capacity_lower_bound(ch, np.eye(ch.n_in)) - old_chi) <= 1e-12
+    # An incomplete rotated alphabet, whose average output is not Phi(1/n_in).
+    alphabet = random_unitary(ch.n_in, rng)[: max(1, ch.n_in - 1)]
+    got = classical_capacity_lower_bound(ch, alphabet)
+    assert abs(got - apply_kraus_route(ch, alphabet)[0]) <= 1e-12
+
+
+def test_sweep_chi_column_matches_the_apply_kraus_route(tmp_path):
+    thetas = np.linspace(0.0, math.pi / 2, 101)
+    old = [apply_kraus_route(qubit_family_a(float(t), 0.7), np.eye(2))[0] for t in thetas]
+    stack = np.array([qubit_family_a(float(t), 0.7).operators for t in thetas])
+    assert np.abs(capacity_lower_bounds(stack, np.eye(2)) - old).max() <= 1e-12
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--points", "101", "--phi", "0.7", "--out", str(out)]) == 0
+    column = np.loadtxt(out, delimiter=",", skiprows=1)[:, 5]
+    assert np.abs(column - old).max() <= 1e-12  # 12 significant digits of chi < 1
+
+
+# ------------------------------- the strictly self-complementary class
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 4).flatmap(
+        lambda m: st.tuples(st.integers(1, m * (m + 1) // 2), st.just(m))
+    ),
+)
+def test_isometries_into_the_symmetric_subspace_are_selfcomplementary(seed, shape):
+    n_in, m = shape
+    rng = np.random.default_rng(seed)
+    ch = random_symmetric_channel(n_in, m, rng)
+    assert selfcomplementarity_defect(ch) == 0.0
+    assert ch.completeness_residual <= 1e-12
+    entropy, coherent, _ = information_quantities(ch)
+    assert abs(coherent) <= 1e-10
+    for _ in range(3):
+        rho = random_density_matrix(n_in, rng)
+        assert abs(coherent_information(ch, rho)) <= 1e-10
+        assert np.abs(apply(ch, rho).matrix - apply(complementary(ch), rho).matrix).max() <= 1e-13
+    # Criterion 3's identity, on which the coherent information of analyze rests.
+    assert abs(entropy - von_neumann_entropy(apply(ch, np.eye(n_in) / n_in))) <= 1e-12
+    # ln n_in = S(R) = S(BE) <= S(B) + S(E) = 2 S(B), by subadditivity.
+    assert 0.5 * math.log(n_in) - 1e-12 <= entropy <= math.log(m) + 1e-12

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchan import random_cptp
+from qchan import KrausSet, random_cptp
 from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
@@ -100,6 +100,25 @@ def test_special_floats_are_written_as_the_json_module_writes_them(tmp_path, sha
     values = np.resize(np.array(SPECIAL), shape)
     obj = {"a": values, "z": values[..., ::-1].copy(), "m": {"x": [1.5, None]}}
     assert written(tmp_path, obj) == reference_json(obj)
+
+
+def test_zero_and_negative_zero_in_one_operator_keep_their_signs(tmp_path):
+    ops = np.zeros((2, 2, 3), dtype=complex)
+    ops.real[0] = [[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0]]
+    ops.imag[0] = [[-0.0, 0.0, -0.0], [0.5, -0.0, 0.0]]
+    ops.real[1] = -0.0
+    channel = KrausSet(3, 2, ops)
+    text = written(tmp_path, channel_to_dict(channel))
+    assert text == json.dumps(pair_document(channel), indent=2, sort_keys=True) + "\n"
+    assert text.count("-0.0") == 3 + 3 + 6
+
+
+def test_float32_arrays_are_written_as_their_float64_values(tmp_path):
+    values = np.array([-0.0, 0.0, 0.1, 1 / 3, 1e-45, 3.4e38, -2.5, 1e16], dtype=np.float32)
+    for shape in ((8,), (2, 4), (2, 2, 2)):
+        obj = {"a": values.reshape(shape), "b": values[::-1].reshape(shape)}
+        assert written(tmp_path, obj) == reference_json(obj)
+    assert "0.10000000149011612" in written(tmp_path, {"a": values})
 
 
 def test_empty_document_and_a_document_without_arrays(tmp_path):
