@@ -71,7 +71,6 @@ __all__ = [
     "choi_to_kraus",
     "choi_matrix",
     "choi_state",
-    "choi_states",
     "gram_states",
     "completeness_residuals",
     "require_cptp_stack",
@@ -270,28 +269,9 @@ def choi_matrix(channel: KrausSet) -> np.ndarray:
 
 
 def choi_state(channel: KrausSet) -> DensityMatrix:
-    """Normalized Choi state D / n_in of a CPTP channel.
-
-    The single-channel case of :func:`choi_states`: the same completeness
-    check, Choi build and state validation, each at N = 1.
-    """
+    """Normalized Choi state D / n_in of a CPTP channel, validated."""
     channel.require_cptp()
     return DensityMatrix(choi_matrix(channel) / channel.n_in)
-
-
-def choi_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validated Choi states D / n_in of a stack of channels, with their spectra.
-
-    ``kraus`` has shape (N, k, n_out, n_in).  Every channel must pass the
-    completeness check of :meth:`KrausSet.require_cptp` and every Choi
-    state the checks of :func:`validate_states`; the first failure raises
-    ValueError.  Returns the states (N, d, d), d = n_in * n_out, and their
-    ascending spectra (N, d), which the entropies reuse.
-    """
-    kraus = require_cptp_stack(kraus, tol)
-    _, _, n_out, n_in = kraus.shape
-    states = superop_to_choi(_superops(kraus), n_in, n_out) / n_in
-    return states, validate_states(states)
 
 
 def _grams(kraus: np.ndarray) -> np.ndarray:
@@ -307,9 +287,9 @@ def _grams(kraus: np.ndarray) -> np.ndarray:
 def gram_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Validated Gram states G / n_in of a stack of channels, with their spectra.
 
-    The environment-side analogue of :func:`choi_states`, with the same
-    checks: completeness of every channel, then :func:`validate_states`.
-    A Gram state has the Choi state's trace and nonzero spectrum.  Returns
+    The environment side of the Choi state D / n_in, with its checks:
+    completeness of every channel, then :func:`validate_states`.  A Gram
+    state has the Choi state's trace and nonzero spectrum.  Returns
     the states (N, k, k) and their ascending spectra (N, k).
     """
     kraus = require_cptp_stack(kraus, tol)

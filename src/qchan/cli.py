@@ -292,9 +292,11 @@ COMMANDS = {
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Refuse a non-finite float option, a nonpositive --tol, an empty grid,
-    a grid above MAX_POINTS and a dimension above MAX_DIM before anything is
-    built."""
+    """Refuse an empty --out, a non-finite float option, a nonpositive --tol,
+    an empty grid, a grid above MAX_POINTS and a dimension above MAX_DIM
+    before anything is built."""
+    if not args.out:
+        raise ValueError("--out must name a file, got ''")
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")

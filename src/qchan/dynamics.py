@@ -14,58 +14,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet, apply, apply_kraus
+from .channels import KrausSet, apply_kraus
 from .families import FAMILIES, family_ids
-from .linalg import DensityMatrix, as_stack, as_state, blocks, validate_states
+from .linalg import HERMITICITY_TOL, DensityMatrix, _check_states, as_state, blocks
 from .measures import choi_measures
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+# sigma_0 = 1, then sigma_x, sigma_y, sigma_z: the Pauli transfer basis.
+_PAULI_BASIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
-
-_PAULI_STACK = np.array(_PAULIS)
-
-
-def bloch_vectors(states) -> np.ndarray:
-    """Pauli expectation values of each qubit state of a validated stack, as rows."""
-    states = as_stack(states)
-    if states.shape[-1] != 2:
-        raise ValueError(f"Bloch coordinates need a qubit state, got dim {states.shape[-1]}")
-    return np.trace(_PAULI_STACK[:, None] @ states, axis1=-2, axis2=-1).real.T
+_PAULIS = _PAULI_BASIS[1:]
 
 
 def bloch_vector(rho) -> np.ndarray:
     """Pauli expectation values of a qubit state."""
-    return bloch_vectors(as_state(rho).matrix[None])[0]
-
-
-def _bloch_matrices(points) -> np.ndarray:
-    """(1 + r . sigma) / 2 for each row r of an (N, 3) array inside the unit ball."""
-    r = np.asarray(points, dtype=float)
-    if r.ndim != 2 or r.shape[1] != 3 or np.any(np.linalg.norm(r, axis=1) > 1.0 + 1e-9):
-        raise ValueError("Bloch vector must be a 3-vector inside the unit ball")
-    return 0.5 * (np.eye(2, dtype=complex) + sum(r[:, i, None, None] * _PAULIS[i] for i in range(3)))
+    m = as_state(rho).matrix
+    if m.shape != (2, 2):
+        raise ValueError(f"Bloch coordinates need a qubit state, got dim {len(m)}")
+    return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
 
 
 def density_from_bloch(r) -> DensityMatrix:
-    return DensityMatrix(_bloch_matrices(np.asarray(r, dtype=float)[None])[0])
+    """(1 + r . sigma) / 2 for a 3-vector r inside the unit ball."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-9:
+        raise ValueError("Bloch vector must be a 3-vector inside the unit ball")
+    return DensityMatrix(0.5 * (_PAULI_BASIS[0] + sum(r[i] * _PAULIS[i] for i in range(3))))
+
+
+def _bloch_images(channel: KrausSet, points) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli transfer matrix R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a CPTP
+    qubit channel, and the rows R (1, r), trace and Bloch vector of
+    Phi((1 + r . sigma) / 2), for each row r of ``points``.
+
+    The input and output states get the checks of :func:`validate_states` in
+    closed form: |Im R| within HERMITICITY_TOL, then the trace t and the
+    lower eigenvalue (t - |r|) / 2 of (t + r . sigma) / 2.  R (1, r) is
+    summed entry by entry, so each row is the one its point gets alone; a
+    BLAS product rounds a row differently inside a larger block.
+    """
+    if channel.n_in != 2 or channel.n_out != 2:
+        raise ValueError("affine form is defined for qubit channels only")
+    channel.require_cptp()
+    transfer = np.einsum("iab,jba->ij", _PAULI_BASIS, apply_kraus(channel.operators, _PAULI_BASIS))
+    defect = float(np.abs(transfer.imag).max()) / 2
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
+    transfer = transfer.real / 2
+    _check_states(np.ones(len(points)), (1 - np.linalg.norm(points, axis=-1)) / 2)
+    images = transfer[:, 0] + sum(points[:, j, None] * transfer[:, j + 1] for j in range(3))
+    _check_states(images[:, 0], (images[:, 0] - np.linalg.norm(images[:, 1:], axis=-1)) / 2)
+    return transfer, images
 
 
 def affine_of_channel(channel: KrausSet) -> tuple[np.ndarray, np.ndarray]:
-    """The action r -> linear @ r + shift of a qubit channel on Bloch vectors,
-    as ``(linear, shift)``: a 3 x 3 matrix and a 3-vector, read off the
-    channel's action on the Pauli basis."""
-    if channel.n_in != 2 or channel.n_out != 2:
-        raise ValueError("affine form is defined for qubit channels only")
-    shift = bloch_vector(apply(channel, DensityMatrix.maximally_mixed(2)))
-    linear = np.zeros((3, 3))
-    for j in range(3):
-        # Phi(sigma_j) is traceless; feed (1 + sigma_j)/2 and remove the shift.
-        out = apply(channel, DensityMatrix(0.5 * (np.eye(2, dtype=complex) + _PAULIS[j])))
-        linear[:, j] = bloch_vector(out) - shift
-    return linear, shift
+    """The action r -> linear @ r + shift of a qubit channel on Bloch vectors:
+    ``(R[1:, 1:], R[1:, 0])`` of its Pauli transfer matrix R, with the images
+    of 1/2 and (1 + sigma_j)/2 checked as states."""
+    transfer, _ = _bloch_images(channel, np.vstack([np.zeros(3), np.eye(3)]))
+    return transfer[1:, 1:], transfer[1:, 0]
 
 
 def fibonacci_sphere(n_points: int) -> np.ndarray:
@@ -83,22 +90,11 @@ def fibonacci_sphere(n_points: int) -> np.ndarray:
 def bloch_image(channel: KrausSet, n_points: int) -> np.ndarray:
     """Image of a Fibonacci-sphere sample of pure states, as Bloch rows.
 
-    Each sampled pure state is pushed through the channel and converted
-    back to Bloch coordinates (no affine shortcut, so this doubles as a
-    cross-check of :func:`affine_of_channel`), STACK_BLOCK states at a time.
+    Each point r goes to linear @ r + shift (:func:`affine_of_channel`), and
+    every input and output state is checked in closed form; no state matrix
+    is built and no eigensolver runs.
     """
-    channel.require_cptp()
-    if channel.n_in != 2:
-        raise ValueError(f"state dimension 2 != channel input dimension {channel.n_in}")
-    points = fibonacci_sphere(n_points)
-    image = np.empty((n_points, 3))
-    for block in blocks(n_points):
-        inputs = _bloch_matrices(points[block])
-        validate_states(inputs)
-        outputs = apply_kraus(channel.operators, inputs)
-        validate_states(outputs)
-        image[block] = bloch_vectors(outputs)
-    return image
+    return np.ascontiguousarray(_bloch_images(channel, fibonacci_sphere(n_points))[1][:, 1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,11 +2,13 @@
 
 The two qubit families and the theta = 0 family in arbitrary dimension are
 exactly CPTP and exactly self-complementary for every parameter value.  The
-general qutrit and N-dimensional parameterizations are exploratory: away
-from theta = 0 their repeated-row structure breaks the completeness sum, so
-they are generated as-is and judged by a validation report instead of being
-asserted valid.  Use :func:`qchan.channels.validate_channel` for the
-report; operations that need a genuine channel refuse the violators.
+general qutrit and N-dimensional parameterizations are exploratory, judged
+by :func:`qchan.channels.validate_channel` and refused by operations that
+need a genuine channel.  A strictly self-complementary channel is an
+isometry V into Sym^2(C^m).  Off theta = 0 the qutrit members are symmetric
+tensors (defect 0) whose V columns are not orthonormal (completeness
+residual 0.087 at theta = 0.3 and 0.71 at theta = 1.0 for W = 1); the ndim
+members are not symmetric (defect 0.21-0.60 for theta in [0.3, 1] at n = 4).
 
 :data:`FAMILIES` is the one table of the families: their constructors, the
 CLI options each takes, the commands that accept it, and for the driven

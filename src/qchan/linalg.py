@@ -82,10 +82,6 @@ def hermiticity_defect(a) -> float:
     return max_abs(m - dagger(m))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
@@ -183,15 +179,20 @@ def validate_states(states) -> np.ndarray:
     defect = max_abs(m - dagger(m))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if off.any():
-        raise ValueError(f"density matrix trace {complex(tr[off][0])} differs from 1")
     spectra = np.linalg.eigvalsh(m)
-    lo = float(spectra.min()) if spectra.size else 0.0
+    _check_states(np.trace(m, axis1=-2, axis2=-1), spectra)
+    return spectra
+
+
+def _check_states(traces, eigenvalues) -> None:
+    """The trace check, then the PSD check, of :func:`validate_states`, on
+    the states' traces and (lowest) eigenvalues."""
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"density matrix trace {complex(traces[off][0])} differs from 1")
+    lo = float(eigenvalues.min()) if eigenvalues.size else 0.0
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
-    return spectra
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,12 +27,13 @@ import numpy as np
 
 from .channels import (
     KrausSet,
+    _superops,
     apply,
     choi_state,
-    choi_states,
     complementary,
     gram_states,
     require_cptp_stack,
+    superop_to_choi,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -274,7 +275,10 @@ def wootters_spectrum(omega) -> np.ndarray:
 
 def concurrences(states) -> np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state of a
-    validated stack."""
+    validated stack.  A state alone has no factor rho = V V^dagger, so its
+    lambda_i take the eigenvalues of rho rho~ and their floor; the Choi
+    states of Kraus stacks take the factor route of :func:`choi_measures`.
+    """
     lam = wootters_spectra(states)
     c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
     return _clamp_nonnegative(c)
@@ -304,9 +308,25 @@ def negativity(omega, dims: tuple[int, int]) -> float:
 
 def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negativity, concurrence and map entropy of the Choi state of each qubit
-    channel of a Kraus stack (N, k, 2, 2), from one Choi build per channel."""
-    states, spectra = choi_states(kraus)
-    return negativities(states, (2, 2)), concurrences(states), _entropies(spectra)
+    channel of a Kraus stack (N, k, 2, 2), from its k x k factors.
+
+    The Choi state is rho = V V^dagger, Hermitian and PSD by construction, for
+    V with the vectorised K_a / sqrt(n_in) as columns.  So the Gram states
+    V^dagger V = G / n_in are validated in its place, and give the map
+    entropy; the negativity needs rho.  Wootters' lambda_i are the singular
+    values of tau = V^T (sigma_y (x) sigma_y) V: rho rho~ and conj(tau) tau
+    share their nonzero spectrum.  No root of rounding noise, so no floor.
+    """
+    _, spectra = gram_states(kraus)
+    kraus = np.asarray(kraus, dtype=complex)
+    n, k, n_out, n_in = kraus.shape
+    states = superop_to_choi(_superops(kraus), n_in, n_out) / n_in
+    neg = negativities(states, (2, 2))
+    # Row a is vec(K_a) in the Choi ordering, input index first: V^T sqrt(n_in).
+    rows = kraus.swapaxes(-1, -2).reshape(n, k, n_in * n_out)
+    lam = np.linalg.svd(rows @ _YY @ rows.swapaxes(-1, -2) / n_in, compute_uv=False)
+    conc = _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
+    return neg, conc, _entropies(spectra)
 
 
 def concurrence_closed_form(theta: float) -> float:

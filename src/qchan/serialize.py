@@ -132,15 +132,16 @@ def read_channel(path) -> KrausSet:
     return channel_from_dict(data)
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write-then-rename so partially written files are never observed.  The
-    file gets the mode open(path, "w") gives a new file, 0o666 less the
-    umask, not mkstemp's 0o600."""
+def write_text_atomic(path, *parts: str) -> None:
+    """Write the text parts one by one, then rename, so partially written
+    files are never observed and a text given in parts is never joined or
+    encoded whole.  The file gets the mode open(path, "w") gives a new file,
+    0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         umask = os.umask(0)  # read by setting; restored at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -196,4 +197,4 @@ def write_json_atomic(path, obj: dict) -> None:
         parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
         parts.extend(_encode_value(obj[key]))
     parts.append("\n}\n" if parts else "{}\n")
-    write_text_atomic(path, "".join(parts))
+    write_text_atomic(path, *parts)

@@ -535,6 +535,30 @@ def test_unwritable_output_path_is_parameter_error(tmp_path):
     assert run("sweep", "--points", 5, "--out", missing) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--id", "qubit-a"],
+        ["analyze", "--in", "channel.json"],
+        ["sweep", "--points", "5"],
+        ["bloch", "--points", "5"],
+        ["bloch", "--batch", "--points", "5"],
+        ["dynamics", "--steps", "4"],
+    ],
+    ids=["family", "analyze", "sweep", "bloch", "bloch-batch", "dynamics"],
+)
+def test_empty_output_path_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    # Unrefused, an empty --out puts its temporary file in the parent of the
+    # working directory and then fails to rename it to ''.
+    work = tmp_path / "work"
+    work.mkdir()
+    write_json_atomic(str(work / "channel.json"), channel_to_dict(identity_channel(2)))
+    monkeypatch.chdir(work)
+    assert main(argv + ["--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["channel.json", "work"]
+
+
 def test_csv_uses_lf_and_dot_decimal(tmp_path):
     out = tmp_path / "fmt.csv"
     run("sweep", "--points", 5, "--out", out)

@@ -5,6 +5,7 @@ import pytest
 
 from qchan import (
     DensityMatrix,
+    KrausSet,
     Trajectory,
     affine_of_channel,
     amplitude_damping,
@@ -22,13 +23,15 @@ from qchan import (
     positive_variation,
     qubit_family_a,
     qubit_family_b,
+    random_cptp,
     random_density_matrix,
     run_trajectory,
     svd_values,
 )
+from qchan import dynamics
 from qchan.families import FAMILIES
-from qchan.linalg import STACK_BLOCK, sanitize_nonnegative_spectrum
-from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, WOOTTERS_EIGENVALUE_FLOOR
+from qchan.linalg import STACK_BLOCK
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
 
 PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -77,12 +80,15 @@ def reference_choi_measures(operators) -> tuple[float, float, float]:
     omega = superop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4) / 2
     pt = omega.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
     neg = max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0))
-    product = omega @ (YY @ omega.conj() @ YY)
-    ev = sanitize_nonnegative_spectrum(np.linalg.eigvals(product))
-    ev[ev < WOOTTERS_EIGENVALUE_FLOOR * max(1.0, float(np.abs(product).max()))] = 0.0
-    lam = np.sqrt(np.sort(ev)[::-1])
-    conc = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    return neg, conc, reference_entropy(np.linalg.eigvalsh(omega))
+    # Wootters' lambdas as singular values of tau = V^T YY V; V's columns
+    # are the vectorised K_a / sqrt(2) in the Choi ordering.
+    rows = np.array([op.T.reshape(-1) for op in operators])
+    lam = np.linalg.svd(rows @ YY @ rows.T / 2, compute_uv=False)
+    conc = max(0.0, float(lam[0] - lam[1:4].sum()))
+    # The map entropy from the Gram state G / 2, G_ab = tr(K_a^dagger K_b).
+    flat = np.array([op.reshape(-1) for op in operators])
+    gram = flat.conj() @ flat.T
+    return neg, conc, reference_entropy(np.linalg.eigvalsh((gram + gram.conj().T) / 2 / 2))
 
 
 def reference_trajectory(family, omega, t_max, n_steps):
@@ -97,6 +103,14 @@ def reference_trajectory(family, omega, t_max, n_steps):
 
 
 def reference_bloch_image(channel, n_points):
+    linear, shift = affine_of_channel(channel)
+    points = fibonacci_sphere(n_points)
+    return np.array([shift + sum(r[j] * linear[:, j] for j in range(3)) for r in points])
+
+
+def kraus_route_bloch_image(channel, n_points):
+    """Each sampled pure state pushed through the Kraus operators, and its
+    Pauli expectation values read off: no affine form."""
     rows = []
     for r in fibonacci_sphere(n_points):
         rho = 0.5 * (np.eye(2, dtype=complex) + sum(r[i] * PAULIS[i] for i in range(3)))
@@ -325,6 +339,60 @@ def test_stacked_bloch_image_equals_per_point_loop_bitwise(channel, n_points):
     image = bloch_image(channel, n_points)
     assert image.shape == (n_points, 3)
     assert bits(image) == bits(reference_bloch_image(channel, n_points))
+
+
+def bloch_channels():
+    """Both qubit families at theta = k pi/8 and two phases, random channels
+    of 1 to 5 Kraus operators, and the identity."""
+    rng = np.random.default_rng(29)
+    chans = [
+        family(k * math.pi / 8, phi)
+        for family in (qubit_family_a, qubit_family_b)
+        for k in range(9)
+        for phi in (0.0, 1.234)
+    ]
+    return chans + [random_cptp(2, 2, k, rng) for k in range(1, 6)] + [identity_channel(2)]
+
+
+def test_bloch_image_matches_the_kraus_route():
+    # The affine form against each state pushed through the Kraus operators,
+    # at the benchmark's Bloch tolerance.
+    for channel in bloch_channels():
+        image = bloch_image(channel, 256)
+        assert np.abs(image - kraus_route_bloch_image(channel, 256)).max() <= 1e-12
+
+
+def test_bloch_image_refuses_a_nearly_trace_preserving_channel():
+    # The completeness residual 5e-11 passes the tolerance 1e-10, but every
+    # output state's trace misses 1 by 5e-11, beyond the trace tolerance.
+    channel = KrausSet(2, 2, math.sqrt(1 + 5e-11) * np.eye(2, dtype=complex)[None])
+    channel.require_cptp()
+    for call in (lambda: bloch_image(channel, 10), lambda: affine_of_channel(channel)):
+        with pytest.raises(ValueError, match="trace .* differs from 1"):
+            call()
+    with pytest.raises(ValueError, match="not trace preserving"):
+        bloch_image(KrausSet(2, 2, 1.001 * np.eye(2, dtype=complex)[None]), 10)
+
+
+def test_bloch_image_checks_states_in_closed_form(monkeypatch):
+    # An input outside the ball; dephasing maps it to the centre, so only
+    # the input check can see it.
+    with pytest.raises(ValueError, match="eigenvalue .* below"):
+        dynamics._bloch_images(dephasing(), np.array([[1.0 + 1e-9, 0.0, 0.0]]))
+    # (1 + 1e-9 i) Phi(sigma_j): |Im R| is 1e-9 at least on the diagonal.
+    monkeypatch.setattr(dynamics, "apply_kraus", lambda kraus, s: s * (1 + 1e-9j))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bloch_image(identity_channel(2), 10)
+
+
+def test_bloch_image_needs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigvalsh", "eigvals", "eigh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for channel in bloch_channels():
+        bloch_image(channel, 300)
 
 
 def test_trajectory_rejects_non_finite_arguments():

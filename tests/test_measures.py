@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qchan import (
     DensityMatrix,
     Ensemble,
+    KrausSet,
     amplitude_damping,
     apply,
     apply_kraus,
@@ -15,13 +17,13 @@ from qchan import (
     channel_rank,
     choi_matrix,
     choi_state,
-    choi_states,
     classical_capacity_lower_bound,
     coherent_information,
     complementary,
     concurrence,
     concurrence_closed_form,
     concurrence_from_negativity,
+    concurrences,
     dephasing,
     dft_matrix,
     entanglement_evolution_factor,
@@ -51,9 +53,9 @@ from qchan import (
     wootters_spectrum,
 )
 from qchan.cli import main
-from qchan.families import FAMILIES
+from qchan.families import FAMILIES, qubit_family_a_stack, qubit_family_b_stack
 from qchan.linalg import STACK_BLOCK
-from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, information_quantities
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, choi_measures, information_quantities
 
 from conftest import bell_state, pure_concurrence, random_symmetric_channel, x_state_concurrence
 
@@ -281,6 +283,126 @@ def test_concurrence_closed_form_matches_numeric_on_grid():
     for theta in list(GRID) + [math.pi / 4]:
         omega = choi_state(qubit_family_a(float(theta)))
         assert abs(concurrence(omega) - concurrence_closed_form(float(theta))) <= 1e-9
+
+
+# ------------------------------------- Choi measures from the k x k factors
+
+
+def factor_route_channels():
+    """Driven-family stacks over a period, and random qubit channels of 1 to
+    6 Kraus operators, k > 4 included."""
+    rng = np.random.default_rng(53)
+    theta = np.concatenate([np.linspace(0.0, math.pi, 2001), rng.uniform(0.0, math.pi, 500)])
+    stacks = [qubit_family_a_stack(theta, 0.0), qubit_family_b_stack(theta, 1.3)]
+    stacks.append(FAMILIES["ad"].stack(np.linspace(0.0, 1.0, 501)))
+    for k in range(1, 7):
+        stacks.append(np.array([random_cptp(2, 2, k, rng).operators for _ in range(50)]))
+    return stacks
+
+
+def test_choi_measures_match_the_choi_state_routes():
+    # The Wootters-eigenvalue route takes square roots of eigenvalues that
+    # are zero up to rounding, so it is held to the benchmark's 1e-6.
+    for kraus in factor_route_channels():
+        neg, conc, ent = choi_measures(kraus)
+        states = np.array([choi_state(KrausSet(2, 2, ops)).matrix for ops in kraus])
+        assert bits(neg) == bits(negativities(states, (2, 2)))
+        assert np.abs(conc - concurrences(states)).max() <= 1e-6
+        assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
+
+
+def test_choi_measures_of_pure_choi_states(rng):
+    # k = 1: the Choi state is pure, and its concurrence is 2 |ad - bc|.
+    for _ in range(20):
+        u = random_unitary(2, rng)
+        _, conc, ent = choi_measures(u[None, None])
+        assert abs(conc[0] - pure_concurrence(u.T.reshape(4) / math.sqrt(2))) <= 1e-14
+        assert abs(conc[0] - 1.0) <= 1e-14 and abs(ent[0]) <= 1e-15
+
+
+def complex_products(a, b):
+    """Product of two square matrices of (re, im) Decimal pairs."""
+    side = len(a)
+    out = [[(Decimal(0), Decimal(0))] * side for _ in range(side)]
+    for i in range(side):
+        for j in range(side):
+            re = sum(a[i][m][0] * b[m][j][0] - a[i][m][1] * b[m][j][1] for m in range(side))
+            im = sum(a[i][m][0] * b[m][j][1] + a[i][m][1] * b[m][j][0] for m in range(side))
+            out[i][j] = (re, im)
+    return out
+
+
+def decimal_concurrence(operators) -> float:
+    """Wootters' concurrence of the Choi state of two Kraus operators, taken
+    exactly as floats, at 50 digits: rho rho~ has rank at most 2, and its
+    eigenvalues mu_1, mu_2 give C = sqrt(mu_1 + mu_2 - 2 sqrt(mu_1 mu_2))."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        # v_a[(j, i)] = K_a[i, j]: the Choi ordering, input index first.
+        vs = [[(Decimal(z.real), Decimal(z.imag)) for z in op.T.reshape(4)] for op in operators]
+        rho = [
+            [
+                (
+                    sum(v[x][0] * v[y][0] + v[x][1] * v[y][1] for v in vs) / 2,
+                    sum(v[x][1] * v[y][0] - v[x][0] * v[y][1] for v in vs) / 2,
+                )
+                for y in range(4)
+            ]
+            for x in range(4)
+        ]
+        # sigma_y (x) sigma_y is the antidiagonal (-1, 1, 1, -1).
+        sign = (-1, 1, 1, -1)
+        tilde = [
+            [(sign[x] * sign[y] * rho[3 - x][3 - y][0], -sign[x] * sign[y] * rho[3 - x][3 - y][1])
+             for y in range(4)]
+            for x in range(4)
+        ]
+        m = complex_products(rho, tilde)
+        square = complex_products(m, m)
+        t1 = sum(m[i][i][0] for i in range(4))
+        t2 = sum(square[i][i][0] for i in range(4))
+        # mu_1 mu_2 can lie below the 50th digit (at theta = pi/2 as a float,
+        # about 1e-66), where it may round to -5e-51.
+        product = (t1 * t1 - t2) / 2
+        return float((t1 - 2 * max(product, Decimal(0)).sqrt()).sqrt())
+
+
+def test_choi_concurrence_of_qubit_b_near_half_pi_to_1e_12():
+    # The Wootters-eigenvalue route of concurrences() is off by up to 3.5e-8
+    # on these points against this reference.
+    rng = np.random.default_rng(61)
+    offsets = np.logspace(-9, -1, 17)
+    theta = np.concatenate(
+        [
+            math.pi / 2 - offsets,
+            math.pi / 2 + offsets,
+            np.linspace(math.pi / 2 - 0.01, math.pi / 2 + 0.01, 21),
+            rng.uniform(0.0, math.pi, 10),
+        ]
+    )
+    for phi in (0.0, 0.7):
+        kraus = qubit_family_b_stack(theta, phi)
+        _, conc, _ = choi_measures(kraus)
+        expected = [decimal_concurrence(ops) for ops in kraus]
+        assert np.abs(conc - expected).max() <= 1e-12
+
+
+def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("general eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    choi_measures(qubit_family_a_stack(np.linspace(0.0, 1.0, 7), 0.3))
+    # The 2 x 2 Gram states, then the partial transposes for the negativity.
+    assert shapes == [(7, 2, 2), (7, 4, 4)]
 
 
 def test_concurrence_closed_form_values_and_domain():
@@ -516,7 +638,12 @@ def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     stack[100] = BAD_KRAUS[bad]
     with pytest.raises(ValueError) as single:
         map_entropy(kraus(list(BAD_KRAUS[bad])))
-    for stacked in (choi_states, map_entropies, lambda k: capacity_lower_bounds(k, np.eye(2))):
+    stacked_calls = (
+        choi_measures,
+        map_entropies,
+        lambda k: capacity_lower_bounds(k, np.eye(2)),
+    )
+    for stacked in stacked_calls:
         with pytest.raises(type(single.value)):
             stacked(stack)
 
