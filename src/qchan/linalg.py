@@ -26,7 +26,7 @@ SPECTRUM_TOL = 1e-9
 
 # Long stacks are evaluated this many samples at a time, so that the numpy
 # temporaries of a stacked evaluation stay small whatever the stack length.
-STACK_BLOCK = 256
+STACK_BLOCK = 1024
 
 
 class NumericalError(Exception):
@@ -76,19 +76,13 @@ def max_abs(a) -> float:
     return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
-def hermiticity_defect(a) -> float:
-    """max |a - a^dagger| over a matrix, or over every matrix of a stack."""
-    m = _matrices(a)
-    return max_abs(m - dagger(m))
-
-
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
     Raises ValueError if the input is not Hermitian within ``tol``.
     """
     m = _matrices(a)
-    defect = hermiticity_defect(m)
+    defect = max_abs(m - dagger(m))
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
     try:

@@ -27,17 +27,16 @@ import numpy as np
 
 from .channels import (
     KrausSet,
-    _superops,
     apply,
     choi_state,
     complementary,
     gram_states,
     require_cptp_stack,
-    superop_to_choi,
 )
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
+    NumericalError,
     _finite,
     _matrices,
     as_state,
@@ -308,23 +307,33 @@ def negativity(omega, dims: tuple[int, int]) -> float:
 
 def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negativity, concurrence and map entropy of the Choi state of each qubit
-    channel of a Kraus stack (N, k, 2, 2), from its k x k factors.
+    channel of a Kraus stack (N, k, 2, 2), from its Kraus entries.
 
     The Choi state is rho = V V^dagger, Hermitian and PSD by construction, for
-    V with the vectorised K_a / sqrt(n_in) as columns.  So the Gram states
-    V^dagger V = G / n_in are validated in its place, and give the map
-    entropy; the negativity needs rho.  Wootters' lambda_i are the singular
-    values of tau = V^T (sigma_y (x) sigma_y) V: rho rho~ and conj(tau) tau
-    share their nonzero spectrum.  No root of rounding noise, so no floor.
+    V with the vectorised K_a / sqrt(n_in) as columns, so the Gram states
+    V^dagger V = G / n_in are validated in its place and give the map entropy.
+    Its partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k]) /
+    n_in is summed as the superoperator is; mirrored entries are conjugate
+    products, so PT is exactly Hermitian.  Wootters' lambda_i are the singular
+    values of tau = V^T (sigma_y (x) sigma_y) V, as rho rho~ and conj(tau) tau
+    share their nonzero spectrum: no root of rounding noise.
     """
+    if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
+        raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
     _, spectra = gram_states(kraus)
     kraus = np.asarray(kraus, dtype=complex)
-    n, k, n_out, n_in = kraus.shape
-    states = superop_to_choi(_superops(kraus), n_in, n_out) / n_in
-    neg = negativities(states, (2, 2))
-    # Row a is vec(K_a) in the Choi ordering, input index first: V^T sqrt(n_in).
-    rows = kraus.swapaxes(-1, -2).reshape(n, k, n_in * n_out)
-    lam = np.linalg.svd(rows @ _YY @ rows.swapaxes(-1, -2) / n_in, compute_uv=False)
+    n, k, _, n_in = kraus.shape
+    ops = np.moveaxis(kraus, 1, 0)
+    pt = sum(op[:, None, :, :, None] * dagger(op)[:, :, None, None, :] for op in ops)
+    try:
+        ev = np.linalg.eigvalsh(pt.reshape(n, 4, 4) / n_in)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes
+        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
+    # Row a is vec(K_a) in the Choi ordering, V^T sqrt(n_in); sigma_y (x) sigma_y is antidiagonal.
+    rows = kraus.swapaxes(-1, -2).reshape(n, k, 4)
+    tau = rows[..., ::-1] * [-1, 1, 1, -1] @ rows.swapaxes(-1, -2) / n_in
+    lam = np.linalg.svd(tau, compute_uv=False)
     conc = _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
     return neg, conc, _entropies(spectra)
 

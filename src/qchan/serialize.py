@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from itertools import chain
 
 import numpy as np
@@ -135,16 +134,14 @@ def read_channel(path) -> KrausSet:
 def write_text_atomic(path, *parts: str) -> None:
     """Write the text parts one by one, then rename, so partially written
     files are never observed and a text given in parts is never joined or
-    encoded whole.  The file gets the mode open(path, "w") gives a new file,
-    0o666 less the umask, not mkstemp's 0o600."""
+    encoded whole.  The kernel gives the file the mode open(path, "w") gives a
+    new file, 0o666 less the umask, which is never set, not even to read it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchan-", suffix=".tmp")
+    tmp = os.path.join(directory, f".qchan-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(parts)
-        umask = os.umask(0)  # read by setting; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -125,6 +125,31 @@ def test_family_and_analyze_build_no_superoperator(tmp_path, monkeypatch):
     assert family_then_analyze("guarded") == expected
 
 
+def test_dynamics_and_sweep_build_no_superoperator(tmp_path, monkeypatch):
+    def dynamics_then_sweep(tag):
+        written = []
+        for family in ("qubit-a", "qubit-b", "ad"):
+            out = tmp_path / f"{tag}-{family}.csv"
+            assert run("dynamics", "--family", family, "--steps", 1030, "--out", out) == 0
+            written += [out, out.with_suffix(".summary.json")]
+        sweep = tmp_path / f"{tag}-sweep.csv"
+        assert run("sweep", "--points", 1030, "--phi", 0.4, "--out", sweep) == 0
+        return [path.read_bytes() for path in written + [sweep]]
+
+    expected = dynamics_then_sweep("free")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("superoperator built or reshuffled")
+
+    # Every qchan module that holds the two functions, so that a module
+    # importing them by name is guarded too.
+    for name in ("_superops", "superop_to_choi"):
+        for module in [m for key, m in sys.modules.items() if key.startswith("qchan")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert dynamics_then_sweep("guarded") == expected
+
+
 def test_analyze_and_sweep_build_no_state_and_push_none_through_apply_kraus(tmp_path, monkeypatch):
     ch = tmp_path / "ch.json"
     assert run("family", "--id", "ndim-theta0", "--n", 6, "--out", ch) == 0

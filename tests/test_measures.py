@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -309,6 +310,16 @@ def test_choi_measures_match_the_choi_state_routes():
         assert bits(neg) == bits(negativities(states, (2, 2)))
         assert np.abs(conc - concurrences(states)).max() <= 1e-6
         assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3, 3), (4, 2, 2, 3), (2, 2, 2), (1, 1, 4, 4)])
+def test_choi_measures_refuse_a_non_qubit_stack_up_front(shape, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validated before the shape was checked")
+
+    monkeypatch.setattr("qchan.measures.gram_states", refuse)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        choi_measures(np.zeros(shape, dtype=complex))
 
 
 def test_choi_measures_of_pure_choi_states(rng):

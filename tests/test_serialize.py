@@ -190,3 +190,23 @@ def test_outputs_get_the_mode_of_a_new_file_under_the_umask(tmp_path, umask):
         os.umask(old)
     for name in ("ch.json", "traj.csv", "traj.summary.json", "img_k3.csv"):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_writes_never_set_the_umask(tmp_path, monkeypatch):
+    # The umask is process-wide: setting it, even to read it, changes the
+    # mode of what another thread creates meanwhile.
+    def refuse(*args):
+        raise AssertionError("os.umask called during a write")
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "umask", refuse)
+            assert main(["family", "--id", "qubit-a", "--out", str(tmp_path / "ch.json")]) == 0
+            assert main(["dynamics", "--steps", "8", "--out", str(tmp_path / "traj.csv")]) == 0
+    finally:
+        os.umask(old)
+    names = ["ch.json", "traj.csv", "traj.summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temporary left
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
