@@ -132,8 +132,8 @@ class Trajectory:
 def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Trajectory:
     """Evaluate Choi-state measures on a uniform time grid of n_steps samples.
 
-    The family's schedule gives the driving parameter on the grid, and its
-    stacked constructor builds the channels STACK_BLOCK samples at a time.
+    The family's schedule gives the driving parameter on the grid; its stacked
+    constructor and choi_measures build and score STACK_BLOCK channels at once.
     """
     if n_steps < 2:
         raise ValueError("need at least two samples")

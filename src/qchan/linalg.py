@@ -24,8 +24,8 @@ PSD_TOL = 1e-10
 # clipped to zero; anything larger is a genuine structural violation.
 SPECTRUM_TOL = 1e-9
 
-# Long stacks are evaluated this many samples at a time, so that the numpy
-# temporaries of a stacked evaluation stay small whatever the stack length.
+# Long stacks are evaluated this many samples at a time: those of the qubit
+# commands dynamics and sweep, whose numpy temporaries take about 256 KB each.
 STACK_BLOCK = 1024
 
 

@@ -312,8 +312,8 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The Choi state is rho = V V^dagger, Hermitian and PSD by construction, for
     V with the vectorised K_a / sqrt(n_in) as columns, so the Gram states
     V^dagger V = G / n_in are validated in its place and give the map entropy.
-    Its partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k]) /
-    n_in is summed as the superoperator is; mirrored entries are conjugate
+    rho's partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k])
+    / n_in is summed as the superoperator is; mirrored entries are conjugate
     products, so PT is exactly Hermitian.  Wootters' lambda_i are the singular
     values of tau = V^T (sigma_y (x) sigma_y) V, as rho rho~ and conj(tau) tau
     share their nonzero spectrum: no root of rounding noise.
