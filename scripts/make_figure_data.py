@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from qchan import DensityMatrix, entanglement_evolution_factor, qubit_family_a
+from qchan import entanglement_evolution_factor, qubit_family_a
 from qchan.cli import main as qchan_main
 
 
@@ -43,8 +43,12 @@ def main() -> int:
     header = ["c_in"] + [f"c_out_theta_{i}" for i in range(len(phases))]
     lines = ["# phases: " + ", ".join(f"{t:.6f}" for t in phases), ",".join(header)]
     for alpha in np.linspace(0.0, math.pi / 4, 41):
-        ket = np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)])
-        rho = DensityMatrix.pure(ket)
+        ket = np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)], dtype=complex)
+        # cos^2 + sin^2 rounds off 1 for some alpha: normalise, in complex
+        # arithmetic, so that the theta = pi/4 column (rounding noise around
+        # the exact zero) keeps its last bits.
+        ket /= np.linalg.norm(ket)
+        rho = np.outer(ket, ket.conj())
         row = [abs(math.sin(2 * alpha))]
         for theta in phases:
             _, direct = entanglement_evolution_factor(qubit_family_a(theta), rho)

@@ -35,7 +35,6 @@ from .dynamics import (
     affine_of_channel,
     bloch_image,
     bloch_vector,
-    density_from_bloch,
     fibonacci_sphere,
     increase_duration,
     non_markovianity_measure,
@@ -58,31 +57,25 @@ from .families import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    DensityMatrix,
     NumericalError,
     dagger,
     general_eigenvalues,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
     random_density_matrix,
     random_unitary,
     sanitize_nonnegative_spectrum,
-    svd_values,
     validate_states,
 )
 from .measures import (
-    Ensemble,
     capacity_lower_bounds,
     classical_capacity_lower_bound,
     coherent_information,
     concurrence,
     concurrences,
     concurrence_closed_form,
-    concurrence_from_negativity,
     entanglement_evolution_factor,
-    holevo_chi,
     holevo_chis,
     map_entropies,
     map_entropy,
@@ -92,7 +85,6 @@ from .measures import (
     spin_flip,
     von_neumann_entropies,
     von_neumann_entropy,
-    wootters_spectrum,
 )
 
 __version__ = "0.1.0"

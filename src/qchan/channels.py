@@ -45,11 +45,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    DensityMatrix,
     _finite,
     _matrices,
     as_matrix,
-    as_state,
     dagger,
     hermitian_eigenvalues,
     max_abs,
@@ -184,13 +182,18 @@ def kraus(operators, n_in: int | None = None, n_out: int | None = None) -> Kraus
     return KrausSet(n_in if n_in is not None else n, n_out if n_out is not None else m, ops)
 
 
-def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Push a state through the channel: rho -> sum_i K_i rho K_i^dagger."""
+def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Push a state through the channel: rho -> sum_i K_i rho K_i^dagger.
+
+    The channel's completeness and the input state (:func:`validate_states`)
+    are checked; the output, a state by construction, is not checked again.
+    """
     channel.require_cptp(tol)
-    state = as_state(rho)
-    if state.dim != channel.n_in:
-        raise ValueError(f"state dimension {state.dim} != channel input dimension {channel.n_in}")
-    return DensityMatrix(apply_kraus(channel.operators, state.matrix))
+    state = as_matrix(rho)
+    validate_states(state[None])
+    if len(state) != channel.n_in:
+        raise ValueError(f"state dimension {len(state)} != channel input dimension {channel.n_in}")
+    return apply_kraus(channel.operators, state)
 
 
 def apply_kraus(kraus, states) -> np.ndarray:
@@ -268,10 +271,11 @@ def choi_matrix(channel: KrausSet) -> np.ndarray:
     return superop_to_choi(kraus_to_superop(channel), channel.n_in, channel.n_out)
 
 
-def choi_state(channel: KrausSet) -> DensityMatrix:
-    """Normalized Choi state D / n_in of a CPTP channel, validated."""
+def choi_state(channel: KrausSet) -> np.ndarray:
+    """Normalized Choi state D / n_in of a CPTP channel: exactly Hermitian and
+    PSD by construction, of unit trace within the completeness residual."""
     channel.require_cptp()
-    return DensityMatrix(choi_matrix(channel) / channel.n_in)
+    return choi_matrix(channel) / channel.n_in
 
 
 def _grams(kraus: np.ndarray) -> np.ndarray:
@@ -299,9 +303,13 @@ def gram_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
 
 def channel_rank(choi, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues above tol of a square Choi matrix: the minimal
-    Kraus count."""
-    ev = hermitian_eigenvalues(_square(choi, "Choi matrix"))
-    return int(np.count_nonzero(ev > tol))
+    Kraus count.  Raises ValueError if the matrix is not Hermitian within
+    DEFAULT_TOL."""
+    m = _square(choi, "Choi matrix")
+    defect = max_abs(m - dagger(m))
+    if defect > DEFAULT_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
+    return int(np.count_nonzero(hermitian_eigenvalues(m) > tol))
 
 
 def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> KrausSet:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import KrausSet, apply_kraus
 from .families import FAMILIES, family_ids
-from .linalg import HERMITICITY_TOL, DensityMatrix, _check_states, as_state, blocks
+from .linalg import HERMITICITY_TOL, _check_states, as_matrix, blocks, validate_states
 from .measures import choi_measures
 
 # sigma_0 = 1, then sigma_x, sigma_y, sigma_z: the Pauli transfer basis.
@@ -27,19 +27,13 @@ _PAULIS = _PAULI_BASIS[1:]
 
 
 def bloch_vector(rho) -> np.ndarray:
-    """Pauli expectation values of a qubit state."""
-    m = as_state(rho).matrix
+    """Pauli expectation values of a qubit state, which :func:`validate_states`
+    checks."""
+    m = as_matrix(rho)
+    validate_states(m[None])
     if m.shape != (2, 2):
         raise ValueError(f"Bloch coordinates need a qubit state, got dim {len(m)}")
     return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
-
-
-def density_from_bloch(r) -> DensityMatrix:
-    """(1 + r . sigma) / 2 for a 3-vector r inside the unit ball."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or np.linalg.norm(r) > 1.0 + 1e-9:
-        raise ValueError("Bloch vector must be a 3-vector inside the unit ball")
-    return DensityMatrix(0.5 * (_PAULI_BASIS[0] + sum(r[i] * _PAULIS[i] for i in range(3))))
 
 
 def _bloch_images(channel: KrausSet, points) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,12 @@ row-major (C-order) index conventions: composite indices of Kronecker
 products run lexicographically, and a vectorized matrix lists its entries
 row by row.  All comparisons use absolute entrywise tolerances; the objects
 handled here are O(1)-normed, so relative scaling is unnecessary.
+
+A state is a plain ``(d, d)`` array and a stack of states an ``(N, d, d)``
+array; :func:`validate_states` is the one density-matrix check.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +67,18 @@ def blocks(n: int) -> list:
     return [slice(lo, lo + STACK_BLOCK) for lo in range(0, n, STACK_BLOCK)]
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with lexicographic composite indices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def max_abs(a) -> float:
     m = np.asarray(a)
     return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
-def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
-    Raises ValueError if the input is not Hermitian within ``tol``.
+    Hermiticity is not checked: only the lower triangle is read.  Callers
+    pass matrices that are Hermitian by construction, or check them first.
     """
     m = _matrices(a)
-    defect = max_abs(m - dagger(m))
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes
@@ -119,14 +113,6 @@ def sanitize_nonnegative_spectrum(values, tol: float = SPECTRUM_TOL) -> np.ndarr
         raise NumericalError(f"spectrum has negative value {most_negative:.3e} < -tol")
     re[re < 0] = 0.0
     return re
-
-
-def svd_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    try:
-        return np.linalg.svd(as_matrix(a), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
 
 
 def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -189,47 +175,11 @@ def _check_states(traces, eigenvalues) -> None:
         raise ValueError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A validated quantum state: Hermitian, unit trace, positive semidefinite."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        validate_states(m[None])
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    @classmethod
-    def pure(cls, vector) -> "DensityMatrix":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        v = v / n
-        return cls(np.outer(v, v.conj()))
-
-
-def as_state(rho) -> DensityMatrix:
-    """Accept a DensityMatrix or any array-like that validates as one."""
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(rho)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random state from the Ginibre ensemble."""
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random state from the Ginibre ensemble, a (dim, dim) array."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m))
+    return m / np.trace(m)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,8 +5,9 @@ bits divide by ln 2.  Operations that only make sense for genuine channels
 refuse Kraus sets whose completeness residual exceeds tolerance.
 
 Each measure is evaluated on stacks: a plural function takes an (N, d, d)
-stack of validated states, or an (N, k, n_out, n_in) Kraus stack, and
-returns one value per sample.  The singular function is its N = 1 call.
+stack of states, which it checks once with ``validate_states``, or an
+(N, k, n_out, n_in) Kraus stack, and returns one value per sample.  The
+singular function is its N = 1 call.
 
 The closed forms for the first qubit family (``qubit_family_a`` at phi = 0)
 were derived from the exact spectra of the family's Choi states and agree
@@ -21,13 +22,13 @@ with the numeric pipeline to machine precision:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
     KrausSet,
     apply,
+    apply_kraus,
     choi_state,
     complementary,
     gram_states,
@@ -35,11 +36,9 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    DensityMatrix,
-    NumericalError,
     _finite,
     _matrices,
-    as_state,
+    as_matrix,
     as_stack,
     dagger,
     general_eigenvalues,
@@ -60,34 +59,6 @@ WOOTTERS_EIGENVALUE_FLOOR = 1e-13
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """Weighted alphabet of quantum states."""
-
-    probabilities: tuple
-    states: tuple
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probabilities)
-        states = tuple(as_state(s) for s in self.states)
-        if len(probs) != len(states) or not probs:
-            raise ValueError("probabilities and states must be equal-length and nonempty")
-        if min(probs) < 0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError(f"states have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def average_state(self) -> DensityMatrix:
-        acc = sum(p * s.matrix for p, s in zip(self.probabilities, self.states))
-        return DensityMatrix(acc)
 
 
 def _clamp_nonnegative(x) -> np.ndarray:
@@ -118,14 +89,14 @@ def _entropies(spectra) -> np.ndarray:
 
 
 def von_neumann_entropies(states) -> np.ndarray:
-    """S(rho) = -tr(rho ln rho) in nats of each state of a stack, which is
-    validated as :class:`DensityMatrix` validates one state."""
+    """S(rho) = -tr(rho ln rho) in nats of each state of a stack, which
+    :func:`validate_states` checks."""
     return _entropies(validate_states(states))
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho ln rho) in nats."""
-    return float(von_neumann_entropies(as_state(rho).matrix[None])[0])
+    return float(von_neumann_entropies(np.asarray(rho)[None])[0])
 
 
 def map_entropies(kraus) -> np.ndarray:
@@ -141,10 +112,13 @@ def map_entropy(channel: KrausSet) -> float:
 
 
 def coherent_information(channel: KrausSet, rho) -> float:
-    """Output entropy minus environment entropy; zero for self-complementary maps."""
-    state = as_state(rho)
-    out = apply(channel, state)
-    env = apply(complementary(channel), state)
+    """Output entropy minus environment entropy; zero for self-complementary maps.
+
+    :func:`apply` checks the input state; the complementary channel, CPTP
+    with the channel, takes the same state unchecked.
+    """
+    out = apply(channel, rho)
+    env = apply_kraus(complementary(channel).operators, np.asarray(rho, dtype=complex))
     return von_neumann_entropy(out) - von_neumann_entropy(env)
 
 
@@ -152,21 +126,22 @@ def holevo_chis(probabilities, states) -> np.ndarray:
     """S(sum p_i rho_i) - sum p_i S(rho_i) of each row of a stack of ensembles.
 
     ``states`` has shape (N, M, d, d): N ensembles of M states, all weighted
-    by the M ``probabilities``, which :class:`Ensemble` validates for one
-    ensemble.  Nonnegative by concavity; rounding below zero is clamped.
+    by the M ``probabilities``, which must be nonnegative and sum to 1 within
+    1e-12.  Nonnegative by concavity; rounding below zero is clamped.
     """
-    states = np.asarray(states, dtype=complex)
+    states = _finite(states, (4,), "a stack of ensembles (N, M, d, d)")
     n, m, d, _ = states.shape
+    probabilities = [float(p) for p in probabilities]
+    if len(probabilities) != m or not probabilities:
+        raise ValueError(f"need one probability per state: {len(probabilities)} for {m} states")
+    if min(probabilities) < 0:
+        raise ValueError("probabilities must be nonnegative")
+    if abs(sum(probabilities) - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
     mixed = von_neumann_entropies(sum(p * states[:, i] for i, p in enumerate(probabilities)))
     parts = von_neumann_entropies(states.reshape(n * m, d, d)).reshape(n, m)
     chi = mixed - sum(p * parts[:, i] for i, p in enumerate(probabilities))
     return _clamp_nonnegative(chi)
-
-
-def holevo_chi(ensemble: Ensemble) -> float:
-    """S(sum p_i rho_i) - sum p_i S(rho_i); nonnegative by concavity."""
-    states = np.array([[s.matrix for s in ensemble.states]])
-    return float(holevo_chis(ensemble.probabilities, states)[0])
 
 
 def _capacity_bounds(kraus, alphabet, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +222,7 @@ def information_quantities(channel: KrausSet) -> tuple[float, float, float]:
 def spin_flip(omega) -> np.ndarray:
     """(sigma_y (x) sigma_y) conj(omega) (sigma_y (x) sigma_y) on two qubits,
     matrix by matrix for a stack."""
-    m = _matrices(omega.matrix if isinstance(omega, DensityMatrix) else omega)
+    m = _matrices(omega)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"spin flip needs a 4x4 two-qubit matrix, got {m.shape}")
     return _YY @ m.conj() @ _YY
@@ -255,8 +230,10 @@ def spin_flip(omega) -> np.ndarray:
 
 def wootters_spectra(states) -> np.ndarray:
     """Square roots of the eigenvalues of omega * spin_flip(omega), descending,
-    one row per two-qubit state of a validated stack."""
+    one row per two-qubit state of a stack, which :func:`validate_states`
+    checks."""
     states = as_stack(states)
+    validate_states(states)
     if states.shape[-1] != 4:
         raise ValueError(f"concurrence needs a two-qubit state, got dim {states.shape[-1]}")
     product = states @ spin_flip(states)
@@ -267,16 +244,12 @@ def wootters_spectra(states) -> np.ndarray:
     return np.sqrt(np.sort(ev, axis=-1)[:, ::-1])
 
 
-def wootters_spectrum(omega) -> np.ndarray:
-    """Square roots of the eigenvalues of omega * spin_flip(omega), descending."""
-    return wootters_spectra(as_state(omega).matrix[None])[0]
-
-
 def concurrences(states) -> np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state of a
-    validated stack.  A state alone has no factor rho = V V^dagger, so its
-    lambda_i take the eigenvalues of rho rho~ and their floor; the Choi
-    states of Kraus stacks take the factor route of :func:`choi_measures`.
+    stack, checked by :func:`wootters_spectra`.  A state alone has no factor
+    rho = V V^dagger, so its lambda_i take the eigenvalues of rho rho~ and
+    their floor; the Choi states of Kraus stacks take the factor route of
+    :func:`choi_measures`.
     """
     lam = wootters_spectra(states)
     c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
@@ -285,13 +258,14 @@ def concurrences(states) -> np.ndarray:
 
 def concurrence(omega) -> float:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}."""
-    return float(concurrences(as_state(omega).matrix[None])[0])
+    return float(concurrences(np.asarray(omega)[None])[0])
 
 
 def negativities(states, dims: tuple[int, int]) -> np.ndarray:
     """(trace norm of the partial transpose - 1) / 2 of each state of a
-    validated stack."""
+    stack, which :func:`validate_states` checks."""
     states = as_stack(states)
+    validate_states(states)
     d1, d2 = dims
     if states.shape[-1] != d1 * d2:
         raise ValueError(f"state dimension {states.shape[-1]} != {d1} * {d2}")
@@ -302,7 +276,7 @@ def negativities(states, dims: tuple[int, int]) -> np.ndarray:
 
 def negativity(omega, dims: tuple[int, int]) -> float:
     """(trace norm of the partial transpose - 1) / 2."""
-    return float(negativities(as_state(omega).matrix[None], dims)[0])
+    return float(negativities(np.asarray(omega)[None], dims)[0])
 
 
 def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,10 +299,7 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, k, _, n_in = kraus.shape
     ops = np.moveaxis(kraus, 1, 0)
     pt = sum(op[:, None, :, :, None] * dagger(op)[:, :, None, None, :] for op in ops)
-    try:
-        ev = np.linalg.eigvalsh(pt.reshape(n, 4, 4) / n_in)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    ev = hermitian_eigenvalues(pt.reshape(n, 4, 4) / n_in)
     neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
     # Row a is vec(K_a) in the Choi ordering, V^T sqrt(n_in); sigma_y (x) sigma_y is antidiagonal.
     rows = kraus.swapaxes(-1, -2).reshape(n, k, 4)
@@ -361,20 +332,6 @@ def negativity_closed_form(theta: float) -> float:
     return abs(math.cos(2.0 * float(theta))) / 4.0
 
 
-def concurrence_from_negativity(neg: float) -> float:
-    """Concurrence of a family Choi state as a monotone function of its
-    negativity.
-
-    With N = |cos 2t|/4 the concurrence is sqrt((1 - sqrt(1 - 16 N^2)) / 2)
-    on both sides of the entanglement-breaking point t = pi/4.
-    """
-    neg = float(neg)
-    if not 0.0 <= neg <= 0.25 + 1e-12:
-        raise ValueError(f"negativity {neg} outside [0, 1/4]")
-    inner = max(0.0, 1.0 - 16.0 * min(neg, 0.25) ** 2)
-    return math.sqrt(max(0.0, (1.0 - math.sqrt(inner)) / 2.0))
-
-
 def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, float]:
     """Check the product rule for one-sided entanglement evolution.
 
@@ -385,11 +342,12 @@ def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, flo
     """
     if channel.n_in != 2 or channel.n_out != 2:
         raise ValueError("entanglement evolution factor needs a qubit channel")
-    state = as_state(rho_in)
-    if state.dim != 4:
-        raise ValueError(f"input must be a two-qubit state, got dim {state.dim}")
-    omega = choi_state(channel)
-    predicted = concurrence(state) * concurrence(omega)
-    extended = KrausSet(4, 4, [np.kron(np.eye(2), op) for op in channel.operators])
-    direct = concurrence(apply(extended, state))
-    return predicted, direct
+    state = as_matrix(rho_in)
+    if state.shape != (4, 4):
+        raise ValueError(f"input must be a two-qubit state, got shape {state.shape}")
+    extended = np.array([np.kron(np.eye(2), op) for op in channel.operators])
+    # One stacked call checks the input, the Choi state and the output once each.
+    c_in, c_omega, c_out = concurrences(
+        np.array([state, choi_state(channel), apply_kraus(extended, state)])
+    )
+    return float(c_in * c_omega), float(c_out)

@@ -37,6 +37,13 @@ def x_state_concurrence(m) -> float:
     return 2.0 * max(0.0, inner, outer)
 
 
+def pure_state(vector) -> np.ndarray:
+    """|v><v| / <v|v>, the density matrix of a (not necessarily normalised) ket."""
+    v = np.asarray(vector, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 def bell_state() -> np.ndarray:
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v)

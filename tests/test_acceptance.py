@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    DensityMatrix,
     apply,
     channel_rank,
     choi_matrix,
@@ -111,7 +110,7 @@ def test_criterion_03_map_entropy_anchor():
     for theta in GRID:
         ch = qubit_family_a(float(theta))
         s_map = map_entropy(ch)
-        s_out = von_neumann_entropy(apply(ch, DensityMatrix.maximally_mixed(2)))
+        s_out = von_neumann_entropy(apply(ch, np.eye(2) / 2))
         worst = max(worst, abs(s_map - s_out))
     assert worst <= 1e-9
     report(3, f"map entropy anchor {anchor:.5f} nats; equals S at the mixed-state image (worst {worst:.2e})")
@@ -245,7 +244,7 @@ def test_criterion_12_non_markovianity():
     assert non_markovianity_measure(damping, "negativity") == 0.0
 
     rng = np.random.default_rng(12)
-    probes = [DensityMatrix.maximally_mixed(2)] + [random_density_matrix(2, rng) for _ in range(3)]
+    probes = [np.eye(2) / 2] + [random_density_matrix(2, rng) for _ in range(3)]
     worst = 0.0
     for t in traj.times[::64]:
         ch = qubit_family_a(math.fmod(float(t), math.pi))

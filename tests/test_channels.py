@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qchan import (
-    DensityMatrix,
     apply,
     channel_rank,
     choi_matrix,
@@ -30,6 +29,7 @@ from qchan import (
     superop_to_choi,
     tensor_channel,
     validate_channel,
+    validate_states,
 )
 from qchan.channels import KrausSet
 from qchan.families import FAMILIES
@@ -71,31 +71,31 @@ def family_choi_by_hand(theta):
 
 
 def test_apply_dephasing_removes_coherences():
-    rho = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    rho = np.full((2, 2), 0.5)
     out = apply(dephasing(), rho)
-    assert np.abs(out.matrix - np.diag([0.5, 0.5])).max() <= 1e-12
+    assert np.abs(out - np.diag([0.5, 0.5])).max() <= 1e-12
 
 
 def test_apply_identity_is_identity(rng):
     rho = random_density_matrix(3, rng)
     out = apply(identity_channel(3), rho)
-    assert np.abs(out.matrix - rho.matrix).max() <= 1e-12
+    assert np.abs(out - rho).max() <= 1e-12
 
 
 def test_apply_family_to_maximally_mixed():
-    out = apply(qubit_family_a(0.0), DensityMatrix.maximally_mixed(2))
-    assert np.abs(out.matrix - np.diag([0.25, 0.75])).max() <= 1e-12
+    out = apply(qubit_family_a(0.0), np.eye(2) / 2)
+    assert np.abs(out - np.diag([0.25, 0.75])).max() <= 1e-12
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        apply(qubit_family_a(0.3), DensityMatrix.maximally_mixed(3))
+        apply(qubit_family_a(0.3), np.eye(3) / 3)
 
 
 def test_apply_refuses_incomplete_kraus_set():
     broken = kraus([np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
     with pytest.raises(ValueError, match="trace preserving"):
-        apply(broken, DensityMatrix.maximally_mixed(2))
+        apply(broken, np.eye(2) / 2)
 
 
 def test_apply_preserves_trace_for_random_channels(rng):
@@ -103,7 +103,7 @@ def test_apply_preserves_trace_for_random_channels(rng):
         ch = random_cptp(3, 2, 4, rng)
         rho = random_density_matrix(3, rng)
         out = apply(ch, rho)
-        assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
+        assert abs(np.trace(out) - 1.0) <= 1e-10
 
 
 # ------------------------------------------------------- complementary
@@ -144,8 +144,8 @@ def test_selfcomplementary_channels_act_like_their_complement(rng):
     comp = complementary(ch)
     for _ in range(10):
         rho = random_density_matrix(2, rng)
-        a = apply(ch, rho).matrix
-        b = apply(comp, rho).matrix
+        a = apply(ch, rho)
+        b = apply(comp, rho)
         assert np.abs(a - b).max() <= 1e-10
 
 
@@ -224,6 +224,11 @@ def test_round_trip_kraus_choi_kraus_on_random_channels(rng):
         assert diff <= 1e-9
 
 
+def test_channel_rank_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        channel_rank(np.array([[0, 1], [0, 0]]))
+
+
 def test_channel_rank_values():
     assert channel_rank(choi_matrix(identity_channel(2))) == 1
     assert channel_rank(choi_matrix(qubit_family_a(0.37, 4.0))) == 2
@@ -281,7 +286,7 @@ def test_kraus_from_swap_unitary_is_reset_channel(rng):
     ks = kraus_from_unitary(swap, 2)
     rho = random_density_matrix(2, rng)
     out = apply(ks, rho)
-    assert np.abs(out.matrix - np.diag([1.0, 0.0])).max() <= 1e-12
+    assert np.abs(out - np.diag([1.0, 0.0])).max() <= 1e-12
 
 
 def test_kraus_from_tabulated_unitary_recovers_family():
@@ -359,7 +364,8 @@ def test_validate_channel_report():
 
 def test_choi_state_is_valid_density_matrix():
     omega = choi_state(qubit_family_a(1.3, 2.2))
-    assert omega.dim == 4
+    assert omega.shape == (4, 4)
+    validate_states(omega[None])
 
 
 @given(theta=st.floats(0.0, np.pi), phi=st.floats(0.0, 2 * np.pi))

@@ -165,8 +165,12 @@ def test_analyze_and_sweep_build_no_state_and_push_none_through_apply_kraus(tmp_
     def refuse(*args, **kwargs):
         raise AssertionError("a state was built or pushed through the Kraus operators")
 
-    monkeypatch.setattr("qchan.channels.apply_kraus", refuse)
-    monkeypatch.setattr("qchan.linalg.DensityMatrix.__post_init__", refuse)
+    # Every qchan module that holds the two functions, so that a module
+    # importing them by name is guarded too.
+    for name in ("apply", "apply_kraus"):
+        for module in [m for key, m in sys.modules.items() if key.startswith("qchan")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert analyze_then_sweep("guarded") == expected
 
 

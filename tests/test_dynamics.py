@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    DensityMatrix,
     KrausSet,
     Trajectory,
     affine_of_channel,
@@ -14,7 +13,6 @@ from qchan import (
     bloch_vector,
     coherent_information,
     dephasing,
-    density_from_bloch,
     fibonacci_sphere,
     identity_channel,
     increase_duration,
@@ -26,7 +24,6 @@ from qchan import (
     random_cptp,
     random_density_matrix,
     run_trajectory,
-    svd_values,
 )
 from qchan import dynamics
 from qchan.families import FAMILIES
@@ -124,7 +121,7 @@ def test_affine_of_unitary_channel(rng):
 
     u = random_unitary(2, rng)
     linear, shift = affine_of_channel(kraus([u]))
-    assert np.abs(svd_values(linear) - 1.0).max() <= 1e-10
+    assert np.abs(np.linalg.svd(linear, compute_uv=False) - 1.0).max() <= 1e-10
     assert np.abs(shift).max() <= 1e-12
 
 
@@ -136,7 +133,7 @@ def test_affine_of_dephasing():
 
 def test_affine_of_line_channel_is_rank_one():
     linear, shift = affine_of_channel(qubit_family_a(math.pi / 4))
-    sv = svd_values(linear)
+    sv = np.linalg.svd(linear, compute_uv=False)
     assert sv[0] > 1e-10
     assert np.abs(sv[1:]).max() <= 1e-10
     assert np.abs(shift).max() <= 1e-12  # bistochastic at pi/4
@@ -181,17 +178,9 @@ def test_bloch_image_of_line_channel_is_one_dimensional():
 def test_bloch_image_centroid_shift_at_theta_zero():
     pts = bloch_image(qubit_family_a(0.0), 500)
     # channel is not bistochastic here: the mixed-state image sits at z = -1/2
-    out = apply(qubit_family_a(0.0), DensityMatrix.maximally_mixed(2))
+    out = apply(qubit_family_a(0.0), np.eye(2) / 2)
     assert abs(bloch_vector(out)[2] + 0.5) <= 1e-12
     assert abs(pts[:, 2].mean() + 0.5) <= 0.01
-
-
-def test_density_from_bloch_round_trip(rng):
-    r = rng.standard_normal(3)
-    r = 0.9 * r / np.linalg.norm(r)
-    assert np.abs(bloch_vector(density_from_bloch(r)) - r).max() <= 1e-12
-    with pytest.raises(ValueError):
-        density_from_bloch([1.5, 0.0, 0.0])
 
 
 # ------------------------------------------------------- trajectories
@@ -262,7 +251,7 @@ def test_constant_record_scores_zero():
 def test_capacity_witness_is_inert_while_entanglement_witness_fires(rng):
     traj = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=33)
     assert non_markovianity_measure(traj, "negativity") > 0.1
-    probes = [DensityMatrix.maximally_mixed(2)] + [random_density_matrix(2, rng) for _ in range(3)]
+    probes = [np.eye(2) / 2] + [random_density_matrix(2, rng) for _ in range(3)]
     for t in traj.times:
         ch = qubit_family_a(math.fmod(t, math.pi))
         for rho in probes:

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qchan import (
-    DensityMatrix,
-    Ensemble,
     KrausSet,
     amplitude_damping,
     apply,
@@ -23,12 +21,10 @@ from qchan import (
     complementary,
     concurrence,
     concurrence_closed_form,
-    concurrence_from_negativity,
     concurrences,
     dephasing,
     dft_matrix,
     entanglement_evolution_factor,
-    holevo_chi,
     holevo_chis,
     identity_channel,
     kraus,
@@ -51,14 +47,24 @@ from qchan import (
     validate_states,
     von_neumann_entropies,
     von_neumann_entropy,
-    wootters_spectrum,
 )
 from qchan.cli import main
 from qchan.families import FAMILIES, qubit_family_a_stack, qubit_family_b_stack
 from qchan.linalg import STACK_BLOCK
-from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, choi_measures, information_quantities
+from qchan.measures import (
+    ENTROPY_EIGENVALUE_FLOOR,
+    choi_measures,
+    information_quantities,
+    wootters_spectra,
+)
 
-from conftest import bell_state, pure_concurrence, random_symmetric_channel, x_state_concurrence
+from conftest import (
+    bell_state,
+    pure_concurrence,
+    pure_state,
+    random_symmetric_channel,
+    x_state_concurrence,
+)
 
 LN2 = math.log(2.0)
 # High-precision anchors, each derived analytically:
@@ -70,7 +76,7 @@ GRID = np.linspace(0.0, math.pi / 2.0, 100)
 
 
 def basis_states(dim=2):
-    return [DensityMatrix.pure(np.eye(dim)[:, i]) for i in range(dim)]
+    return np.array([pure_state(np.eye(dim)[:, i]) for i in range(dim)])
 
 
 # ------------------------------------------------------------ entropy
@@ -78,17 +84,17 @@ def basis_states(dim=2):
 
 def test_entropy_of_pure_state_is_zero(rng):
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert von_neumann_entropy(DensityMatrix.pure(v)) <= 1e-12
+    assert von_neumann_entropy(pure_state(v)) <= 1e-12
 
 
 def test_entropy_anchor_value():
-    s = von_neumann_entropy(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
+    s = von_neumann_entropy(np.diag([0.25, 0.75]))
     assert abs(s - 0.56233) <= 1e-4
     assert abs(s - ANCHOR_ENTROPY) <= 1e-12
 
 
 def test_entropy_of_maximally_mixed():
-    assert abs(von_neumann_entropy(DensityMatrix.maximally_mixed(2)) - LN2) <= 1e-12
+    assert abs(von_neumann_entropy(np.eye(2) / 2) - LN2) <= 1e-12
 
 
 def test_entropy_rejects_non_state():
@@ -117,7 +123,7 @@ def test_map_entropy_refuses_broken_channels():
 def test_map_entropy_equals_output_entropy_of_maximally_mixed():
     for theta in GRID:
         ch = qubit_family_a(float(theta))
-        out = apply(ch, DensityMatrix.maximally_mixed(2))
+        out = apply(ch, np.eye(2) / 2)
         assert abs(map_entropy(ch) - von_neumann_entropy(out)) <= 1e-9
 
 
@@ -142,14 +148,14 @@ def test_coherent_information_vanishes_for_selfcomplementary(rng):
 
 
 def test_coherent_information_of_identity():
-    got = coherent_information(identity_channel(2), DensityMatrix.maximally_mixed(2))
+    got = coherent_information(identity_channel(2), np.eye(2) / 2)
     assert abs(got - LN2) <= 1e-12
 
 
 def test_coherent_information_of_dephasing_on_classical_input():
     # dephasing is self-complementary, so system and environment outputs
     # coincide and the coherent information is exactly zero.
-    rho = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
+    rho = np.diag([0.2, 0.8])
     assert abs(coherent_information(dephasing(), rho)) <= 1e-12
 
 
@@ -157,39 +163,57 @@ def test_coherent_information_of_dephasing_on_classical_input():
 
 
 def test_holevo_chi_of_identical_states():
-    rho = DensityMatrix.maximally_mixed(2)
-    assert holevo_chi(Ensemble((0.5, 0.5), (rho, rho))) <= 1e-12
+    rho = np.eye(2) / 2
+    assert holevo_chis((0.5, 0.5), np.array([[rho, rho]]))[0] <= 1e-12
 
 
 def test_holevo_chi_of_orthogonal_pure_states():
-    ens = Ensemble((0.5, 0.5), tuple(basis_states()))
-    assert abs(holevo_chi(ens) - LN2) <= 1e-12
+    chi = holevo_chis((0.5, 0.5), basis_states()[None])[0]
+    assert abs(chi - LN2) <= 1e-12
 
 
 def test_holevo_chi_anchor():
     ch = qubit_family_a(0.0)
-    outputs = tuple(apply(ch, s) for s in basis_states())
-    chi = holevo_chi(Ensemble((0.5, 0.5), outputs))
+    outputs = np.array([apply(ch, s) for s in basis_states()])
+    chi = holevo_chis((0.5, 0.5), outputs[None])[0]
     assert abs(chi - 0.215761) <= 1e-5
     assert abs(chi - ANCHOR_CHI) <= 1e-12
 
 
 def test_holevo_chi_nonnegative_on_random_ensembles(rng):
     for _ in range(30):
-        states = tuple(random_density_matrix(2, rng) for _ in range(3))
+        states = np.array([random_density_matrix(2, rng) for _ in range(3)])
         w = rng.random(3)
         w = w / w.sum()
-        assert holevo_chi(Ensemble(tuple(w), states)) >= -1e-12
+        assert holevo_chis(w, states[None])[0] >= -1e-12
 
 
 def test_ensemble_validation():
-    rho = DensityMatrix.maximally_mixed(2)
+    pair = np.array([[np.eye(2) / 2] * 2])
     with pytest.raises(ValueError, match="sum"):
-        Ensemble((0.5, 0.4), (rho, rho))
+        holevo_chis((0.5, 0.4), pair)
     with pytest.raises(ValueError, match="nonnegative"):
-        Ensemble((1.5, -0.5), (rho, rho))
-    with pytest.raises(ValueError, match="dimensions"):
-        Ensemble((0.5, 0.5), (rho, DensityMatrix.maximally_mixed(3)))
+        holevo_chis((1.5, -0.5), pair)
+    with pytest.raises(ValueError, match="stack of ensembles"):
+        holevo_chis((0.5, 0.5), pair[0])
+
+
+@pytest.mark.parametrize(
+    "weights, m, match",
+    [
+        ([1.0], 2, "one probability per state: 1 for 2"),
+        ([0.5, 0.5, 0.0], 2, "one probability per state: 3 for 2"),
+        ([], 2, "one probability per state: 0 for 2"),
+        ([], 0, "one probability per state: 0 for 0"),
+        ([1.5, -0.5], 2, "nonnegative"),
+        ([0.5, 0.5 + 2e-12], 2, "sum"),
+    ],
+    ids=["short", "long", "empty", "empty-ensemble", "negative", "sum"],
+)
+def test_holevo_chis_refuses_bad_weights(weights, m, match):
+    states = np.tile(np.eye(2) / 2, (3, m, 1, 1))
+    with pytest.raises(ValueError, match=match):
+        holevo_chis(weights, states)
 
 
 def test_capacity_bound_anchor_and_positivity():
@@ -239,7 +263,7 @@ def test_spin_flip_examples():
 
 
 def test_wootters_spectrum_of_family_point():
-    lam = wootters_spectrum(choi_state(qubit_family_a(0.0)))
+    lam = wootters_spectra(choi_state(qubit_family_a(0.0))[None])[0]
     assert abs(lam[0] - math.sqrt(0.5)) <= 1e-12
     assert np.abs(lam[1:]).max() <= 1e-12
 
@@ -261,14 +285,14 @@ def test_concurrence_against_pure_state_oracle(rng):
     for _ in range(25):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        got = concurrence(DensityMatrix.pure(v))
+        got = concurrence(pure_state(v))
         assert abs(got - pure_concurrence(v)) <= 1e-10
 
 
 def test_concurrence_against_x_state_oracle(rng):
     for theta in np.linspace(0.0, math.pi / 2.0, 25):
         omega = choi_state(qubit_family_a(float(theta)))
-        assert abs(concurrence(omega) - x_state_concurrence(omega.matrix)) <= 1e-10
+        assert abs(concurrence(omega) - x_state_concurrence(omega)) <= 1e-10
     for _ in range(20):
         # random X-shaped states
         d = rng.random(4)
@@ -276,8 +300,7 @@ def test_concurrence_against_x_state_oracle(rng):
         z = min(math.sqrt(d[1] * d[2]), math.sqrt(d[0] * d[3])) * rng.random()
         m = np.diag(d).astype(complex)
         m[1, 2] = m[2, 1] = z
-        omega = DensityMatrix(m)
-        assert abs(concurrence(omega) - x_state_concurrence(m)) <= 1e-10
+        assert abs(concurrence(m) - x_state_concurrence(m)) <= 1e-10
 
 
 def test_concurrence_closed_form_matches_numeric_on_grid():
@@ -306,7 +329,7 @@ def test_choi_measures_match_the_choi_state_routes():
     # are zero up to rounding, so it is held to the benchmark's 1e-6.
     for kraus in factor_route_channels():
         neg, conc, ent = choi_measures(kraus)
-        states = np.array([choi_state(KrausSet(2, 2, ops)).matrix for ops in kraus])
+        states = np.array([choi_state(KrausSet(2, 2, ops)) for ops in kraus])
         assert bits(neg) == bits(negativities(states, (2, 2)))
         assert np.abs(conc - concurrences(states)).max() <= 1e-6
         assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
@@ -430,7 +453,7 @@ def test_concurrence_closed_form_values_and_domain():
 def test_negativity_examples():
     assert abs(negativity(bell_state(), (2, 2)) - 0.5) <= 1e-12
     assert abs(negativity(choi_state(qubit_family_a(0.0)), (2, 2)) - 0.25) <= 1e-12
-    product = DensityMatrix(np.kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])).astype(complex))
+    product = np.kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6]))
     assert negativity(product, (2, 2)) <= 1e-12
     with pytest.raises(ValueError, match="dimension"):
         negativity(bell_state(), (2, 3))
@@ -454,19 +477,8 @@ def test_concurrence_negativity_ordering():
         assert concurrence(omega) >= negativity(omega, (2, 2)) - 1e-10
 
 
-def test_concurrence_from_negativity():
-    root = 1.0 / math.sqrt(2.0)
-    assert abs(concurrence_from_negativity(0.25) - root) <= 1e-12
-    assert concurrence_from_negativity(0.0) == 0.0
-    for theta in GRID:
-        via_neg = concurrence_from_negativity(negativity_closed_form(float(theta)))
-        assert abs(via_neg - concurrence_closed_form(float(theta))) <= 1e-10
-    with pytest.raises(ValueError):
-        concurrence_from_negativity(0.3)
-
-
 def test_entanglement_evolution_factor():
-    bell = DensityMatrix(bell_state())
+    bell = bell_state()
     predicted, direct = entanglement_evolution_factor(qubit_family_a(math.pi / 4), bell)
     assert predicted <= 1e-9 and direct <= 1e-9
 
@@ -475,7 +487,7 @@ def test_entanglement_evolution_factor():
     assert abs(predicted - root) <= 1e-9
     assert abs(direct - root) <= 1e-9
 
-    product = DensityMatrix.pure([1.0, 0.0, 0.0, 0.0])
+    product = pure_state([1.0, 0.0, 0.0, 0.0])
     predicted, direct = entanglement_evolution_factor(qubit_family_a(0.9), product)
     assert predicted <= 1e-12 and direct <= 1e-9
 
@@ -485,16 +497,16 @@ def test_entanglement_evolution_factor_on_random_pure_inputs(rng):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         theta = float(rng.uniform(0.0, math.pi))
         predicted, direct = entanglement_evolution_factor(
-            qubit_family_a(theta), DensityMatrix.pure(v)
+            qubit_family_a(theta), pure_state(v)
         )
         assert abs(predicted - direct) <= 1e-8
 
 
 def test_entanglement_evolution_factor_rejects_bad_dims():
     with pytest.raises(ValueError, match="qubit channel"):
-        entanglement_evolution_factor(ndim_theta0(3), DensityMatrix(bell_state()))
+        entanglement_evolution_factor(ndim_theta0(3), bell_state())
     with pytest.raises(ValueError, match="two-qubit"):
-        entanglement_evolution_factor(qubit_family_a(0.1), DensityMatrix.maximally_mixed(2))
+        entanglement_evolution_factor(qubit_family_a(0.1), np.eye(2) / 2)
 
 
 def test_amplitude_damping_choi_concurrence_is_sqrt_one_minus_p(rng):
@@ -607,12 +619,12 @@ def test_zero_entropies_are_positive_zero():
     for value in (
         map_entropy(identity_channel(2)),
         map_entropy(amplitude_damping(0.0)),
-        von_neumann_entropy(DensityMatrix.pure([0.6, 0.8j])),
+        von_neumann_entropy(pure_state([0.6, 0.8j])),
     ):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
-GOOD_STATE = choi_state(qubit_family_a(0.3)).matrix
+GOOD_STATE = choi_state(qubit_family_a(0.3))
 BAD_STATES = {
     "non-Hermitian": GOOD_STATE + np.triu(np.full((4, 4), 1e-3), 1),
     "non-PSD": np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex),
@@ -626,13 +638,19 @@ def test_state_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     stack = np.array([GOOD_STATE] * (STACK_BLOCK + 44))
     stack[STACK_BLOCK + 7] = BAD_STATES[bad]
     with pytest.raises(ValueError) as single:
-        DensityMatrix(BAD_STATES[bad])
+        validate_states(BAD_STATES[bad][None])
     with pytest.raises(type(single.value)):
         validate_states(stack)
-    with pytest.raises(ValueError) as single:
-        von_neumann_entropy(BAD_STATES[bad])
-    with pytest.raises(type(single.value)):
-        von_neumann_entropies(stack)
+    pairs = (
+        (von_neumann_entropy, von_neumann_entropies),
+        (lambda rho: negativity(rho, (2, 2)), lambda s: negativities(s, (2, 2))),
+        (concurrence, concurrences),
+    )
+    for scalar, plural in pairs:
+        with pytest.raises(ValueError) as single:
+            scalar(BAD_STATES[bad])
+        with pytest.raises(type(single.value)):
+            plural(stack)
     validate_states(stack[:STACK_BLOCK])  # the good samples pass
 
 
@@ -660,7 +678,7 @@ def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
 
 
 def test_stacked_measures_equal_per_state_loop_on_full_rank_states(rng):
-    stack = np.array([random_density_matrix(4, rng).matrix for _ in range(STACK_BLOCK + 3)])
+    stack = np.array([random_density_matrix(4, rng) for _ in range(STACK_BLOCK + 3)])
     pts = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(stack.shape)
     negs = [max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0)) for pt in pts]
     assert bits(negativities(stack, (2, 2))) == bits(negs)
@@ -743,7 +761,7 @@ def test_isometries_into_the_symmetric_subspace_are_selfcomplementary(seed, shap
     for _ in range(3):
         rho = random_density_matrix(n_in, rng)
         assert abs(coherent_information(ch, rho)) <= 1e-10
-        assert np.abs(apply(ch, rho).matrix - apply(complementary(ch), rho).matrix).max() <= 1e-13
+        assert np.abs(apply(ch, rho) - apply(complementary(ch), rho)).max() <= 1e-13
     # Criterion 3's identity, on which the coherent information of analyze rests.
     assert abs(entropy - von_neumann_entropy(apply(ch, np.eye(n_in) / n_in))) <= 1e-12
     # ln n_in = S(R) = S(BE) <= S(B) + S(E) = 2 S(B), by subadditivity.
