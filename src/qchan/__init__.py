@@ -23,7 +23,6 @@ from .channels import (
     kraus,
     kraus_from_unitary,
     kraus_to_superop,
-    random_cptp,
     selfcomplementarity_defect,
     stinespring,
     superop_to_choi,
@@ -63,8 +62,6 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    random_density_matrix,
-    random_unitary,
     sanitize_nonnegative_spectrum,
     validate_states,
 )

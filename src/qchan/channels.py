@@ -39,7 +39,7 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,6 @@ __all__ = [
     "tensor_channel",
     "compose",
     "validate_channel",
-    "random_cptp",
 ]
 
 
@@ -164,13 +163,15 @@ def _square(matrix, what: str, side: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelValidation:
-    """Structural report attached to generated channels by the CLI."""
+    """Structural report attached to generated channels by the CLI, with the
+    ascending spectrum of the Gram state G / n_in."""
 
     cptp_residual: float
     cptp_ok: bool
     selfcomplementary: bool
     selfcomplementarity_defect: float
     choi_rank: int
+    gram_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
 def kraus(operators, n_in: int | None = None, n_out: int | None = None) -> KrausSet:
@@ -289,16 +290,16 @@ def _grams(kraus: np.ndarray) -> np.ndarray:
 
 
 def gram_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validated Gram states G / n_in of a stack of channels, with their spectra.
+    """Gram states G / n_in of a stack of channels, each trace preserving
+    within ``tol``, with their spectra (N, k, k) and (N, k), ascending.
 
-    The environment side of the Choi state D / n_in, with its checks:
-    completeness of every channel, then :func:`validate_states`.  A Gram
-    state has the Choi state's trace and nonzero spectrum.  Returns
-    the states (N, k, k) and their ascending spectra (N, k).
+    The environment side of the Choi state D / n_in, with its trace and
+    nonzero spectrum.  Completeness is the one check: a Gram state is
+    Hermitian and PSD by construction and is eigensolved as it is.
     """
     kraus = require_cptp_stack(kraus, tol)
     states = _grams(kraus) / kraus.shape[-1]
-    return states, validate_states(states)
+    return states, hermitian_eigenvalues(states)
 
 
 def channel_rank(choi, tol: float = DEFAULT_TOL) -> int:
@@ -348,12 +349,8 @@ def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if channel.n_in != channel.n_out:
         raise ValueError("square dilation requires n_in == n_out")
+    channel.require_cptp(tol)
     n = channel.n_in
-    res = channel.completeness_residual
-    if res > tol:
-        raise ValueError(
-            f"completeness residual {res:.3e} > {tol:.3e}: block-column is not orthonormal"
-        )
     side = n * channel.k
     cols = list(np.ascontiguousarray(channel.operators.reshape(side, n).T))
     for idx in range(side):
@@ -400,26 +397,19 @@ def compose(outer: KrausSet, inner: KrausSet) -> KrausSet:
 
 
 def validate_channel(channel: KrausSet, tol: float = DEFAULT_TOL) -> ChannelValidation:
-    """Structural report; the Choi rank is counted on the Gram matrix, which
+    """Structural report from one completeness sum, one Gram build and one
+    eigensolve of the Gram state G / n_in.  ``cptp_ok`` is the one check of
+    the channel; the Choi rank counts the eigenvalues of G above ``tol`` and
     needs no completeness, so non-channels are reported too."""
     residual = channel.completeness_residual
     defect = selfcomplementarity_defect(channel)
-    ev = hermitian_eigenvalues(_grams(channel.operators[None])[0])
-    rank = int(np.count_nonzero(ev > tol))
+    spectrum = hermitian_eigenvalues(_grams(channel.operators[None]) / channel.n_in)[0]
     return ChannelValidation(
         cptp_residual=residual,
         cptp_ok=residual <= tol,
         selfcomplementary=defect <= tol,
         selfcomplementarity_defect=defect,
-        choi_rank=rank,
+        choi_rank=int(np.count_nonzero(channel.n_in * spectrum > tol)),
+        gram_spectrum=spectrum,
     )
 
-
-def random_cptp(n_in: int, n_out: int, k: int, rng: np.random.Generator) -> KrausSet:
-    """Random CPTP channel from a Haar isometry (QR of a Ginibre block)."""
-    if n_out * k < n_in:
-        raise ValueError(f"no isometry exists: n_out * k = {n_out * k} < n_in = {n_in}")
-    g = rng.standard_normal((n_out * k, n_in)) + 1j * rng.standard_normal((n_out * k, n_in))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return KrausSet(n_in, n_out, q.reshape(k, n_out, n_in))

@@ -14,7 +14,8 @@ dynamics  driven-family trajectory CSV plus a non-Markovianity summary JSON
 Exit codes: 0 success, 2 parameter error, 3 input-format error,
 4 numerical failure.  All outputs are deterministic: the same invocation
 produces byte-identical files.  Entropic columns are in nats unless --bits
-is given, which rescales them by 1/ln 2 and renames headers accordingly.
+(analyze, sweep, dynamics) is given, which rescales them by 1/ln 2 and
+renames headers accordingly.  --tol (family, analyze) is at most MAX_TOL.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ LN2 = math.log(2.0)
 # benchmark's largest grid.  Without it a huge grid fails only in the
 # allocator.
 MAX_POINTS = 2**20
+
+# Largest --tol.  The states derived from a channel accepted at --tol have
+# traces within n_in * --tol of 1: within 1.3e-4 at the cap and n <= MAX_DIM.
+MAX_TOL = 1e-6
 
 
 def _csv(header: list[str], table: np.ndarray) -> str:
@@ -136,7 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # gets the structural fields and nulls.
     values = [None] * 3
     if validation.cptp_ok:
-        values = [value * scale for value in information_quantities(channel)]
+        values = [v * scale for v in information_quantities(channel, validation.gram_spectrum)]
     for name, value in zip(("map_entropy", "coherent_information", "chi_bound"), values):
         report[_entropy_key(f"{name}_nats", args.bits)] = value
     write_json_atomic(args.out, report)
@@ -226,12 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol: bool = False, bits: bool = False):
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
-        p.add_argument(
-            "--bits", action="store_true", help="report entropic quantities in bits instead of nats"
-        )
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
+        if bits:
+            p.add_argument(
+                "--bits",
+                action="store_true",
+                help="report entropic quantities in bits instead of nats",
+            )
 
     p_family = sub.add_parser("family", help="generate a family channel as JSON")
     p_family.add_argument(
@@ -250,17 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
         help="unitary parameter: 'identity', 'fourier', or a JSON matrix file",
     )
-    common(p_family)
+    common(p_family, tol=True)
 
     p_analyze = sub.add_parser("analyze", help="report on a channel JSON file")
     p_analyze.add_argument("--in", dest="channel_path", required=True)
-    common(p_analyze)
+    common(p_analyze, tol=True, bits=True)
 
     p_sweep = sub.add_parser("sweep", help="phase sweep CSV for the first qubit family")
     p_sweep.add_argument("--points", type=int, default=100)
     p_sweep.add_argument("--theta-max", dest="theta_max", type=float, default=math.pi / 2)
     p_sweep.add_argument("--phi", type=float, default=0.0)
-    common(p_sweep)
+    common(p_sweep, bits=True)
 
     p_bloch = sub.add_parser("bloch", help="Bloch-sphere image CSV")
     p_bloch.add_argument("--family", default="qubit-a", choices=family_ids("bloch"))
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--omega", type=float, default=1.0)
     p_dyn.add_argument("--t-max", dest="t_max", type=float, default=math.pi)
     p_dyn.add_argument("--steps", type=int, default=4096, help="number of uniform time intervals")
-    common(p_dyn)
+    common(p_dyn, bits=True)
 
     return parser
 
@@ -292,16 +301,19 @@ COMMANDS = {
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Refuse an empty --out, a non-finite float option, a nonpositive --tol,
-    an empty grid, a grid above MAX_POINTS and a dimension above MAX_DIM
-    before anything is built."""
+    """Refuse an empty --out, a non-finite float option, a --tol outside (0,
+    MAX_TOL], an empty grid, a grid above MAX_POINTS and a dimension above
+    MAX_DIM before anything is built."""
     if not args.out:
         raise ValueError("--out must name a file, got ''")
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if args.tol <= 0:
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if tol > MAX_TOL:
+        raise ValueError(f"--tol {tol} is above the tolerance cap {MAX_TOL}")
     if getattr(args, "points", 1) < 1:
         raise ValueError("grid size must be at least 1")
     for name in ("points", "steps"):

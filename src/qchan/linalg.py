@@ -160,31 +160,12 @@ def validate_states(states) -> np.ndarray:
     if defect > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
     spectra = np.linalg.eigvalsh(m)
-    _check_states(np.trace(m, axis1=-2, axis2=-1), spectra)
-    return spectra
-
-
-def _check_states(traces, eigenvalues) -> None:
-    """The trace check, then the PSD check, of :func:`validate_states`, on
-    the states' traces and (lowest) eigenvalues."""
+    traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"density matrix trace {complex(traces[off][0])} differs from 1")
-    lo = float(eigenvalues.min()) if eigenvalues.size else 0.0
+    lo = float(spectra.min()) if spectra.size else 0.0
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
+    return spectra
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random state from the Ginibre ensemble, a (dim, dim) array."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ dagger(g)
-    return m / np.trace(m)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -1,13 +1,16 @@
 """Entropies, capacity quantities, and entanglement monotones.
 
 All entropic quantities are in nats (natural logarithm); callers wanting
-bits divide by ln 2.  Operations that only make sense for genuine channels
-refuse Kraus sets whose completeness residual exceeds tolerance.
+bits divide by ln 2.
 
 Each measure is evaluated on stacks: a plural function takes an (N, d, d)
-stack of states, which it checks once with ``validate_states``, or an
-(N, k, n_out, n_in) Kraus stack, and returns one value per sample.  The
-singular function is its N = 1 call.
+stack of states or an (N, k, n_out, n_in) Kraus stack, and returns one value
+per sample.  The singular function is its N = 1 call.
+
+A channel is checked once, for completeness at the caller's tolerance, and
+a state from the caller once, with ``validate_states``.  A state derived from
+accepted input (a Gram state, an output, a mixture) is W W^dagger for some W,
+Hermitian and PSD by construction: it is eigensolved as it is, not re-judged.
 
 The closed forms for the first qubit family (``qubit_family_a`` at phi = 0)
 were derived from the exact spectra of the family's Choi states and agree
@@ -114,12 +117,14 @@ def map_entropy(channel: KrausSet) -> float:
 def coherent_information(channel: KrausSet, rho) -> float:
     """Output entropy minus environment entropy; zero for self-complementary maps.
 
-    :func:`apply` checks the input state; the complementary channel, CPTP
-    with the channel, takes the same state unchecked.
+    :func:`apply` checks the channel and the input state; the complementary
+    channel, CPTP with the channel, takes the same state, and both outputs
+    are eigensolved unchecked.
     """
     out = apply(channel, rho)
     env = apply_kraus(complementary(channel).operators, np.asarray(rho, dtype=complex))
-    return von_neumann_entropy(out) - von_neumann_entropy(env)
+    s_out, s_env = (float(_entropies(hermitian_eigenvalues(s[None]))[0]) for s in (out, env))
+    return s_out - s_env
 
 
 def holevo_chis(probabilities, states) -> np.ndarray:
@@ -127,7 +132,9 @@ def holevo_chis(probabilities, states) -> np.ndarray:
 
     ``states`` has shape (N, M, d, d): N ensembles of M states, all weighted
     by the M ``probabilities``, which must be nonnegative and sum to 1 within
-    1e-12.  Nonnegative by concavity; rounding below zero is clamped.
+    1e-12.  The states are checked by :func:`validate_states`; their mixture
+    is eigensolved unchecked.  Nonnegative by concavity; rounding below zero
+    is clamped.
     """
     states = _finite(states, (4,), "a stack of ensembles (N, M, d, d)")
     n, m, d, _ = states.shape
@@ -138,25 +145,44 @@ def holevo_chis(probabilities, states) -> np.ndarray:
         raise ValueError("probabilities must be nonnegative")
     if abs(sum(probabilities) - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
-    mixed = von_neumann_entropies(sum(p * states[:, i] for i, p in enumerate(probabilities)))
     parts = von_neumann_entropies(states.reshape(n * m, d, d)).reshape(n, m)
+    mixture = sum(p * states[:, i] for i, p in enumerate(probabilities))
+    mixed = _entropies(hermitian_eigenvalues(mixture))
     chi = mixed - sum(p * parts[:, i] for i, p in enumerate(probabilities))
     return _clamp_nonnegative(chi)
 
 
-def _capacity_bounds(kraus, alphabet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _capacity_bounds(kraus: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy of the average output, and Holevo quantity, of an equiprobable
-    alphabet of orthonormal state vectors, the rows of ``alphabet`` (M,
-    n_in), for each channel of a Kraus stack (N, k, n_out, n_in), from small
-    spectra.
+    alphabet of orthonormal state vectors, the rows of the complex array
+    ``vectors`` (M, n_in), for each channel of an accepted Kraus stack (N, k,
+    n_out, n_in), from small spectra.
 
     The output of psi is W W^dagger, where the columns of W are the vectors
     K_a psi, so its nonzero spectrum is that of the smaller of W W^dagger
     (n_out x n_out) and W^dagger W (k x k).  The average output is
     Y Y^dagger / M, where Y holds the columns of every W; for a complete
-    basis it is Phi(1/n_in).  Every one of these states is checked by
-    :func:`validate_states`.
+    basis it is Phi(1/n_in).  These states are eigensolved unchecked.
     """
+    n, k, n_out, n_in = kraus.shape
+    m = len(vectors)
+    # w[:, i, :, a] = K_a psi_i, column a of W for the i-th state.
+    w = vectors @ kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k)
+    w = w.reshape(n, m, n_out, k)
+    small = dagger(w) @ w if k < n_out else w @ dagger(w)
+    side = small.shape[-1]
+    parts = _entropies(hermitian_eigenvalues(small.reshape(n * m, side, side))).reshape(n, m)
+    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
+    mixed = _entropies(hermitian_eigenvalues(y @ dagger(y) / m))
+    return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
+
+
+def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Holevo quantity of the channel outputs for an equiprobable alphabet of
+    orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
+    channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
+    capacity.  ``tol`` bounds both the overlaps of the alphabet and the
+    completeness residual of every channel."""
     vectors = _finite(alphabet, (2,), "an alphabet (M, n_in) of state vectors")
     if not len(vectors):
         raise ValueError("need at least one basis state")
@@ -171,28 +197,11 @@ def _capacity_bounds(kraus, alphabet, tol: float) -> tuple[np.ndarray, np.ndarra
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"basis states {j} and {i} overlap by {overlaps[j, i]:.3e}")
-    kraus = require_cptp_stack(kraus)
-    n, k, n_out, n_in = kraus.shape
-    m = len(vectors)
+    kraus = require_cptp_stack(kraus, tol)
+    n_in = kraus.shape[-1]
     if vectors.shape[1] != n_in:
         raise ValueError(f"state dimension {vectors.shape[1]} != channel input dimension {n_in}")
-    # w[:, i, :, a] = K_a psi_i, column a of W for the i-th state.
-    w = vectors @ kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k)
-    w = w.reshape(n, m, n_out, k)
-    small = dagger(w) @ w if k < n_out else w @ dagger(w)
-    side = small.shape[-1]
-    parts = _entropies(validate_states(small.reshape(n * m, side, side))).reshape(n, m)
-    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
-    mixed = _entropies(validate_states(y @ dagger(y) / m))
-    return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
-
-
-def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Holevo quantity of the channel outputs for an equiprobable alphabet of
-    orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
-    channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
-    capacity."""
-    return _capacity_bounds(kraus, alphabet, tol)[1]
+    return _capacity_bounds(kraus, vectors)[1]
 
 
 def classical_capacity_lower_bound(
@@ -204,9 +213,12 @@ def classical_capacity_lower_bound(
     return float(capacity_lower_bounds(channel.operators[None], alphabet, tol)[0])
 
 
-def information_quantities(channel: KrausSet) -> tuple[float, float, float]:
+def information_quantities(channel: KrausSet, gram_spectrum) -> tuple[float, float, float]:
     """Map entropy, coherent information at the maximally mixed input, and the
-    capacity bound of the computational basis, all from small spectra.
+    capacity bound of the computational basis, all from small spectra, for a
+    channel that the caller accepted: ``gram_spectrum`` is the spectrum of
+    its Gram state G / n_in from :func:`channels.validate_channel`, whose
+    ``cptp_ok`` is the one completeness check.  Nothing is checked here.
 
     The computational basis is complete, so its average output is
     Phi(1/n_in), whose entropy serves the capacity bound and the coherent
@@ -214,8 +226,8 @@ def information_quantities(channel: KrausSet) -> tuple[float, float, float]:
     G^T / n_in, whose entropy is the map entropy (Watrous, The Theory of
     Quantum Information, 2018, ch. 2).
     """
-    entropy = map_entropy(channel)
-    mixed, chi = _capacity_bounds(channel.operators[None], np.eye(channel.n_in), DEFAULT_TOL)
+    entropy = float(_entropies(np.asarray(gram_spectrum)[None])[0])
+    mixed, chi = _capacity_bounds(channel.operators[None], np.eye(channel.n_in, dtype=complex))
     return entropy, float(mixed[0]) - entropy, float(chi[0])
 
 
@@ -236,6 +248,11 @@ def wootters_spectra(states) -> np.ndarray:
     validate_states(states)
     if states.shape[-1] != 4:
         raise ValueError(f"concurrence needs a two-qubit state, got dim {states.shape[-1]}")
+    return _wootters_spectra(states)
+
+
+def _wootters_spectra(states: np.ndarray) -> np.ndarray:
+    """:func:`wootters_spectra` of a stack of two-qubit states, unchecked."""
     product = states @ spin_flip(states)
     ev = sanitize_nonnegative_spectrum(general_eigenvalues(product))
     scale = np.abs(product).max(axis=(-2, -1))
@@ -251,9 +268,12 @@ def concurrences(states) -> np.ndarray:
     their floor; the Choi states of Kraus stacks take the factor route of
     :func:`choi_measures`.
     """
-    lam = wootters_spectra(states)
-    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return _clamp_nonnegative(c)
+    return _concurrences(wootters_spectra(states))
+
+
+def _concurrences(lam: np.ndarray) -> np.ndarray:
+    """max{0, l1 - l2 - l3 - l4} of each row of Wootters spectra."""
+    return _clamp_nonnegative(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def concurrence(omega) -> float:
@@ -338,16 +358,17 @@ def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, flo
     For a pure two-qubit input with the channel acting on the second qubit,
     the output concurrence equals the input concurrence times the
     concurrence of the channel's Choi state.  Returns (predicted, direct)
-    where predicted = C(rho_in) * C(omega) and direct = C(rho_out).
+    where predicted = C(rho_in) * C(omega) and direct = C(rho_out).  The
+    channel and the input are checked; the Choi state and the output are not.
     """
     if channel.n_in != 2 or channel.n_out != 2:
         raise ValueError("entanglement evolution factor needs a qubit channel")
     state = as_matrix(rho_in)
     if state.shape != (4, 4):
         raise ValueError(f"input must be a two-qubit state, got shape {state.shape}")
+    choi = choi_state(channel)
+    validate_states(state[None])
     extended = np.array([np.kron(np.eye(2), op) for op in channel.operators])
-    # One stacked call checks the input, the Choi state and the output once each.
-    c_in, c_omega, c_out = concurrences(
-        np.array([state, choi_state(channel), apply_kraus(extended, state)])
-    )
+    lam = _wootters_spectra(np.array([state, choi, apply_kraus(extended, state)]))
+    c_in, c_omega, c_out = _concurrences(lam)
     return float(c_in * c_omega), float(c_out)

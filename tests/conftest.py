@@ -49,6 +49,31 @@ def bell_state() -> np.ndarray:
     return np.outer(v, v)
 
 
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random state from the Ginibre ensemble, a (dim, dim) array."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_cptp(n_in: int, n_out: int, k: int, rng: np.random.Generator) -> KrausSet:
+    """Random CPTP channel from a Haar isometry (QR of a Ginibre block)."""
+    if n_out * k < n_in:
+        raise ValueError(f"no isometry exists: n_out * k = {n_out * k} < n_in = {n_in}")
+    g = rng.standard_normal((n_out * k, n_in)) + 1j * rng.standard_normal((n_out * k, n_in))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return KrausSet(n_in, n_out, q.reshape(k, n_out, n_in))
+
+
 def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> KrausSet:
     """A strictly self-complementary CPTP channel: a Haar isometry from C^n_in
     into Sym^2(C^m), read as the Kraus tensor K[a, i, j] = V[(a, i), j].

@@ -34,9 +34,6 @@ from qchan import (
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
-    random_cptp,
-    random_density_matrix,
-    random_unitary,
     run_trajectory,
     stinespring,
     superop_to_choi,
@@ -45,6 +42,8 @@ from qchan import (
     von_neumann_entropy,
 )
 from qchan.cli import main as cli_main
+
+from conftest import random_cptp, random_density_matrix, random_unitary
 
 GRID = np.linspace(0.0, math.pi / 2.0, 100)
 SQ2 = 1.0 / math.sqrt(2.0)

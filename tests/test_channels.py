@@ -22,8 +22,6 @@ from qchan import (
     partial_trace,
     qubit_family_a,
     qubit_family_a_stack,
-    random_cptp,
-    random_density_matrix,
     selfcomplementarity_defect,
     stinespring,
     superop_to_choi,
@@ -34,6 +32,8 @@ from qchan import (
 from qchan.channels import KrausSet
 from qchan.families import FAMILIES
 from qchan.serialize import channel_from_dict, channel_to_dict
+
+from conftest import random_cptp, random_density_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -271,7 +271,7 @@ def test_stinespring_random_channels_are_unitary_with_exact_readback(rng):
 
 def test_stinespring_rejects_incomplete_channel():
     broken = kraus([np.eye(2, dtype=complex) * 0.5])
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="not trace preserving"):
         stinespring(broken)
 
 

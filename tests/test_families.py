@@ -15,13 +15,13 @@ from qchan import (
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
-    random_density_matrix,
-    random_unitary,
     tensor_channel,
     validate_channel,
     validate_states,
 )
 from qchan.families import FAMILIES
+
+from conftest import random_density_matrix, random_unitary
 
 SQ2 = 1.0 / np.sqrt(2.0)
 

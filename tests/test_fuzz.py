@@ -19,9 +19,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import random_cptp
 from qchan.cli import main
 from qchan.serialize import channel_to_dict
+
+from conftest import random_cptp
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -188,5 +189,9 @@ def test_fuzzed_float_options(command, family, x, y, tol, size, bits):
             with open(doc_path, "w", encoding="utf-8") as fh:
                 json.dump({**doc, "kraus": doc["kraus"].tolist()}, fh)
             argv = ["analyze", "--in", doc_path]
-        argv += ["--out", out] + ["--bits"] * bits + ([option("tol", tol)] if tol is not None else [])
+        argv += ["--out", out]
+        # --bits and --tol exist only on the subcommands that read them.
+        argv += ["--bits"] * (bits and command in ("analyze", "sweep", "dynamics"))
+        if tol is not None and command in ("family", "analyze"):
+            argv.append(option("tol", tol))
         check_run(argv, json_outputs=json_outputs, csv_outputs=csv_outputs)

@@ -38,9 +38,6 @@ from qchan import (
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
-    random_cptp,
-    random_density_matrix,
-    random_unitary,
     selfcomplementarity_defect,
     spin_flip,
     validate_channel,
@@ -62,7 +59,10 @@ from conftest import (
     bell_state,
     pure_concurrence,
     pure_state,
+    random_cptp,
+    random_density_matrix,
     random_symmetric_channel,
+    random_unitary,
     x_state_concurrence,
 )
 
@@ -718,7 +718,7 @@ def route_channels():
 @pytest.mark.parametrize("name", list(route_channels()))
 def test_environment_side_matches_the_apply_kraus_route(rng, name):
     ch = route_channels()[name]
-    entropy, coherent, chi = information_quantities(ch)
+    entropy, coherent, chi = information_quantities(ch, validate_channel(ch).gram_spectrum)
     old_chi, old_coherent = apply_kraus_route(ch, np.eye(ch.n_in))
     assert abs(entropy - von_neumann_entropy(choi_state(ch))) <= 1e-12
     assert abs(coherent - old_coherent) <= 1e-12
@@ -756,7 +756,7 @@ def test_isometries_into_the_symmetric_subspace_are_selfcomplementary(seed, shap
     ch = random_symmetric_channel(n_in, m, rng)
     assert selfcomplementarity_defect(ch) == 0.0
     assert ch.completeness_residual <= 1e-12
-    entropy, coherent, _ = information_quantities(ch)
+    entropy, coherent, _ = information_quantities(ch, validate_channel(ch).gram_spectrum)
     assert abs(coherent) <= 1e-10
     for _ in range(3):
         rho = random_density_matrix(n_in, rng)

@@ -61,9 +61,6 @@ PUBLIC_API = [
     "qubit_family_b",
     "qubit_family_b_stack",
     "qutrit_family",
-    "random_cptp",
-    "random_density_matrix",
-    "random_unitary",
     "run_trajectory",
     "sanitize_nonnegative_spectrum",
     "selfcomplementarity_defect",

@@ -16,12 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchan import KrausSet, random_cptp
+from qchan import KrausSet
 from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
 from qchan.linalg import DEFAULT_TOL
 from qchan.serialize import channel_to_dict, write_json_atomic
+
+from conftest import random_cptp
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e150, 0.1, 1 / 3]
 
