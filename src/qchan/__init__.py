@@ -58,11 +58,9 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalError,
     dagger,
-    general_eigenvalues,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    sanitize_nonnegative_spectrum,
     validate_states,
 )
 from .measures import (

@@ -224,12 +224,23 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses an unknown option itself, with
+    its own usage line, rather than passing it up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Quantum-channel toolkit: families, conversions, measures, dynamics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def common(p, tol: bool = False, bits: bool = False):
         p.add_argument("--out", required=True, help="output path")

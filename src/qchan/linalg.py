@@ -21,17 +21,13 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-# Spectrum sanitization: violations up to this size are rounding noise and
-# clipped to zero; anything larger is a genuine structural violation.
-SPECTRUM_TOL = 1e-9
-
 # Long stacks are evaluated this many samples at a time: those of the qubit
 # commands dynamics and sweep, whose numpy temporaries take about 256 KB each.
 STACK_BLOCK = 1024
 
 
 class NumericalError(Exception):
-    """An eigen/SVD routine failed or a spectrum violated its expected structure."""
+    """An eigensolver failed to converge."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -83,36 +79,6 @@ def hermitian_eigenvalues(a) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes
         raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
-
-
-def general_eigenvalues(a) -> np.ndarray:
-    """Full complex spectrum of a square matrix (unordered); row by row for a stack."""
-    m = _matrices(a)
-    if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"matrix is not square: shape {m.shape}")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge on shape {m.shape}: {exc}") from exc
-
-
-def sanitize_nonnegative_spectrum(values, tol: float = SPECTRUM_TOL) -> np.ndarray:
-    """Clean a spectrum that is expected to be real and nonnegative.
-
-    Imaginary parts of magnitude <= tol and real parts in [-tol, 0) are
-    clipped to zero.  Larger violations raise NumericalError rather than
-    being silently clipped.
-    """
-    v = np.asarray(values, dtype=complex)
-    worst_im = max_abs(v.imag)
-    if worst_im > tol:
-        raise NumericalError(f"spectrum has imaginary parts up to {worst_im:.3e} > tol {tol:.3e}")
-    re = v.real.copy()
-    most_negative = float(re.min()) if re.size else 0.0
-    if most_negative < -tol:
-        raise NumericalError(f"spectrum has negative value {most_negative:.3e} < -tol")
-    re[re < 0] = 0.0
-    return re
 
 
 def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:

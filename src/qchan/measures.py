@@ -32,7 +32,6 @@ from .channels import (
     KrausSet,
     apply,
     apply_kraus,
-    choi_state,
     complementary,
     gram_states,
     require_cptp_stack,
@@ -44,21 +43,13 @@ from .linalg import (
     as_matrix,
     as_stack,
     dagger,
-    general_eigenvalues,
     hermitian_eigenvalues,
     partial_transpose,
-    sanitize_nonnegative_spectrum,
     validate_states,
 )
 
 # Entropy eigenvalues below this are exact zeros (avoids 0 * log 0 noise).
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
-
-# Spin-flip product eigenvalues below this are exact zeros.  The product of
-# two rank-deficient 4x4 states has structural zero eigenvalues that the
-# general eigensolver reports as O(1e-16) noise; taking square roots of that
-# noise would pollute the concurrence at the 1e-8 level.
-WOOTTERS_EIGENVALUE_FLOOR = 1e-13
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -240,40 +231,42 @@ def spin_flip(omega) -> np.ndarray:
     return _YY @ m.conj() @ _YY
 
 
-def wootters_spectra(states) -> np.ndarray:
-    """Square roots of the eigenvalues of omega * spin_flip(omega), descending,
-    one row per two-qubit state of a stack, which :func:`validate_states`
-    checks."""
-    states = as_stack(states)
-    validate_states(states)
-    if states.shape[-1] != 4:
-        raise ValueError(f"concurrence needs a two-qubit state, got dim {states.shape[-1]}")
-    return _wootters_spectra(states)
+def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state rho =
+    V V^dagger / n_in of a stack, given the rows (N, m, 4) of V^T.
+
+    Wootters' lambda_i are the singular values of tau = V^T (sigma_y (x)
+    sigma_y) V / n_in, as rho rho~ and conj(tau) tau share their nonzero
+    spectrum: no root of rounding noise.  sigma_y (x) sigma_y is the
+    antidiagonal (-1, 1, 1, -1), so a row times it is the row reversed and
+    signed.
+    """
+    tau = rows[..., ::-1] * [-1, 1, 1, -1] @ rows.swapaxes(-1, -2) / n_in
+    lam = np.linalg.svd(tau, compute_uv=False)
+    return _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
 
 
-def _wootters_spectra(states: np.ndarray) -> np.ndarray:
-    """:func:`wootters_spectra` of a stack of two-qubit states, unchecked."""
-    product = states @ spin_flip(states)
-    ev = sanitize_nonnegative_spectrum(general_eigenvalues(product))
-    scale = np.abs(product).max(axis=(-2, -1))
-    scale = np.where(scale > 1.0, scale, 1.0)
-    ev[ev < WOOTTERS_EIGENVALUE_FLOOR * scale[:, None]] = 0.0
-    return np.sqrt(np.sort(ev, axis=-1)[:, ::-1])
+def _state_rows(states: np.ndarray) -> np.ndarray:
+    """The rows of V^T for each state rho = V V^dagger of a stack, V = U
+    sqrt(w) from its eigensolve, cut to numerical rank: w <= d eps max(w),
+    numpy's matrix_rank rule, is a zero.  Without the cut, rounding
+    eigenvalues of 1e-19 give columns of 1e-9, which move the concurrence by
+    about sqrt(eps) wherever tau has lower rank than rho."""
+    w, u = np.linalg.eigh(states)
+    cut = states.shape[-1] * np.finfo(float).eps * w[..., -1:]
+    return (u * np.sqrt(np.where(w > cut, w, 0.0))[..., None, :]).swapaxes(-1, -2)
 
 
 def concurrences(states) -> np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state of a
-    stack, checked by :func:`wootters_spectra`.  A state alone has no factor
-    rho = V V^dagger, so its lambda_i take the eigenvalues of rho rho~ and
-    their floor; the Choi states of Kraus stacks take the factor route of
-    :func:`choi_measures`.
-    """
-    return _concurrences(wootters_spectra(states))
-
-
-def _concurrences(lam: np.ndarray) -> np.ndarray:
-    """max{0, l1 - l2 - l3 - l4} of each row of Wootters spectra."""
-    return _clamp_nonnegative(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    stack, which :func:`validate_states` checks: :func:`_concurrence_of_factors`
+    of the factor V = U sqrt(w) that :func:`_state_rows` cuts to numerical
+    rank."""
+    states = as_stack(states)
+    validate_states(states)
+    if states.shape[-1] != 4:
+        raise ValueError(f"concurrence needs a two-qubit state, got dim {states.shape[-1]}")
+    return _concurrence_of_factors(_state_rows(states), 1)
 
 
 def concurrence(omega) -> float:
@@ -308,9 +301,8 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     V^dagger V = G / n_in are validated in its place and give the map entropy.
     rho's partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k])
     / n_in is summed as the superoperator is; mirrored entries are conjugate
-    products, so PT is exactly Hermitian.  Wootters' lambda_i are the singular
-    values of tau = V^T (sigma_y (x) sigma_y) V, as rho rho~ and conj(tau) tau
-    share their nonzero spectrum: no root of rounding noise.
+    products, so PT is exactly Hermitian.  The concurrence is
+    :func:`_concurrence_of_factors` of the Kraus rows.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
@@ -321,11 +313,8 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pt = sum(op[:, None, :, :, None] * dagger(op)[:, :, None, None, :] for op in ops)
     ev = hermitian_eigenvalues(pt.reshape(n, 4, 4) / n_in)
     neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
-    # Row a is vec(K_a) in the Choi ordering, V^T sqrt(n_in); sigma_y (x) sigma_y is antidiagonal.
-    rows = kraus.swapaxes(-1, -2).reshape(n, k, 4)
-    tau = rows[..., ::-1] * [-1, 1, 1, -1] @ rows.swapaxes(-1, -2) / n_in
-    lam = np.linalg.svd(tau, compute_uv=False)
-    conc = _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
+    # Row a is vec(K_a) in the Choi ordering: rho = V V^dagger / n_in for these rows of V^T.
+    conc = _concurrence_of_factors(kraus.swapaxes(-1, -2).reshape(n, k, 4), n_in)
     return neg, conc, _entropies(spectra)
 
 
@@ -359,16 +348,24 @@ def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, flo
     the output concurrence equals the input concurrence times the
     concurrence of the channel's Choi state.  Returns (predicted, direct)
     where predicted = C(rho_in) * C(omega) and direct = C(rho_out).  The
-    channel and the input are checked; the Choi state and the output are not.
+    channel and the input are checked.  Each concurrence is
+    :func:`_concurrence_of_factors` of a factor: the input's from its
+    eigensolve, the Choi state's from the Kraus rows, and the output's
+    columns (1 (x) K_a) V_in from the input's.
     """
     if channel.n_in != 2 or channel.n_out != 2:
         raise ValueError("entanglement evolution factor needs a qubit channel")
     state = as_matrix(rho_in)
     if state.shape != (4, 4):
         raise ValueError(f"input must be a two-qubit state, got shape {state.shape}")
-    choi = choi_state(channel)
+    channel.require_cptp()
     validate_states(state[None])
-    extended = np.array([np.kron(np.eye(2), op) for op in channel.operators])
-    lam = _wootters_spectra(np.array([state, choi, apply_kraus(extended, state)]))
-    c_in, c_omega, c_out = _concurrences(lam)
+    ops = channel.operators
+    rows_in = _state_rows(state[None])
+    # Row (a, j) of the output's V^T is v_j^T (1 (x) K_a)^T, for v_j^T row j of the input's.
+    extended = np.array([np.kron(np.eye(2), op) for op in ops])
+    rows_out = (rows_in @ extended.swapaxes(-1, -2)).reshape(1, -1, 4)
+    c_in = _concurrence_of_factors(rows_in, 1)[0]
+    c_omega = _concurrence_of_factors(ops.swapaxes(-1, -2).reshape(1, -1, 4), 2)[0]
+    c_out = _concurrence_of_factors(rows_out, 1)[0]
     return float(c_in * c_omega), float(c_out)

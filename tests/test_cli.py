@@ -424,6 +424,27 @@ def test_family_table_decides_what_each_command_accepts(tmp_path, capsys, comman
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "unknown"),
+    [
+        (["sweep", "--tol", "1e-9"], "--tol 1e-9"),
+        (["bloch", "--bits"], "--bits"),
+        (["family", "--id", "ad", "--bits"], "--bits"),
+        (["dynamics", "--steps", 8, "--tol", "1e-9"], "--tol 1e-9"),
+        (["analyze", "--in", "missing.json", "--bogus"], "--bogus"),
+    ],
+)
+def test_unknown_option_is_refused_by_the_subcommand(tmp_path, capsys, argv, unknown):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as refused:
+        run(*argv, "--out", out)
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qchan {argv[0]} ")
+    assert err.endswith(f"qchan {argv[0]}: error: unrecognized arguments: {unknown}\n")
+    assert not out.exists()
+
+
 def test_analyze_reports_structural_fields_for_broken_channels(tmp_path):
     broken = tmp_path / "broken.json"
     write_json_atomic(broken, channel_to_dict(kraus([np.eye(2, dtype=complex)] * 2)))

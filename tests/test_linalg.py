@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qchan import (
-    NumericalError,
     choi_state,
     dagger,
-    general_eigenvalues,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     qubit_family_a,
-    sanitize_nonnegative_spectrum,
     spin_flip,
     validate_states,
 )
@@ -64,41 +61,29 @@ def test_partial_transpose_of_family_choi_has_single_negative_eigenvalue():
     assert abs(negative[0] + 0.25) <= 1e-12
 
 
-def test_general_eigenvalues_examples():
-    assert sorted(np.real(general_eigenvalues(np.diag([2.0, 3.0])))) == [2.0, 3.0]
-    nil = general_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.abs(nil).max() <= 1e-12
-    with pytest.raises(ValueError):
-        general_eigenvalues(np.ones((2, 3)))
+def spin_flip_product_spectrum(omega):
+    """Eigenvalues of omega * spin_flip(omega), descending; real within 1e-12."""
+    ev = np.linalg.eigvals(omega @ spin_flip(omega))
+    assert np.abs(ev.imag).max() <= 1e-12
+    return np.sort(ev.real)[::-1]
 
 
 def test_spin_flip_product_spectrum_at_family_points():
     # theta = 0: single nonzero eigenvalue 1/2, so the Wootters gap equals
     # the concurrence 1/sqrt2.
     omega = choi_state(qubit_family_a(0.0))
-    ev = sanitize_nonnegative_spectrum(general_eigenvalues(omega @ spin_flip(omega)))
-    ev = np.sort(ev)[::-1]
+    ev = spin_flip_product_spectrum(omega)
     assert abs(ev[0] - 0.5) <= 1e-12
     assert np.abs(ev[1:]).max() <= 1e-12
     # generic theta: two nonzero values sin^2/2 and cos^2/2 whose square
     # roots differ by the concurrence.
     theta = np.pi / 6
     omega = choi_state(qubit_family_a(theta))
-    ev = sanitize_nonnegative_spectrum(general_eigenvalues(omega @ spin_flip(omega)))
-    ev = np.sort(ev)[::-1]
+    ev = spin_flip_product_spectrum(omega)
     assert abs(ev[0] - np.cos(theta) ** 2 / 2) <= 1e-12
     assert abs(ev[1] - np.sin(theta) ** 2 / 2) <= 1e-12
     gap = np.sqrt(ev[0]) - np.sqrt(ev[1])
     assert abs(gap - abs(np.sin(theta) - np.cos(theta)) / np.sqrt(2)) <= 1e-12
-
-
-def test_sanitize_spectrum():
-    cleaned = sanitize_nonnegative_spectrum(np.array([1.0 + 1e-12j, -1e-10 + 0j]))
-    assert np.array_equal(cleaned, [1.0, 0.0])
-    with pytest.raises(NumericalError):
-        sanitize_nonnegative_spectrum(np.array([1.0 + 1e-3j]))
-    with pytest.raises(NumericalError):
-        sanitize_nonnegative_spectrum(np.array([-1e-3 + 0j]))
 
 
 def test_partial_trace_bell_reduction():

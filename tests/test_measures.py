@@ -52,7 +52,6 @@ from qchan.measures import (
     ENTROPY_EIGENVALUE_FLOOR,
     choi_measures,
     information_quantities,
-    wootters_spectra,
 )
 
 from conftest import (
@@ -262,12 +261,6 @@ def test_spin_flip_examples():
         spin_flip(np.eye(2))
 
 
-def test_wootters_spectrum_of_family_point():
-    lam = wootters_spectra(choi_state(qubit_family_a(0.0))[None])[0]
-    assert abs(lam[0] - math.sqrt(0.5)) <= 1e-12
-    assert np.abs(lam[1:]).max() <= 1e-12
-
-
 def test_concurrence_of_bell_state():
     assert abs(concurrence(bell_state()) - 1.0) <= 1e-12
 
@@ -325,13 +318,14 @@ def factor_route_channels():
 
 
 def test_choi_measures_match_the_choi_state_routes():
-    # The Wootters-eigenvalue route takes square roots of eigenvalues that
-    # are zero up to rounding, so it is held to the benchmark's 1e-6.
+    # concurrences() factors each Choi state by its eigensolve, cut to
+    # numerical rank; choi_measures() factors it by the Kraus rows.  Without
+    # the cut the ad states differ by 6.0e-9.
     for kraus in factor_route_channels():
         neg, conc, ent = choi_measures(kraus)
         states = np.array([choi_state(KrausSet(2, 2, ops)) for ops in kraus])
         assert bits(neg) == bits(negativities(states, (2, 2)))
-        assert np.abs(conc - concurrences(states)).max() <= 1e-6
+        assert np.abs(conc - concurrences(states)).max() <= 1e-12
         assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
 
 
@@ -402,8 +396,9 @@ def decimal_concurrence(operators) -> float:
 
 
 def test_choi_concurrence_of_qubit_b_near_half_pi_to_1e_12():
-    # The Wootters-eigenvalue route of concurrences() is off by up to 3.5e-8
-    # on these points against this reference.
+    # Both factor routes: the Kraus rows of choi_measures() and the
+    # eigensolve of concurrences().  An eigenvalue route through rho rho~ is
+    # off by up to 3.5e-8 on these points against this reference.
     rng = np.random.default_rng(61)
     offsets = np.logspace(-9, -1, 17)
     theta = np.concatenate(
@@ -419,6 +414,8 @@ def test_choi_concurrence_of_qubit_b_near_half_pi_to_1e_12():
         _, conc, _ = choi_measures(kraus)
         expected = [decimal_concurrence(ops) for ops in kraus]
         assert np.abs(conc - expected).max() <= 1e-12
+        states = np.array([choi_state(KrausSet(2, 2, ops)) for ops in kraus])
+        assert np.abs(concurrences(states) - expected).max() <= 1e-12
 
 
 def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypatch):
@@ -491,6 +488,18 @@ def test_entanglement_evolution_factor():
     predicted, direct = entanglement_evolution_factor(qubit_family_a(0.9), product)
     assert predicted <= 1e-12 and direct <= 1e-9
 
+    # The figure script's inputs cos a|00> + sin a|11> at the unitary ends
+    # theta = 0 and pi/2, where the output's factor has more columns than
+    # tau has rank: without the rank cut they are off by 3.8e-9.
+    for theta in (0.0, math.pi / 2):
+        factor = abs(math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
+        for alpha in np.linspace(0.0, math.pi / 4, 41):
+            ket = np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)], dtype=complex)
+            ket /= np.linalg.norm(ket)
+            rho = np.outer(ket, ket.conj())
+            _, direct = entanglement_evolution_factor(qubit_family_a(theta), rho)
+            assert abs(direct - abs(math.sin(2 * alpha)) * factor) <= 1e-12
+
 
 def test_entanglement_evolution_factor_on_random_pure_inputs(rng):
     for _ in range(20):
@@ -499,7 +508,7 @@ def test_entanglement_evolution_factor_on_random_pure_inputs(rng):
         predicted, direct = entanglement_evolution_factor(
             qubit_family_a(theta), pure_state(v)
         )
-        assert abs(predicted - direct) <= 1e-8
+        assert abs(predicted - direct) <= 1e-12
 
 
 def test_entanglement_evolution_factor_rejects_bad_dims():

@@ -35,7 +35,6 @@ PUBLIC_API = [
     "dft_matrix",
     "entanglement_evolution_factor",
     "fibonacci_sphere",
-    "general_eigenvalues",
     "gram_states",
     "hermitian_eigenvalues",
     "holevo_chis",
@@ -62,7 +61,6 @@ PUBLIC_API = [
     "qubit_family_b_stack",
     "qutrit_family",
     "run_trajectory",
-    "sanitize_nonnegative_spectrum",
     "selfcomplementarity_defect",
     "spin_flip",
     "stinespring",
