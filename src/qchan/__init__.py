@@ -8,7 +8,6 @@ entanglement, and non-Markovianity measures on them.
 
 from .channels import (
     ChannelValidation,
-    KrausSet,
     apply,
     apply_kraus,
     channel_rank,
@@ -20,7 +19,6 @@ from .channels import (
     compose,
     gram_states,
     is_selfcomplementary,
-    kraus,
     kraus_from_unitary,
     kraus_to_superop,
     selfcomplementarity_defect,
@@ -42,16 +40,13 @@ from .dynamics import (
 )
 from .families import (
     amplitude_damping,
-    amplitude_damping_stack,
     dephasing,
     dft_matrix,
     identity_channel,
     ndim_family,
     ndim_theta0,
     qubit_family_a,
-    qubit_family_a_stack,
     qubit_family_b,
-    qubit_family_b_stack,
     qutrit_family,
 )
 from .linalg import (

@@ -7,9 +7,10 @@ Conventions fixed across the package:
   complex array of shape ``(k, n_out, n_in)``, the Kraus 3-tensor
   ``T[i, a, j] = (K_i)_(aj)``, and every other representation is a plain
   array: functions that need the ``n_in`` / ``n_out`` split of a square
-  matrix take it as arguments.  A stack of channels is ``(N, k, n_out,
-  n_in)``; a single channel's operators are its ``N = 1`` stack
-  ``operators[None]``.
+  matrix take it as arguments.  A channel is that array, with no wrapper:
+  ``k``, ``n_out`` and ``n_in`` are its shape.  A stack of channels is
+  ``(N, k, n_out, n_in)``; a single channel is its ``N = 1`` stack
+  ``kraus[None]``.
 * The superoperator is ``S = sum_i K_i (x) conj(K_i)``, a
   ``(n_out^2, n_in^2)`` matrix acting on row-major vectorized density
   matrices.
@@ -55,9 +56,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "KrausSet",
     "ChannelValidation",
-    "kraus",
     "apply",
     "apply_kraus",
     "complementary",
@@ -81,58 +80,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """Ordered Kraus operators of a linear map from n_in to n_out dimensions.
-
-    ``operators`` is one C-contiguous complex array (k, n_out, n_in).  An
-    array already of that form is kept as it is, without a copy; a sequence
-    of matrices is stacked once.
-
-    Maps that violate the completeness relation are representable (so that
-    questionable parameterizations can be inspected numerically), but they
-    carry a nonzero ``completeness_residual`` and are refused by operations
-    whose contracts require a CPTP channel.
-    """
-
-    n_in: int
-    n_out: int
-    operators: np.ndarray
-
-    def __post_init__(self):
-        if self.n_in < 1 or self.n_out < 1:
-            raise ValueError("dimensions must be positive")
-        ops = self.operators
-        if isinstance(ops, np.ndarray):
-            ops = _finite(ops, (3,), "a Kraus array (k, n_out, n_in)")
-        else:
-            ops = [as_matrix(op) for op in ops]
-        if not len(ops):
-            raise ValueError("a channel needs at least one Kraus operator")
-        for op in ops:
-            if op.shape != (self.n_out, self.n_in):
-                raise ValueError(
-                    f"Kraus operator shape {op.shape} differs from ({self.n_out}, {self.n_in})"
-                )
-        object.__setattr__(self, "operators", np.ascontiguousarray(ops))
-
-    @property
-    def k(self) -> int:
-        """Number of Kraus operators (environment dimension of the dilation)."""
-        return len(self.operators)
-
-    @property
-    def completeness_residual(self) -> float:
-        """max |sum_i K_i^dagger K_i - 1|."""
-        return float(completeness_residuals(self.operators[None])[0])
-
-    def require_cptp(self, tol: float = DEFAULT_TOL) -> None:
-        require_cptp_stack(self.operators[None], tol)
-
-
 def _as_kraus_stack(kraus) -> np.ndarray:
-    """Coerce to a finite complex Kraus stack of shape (N, k, n_out, n_in)."""
-    return _finite(kraus, (4,), "a Kraus stack (N, k, n_out, n_in)")
+    """Coerce to a finite C-contiguous complex Kraus stack (N, k, n_out,
+    n_in), of at least one operator per channel and positive dimensions.
+
+    Maps that violate the completeness relation pass (so that questionable
+    parameterizations can be inspected numerically); operations whose
+    contracts require a CPTP channel refuse them with
+    :func:`require_cptp_stack`.
+    """
+    kraus = _finite(kraus, (4,), "a Kraus stack (N, k, n_out, n_in)")
+    if not kraus.shape[1]:
+        raise ValueError("a channel needs at least one Kraus operator")
+    if not all(kraus.shape[2:]):
+        raise ValueError("dimensions must be positive")
+    return np.ascontiguousarray(kraus)
+
+
+def _as_kraus(kraus) -> np.ndarray:
+    """Coerce one channel to its Kraus array (k, n_out, n_in):
+    :func:`_as_kraus_stack` at N = 1."""
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.ndim != 3:
+        raise ValueError(f"expected a Kraus array (k, n_out, n_in), got shape {kraus.shape}")
+    return _as_kraus_stack(kraus[None])[0]
 
 
 def completeness_residuals(kraus) -> np.ndarray:
@@ -174,27 +145,20 @@ class ChannelValidation:
     gram_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
-def kraus(operators, n_in: int | None = None, n_out: int | None = None) -> KrausSet:
-    """Build a KrausSet, inferring dimensions from the first operator."""
-    ops = [as_matrix(op) for op in operators]
-    if not ops:
-        raise ValueError("empty operator list")
-    m, n = ops[0].shape
-    return KrausSet(n_in if n_in is not None else n, n_out if n_out is not None else m, ops)
-
-
-def apply(channel: KrausSet, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply(kraus, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Push a state through the channel: rho -> sum_i K_i rho K_i^dagger.
 
     The channel's completeness and the input state (:func:`validate_states`)
     are checked; the output, a state by construction, is not checked again.
     """
-    channel.require_cptp(tol)
+    kraus = _as_kraus(kraus)
+    require_cptp_stack(kraus[None], tol)
     state = as_matrix(rho)
     validate_states(state[None])
-    if len(state) != channel.n_in:
-        raise ValueError(f"state dimension {len(state)} != channel input dimension {channel.n_in}")
-    return apply_kraus(channel.operators, state)
+    n_in = kraus.shape[-1]
+    if len(state) != n_in:
+        raise ValueError(f"state dimension {len(state)} != channel input dimension {n_in}")
+    return apply_kraus(kraus, state)
 
 
 def apply_kraus(kraus, states) -> np.ndarray:
@@ -208,31 +172,32 @@ def apply_kraus(kraus, states) -> np.ndarray:
     return sum(op @ states @ dagger(op) for op in np.moveaxis(kraus, -3, 0))
 
 
-def complementary(channel: KrausSet) -> KrausSet:
+def complementary(kraus) -> np.ndarray:
     """Channel into the environment: swap Kraus index and output row index.
 
     A channel with k operators of shape (M, N) yields M operators of shape
-    (k, N); applying the swap twice returns the original operator list.
+    (k, N), as a contiguous copy; applying the swap twice returns the
+    original operator list.
     """
-    return KrausSet(channel.n_in, channel.k, channel.operators.transpose(1, 0, 2))
+    return np.ascontiguousarray(_as_kraus(kraus).transpose(1, 0, 2))
 
 
-def selfcomplementarity_defect(channel: KrausSet) -> float:
+def selfcomplementarity_defect(kraus) -> float:
     """max |K^i_(aj) - K^a_(ij)|, or inf when the tensor is not square."""
-    if channel.k != channel.n_out:
+    t = _as_kraus(kraus)
+    if t.shape[0] != t.shape[1]:
         return math.inf
-    t = channel.operators
     return max_abs(t - t.transpose(1, 0, 2))
 
 
-def is_selfcomplementary(channel: KrausSet, tol: float = DEFAULT_TOL) -> bool:
+def is_selfcomplementary(kraus, tol: float = DEFAULT_TOL) -> bool:
     """Strict tensor-symmetry check: the complementary operator list is the same list."""
-    return selfcomplementarity_defect(channel) <= tol
+    return selfcomplementarity_defect(kraus) <= tol
 
 
-def kraus_to_superop(channel: KrausSet) -> np.ndarray:
+def kraus_to_superop(kraus) -> np.ndarray:
     """S = sum_i K_i (x) conj(K_i), an (n_out^2, n_in^2) matrix."""
-    return _superops(channel.operators[None])[0]
+    return _superops(_as_kraus(kraus)[None])[0]
 
 
 def _superops(kraus: np.ndarray) -> np.ndarray:
@@ -267,16 +232,18 @@ def choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
     return t.transpose(1, 3, 0, 2).reshape(n_out**2, n_in**2)
 
 
-def choi_matrix(channel: KrausSet) -> np.ndarray:
+def choi_matrix(kraus) -> np.ndarray:
     """Choi matrix of a channel (via the superoperator reshuffle), trace n_in."""
-    return superop_to_choi(kraus_to_superop(channel), channel.n_in, channel.n_out)
+    kraus = _as_kraus(kraus)
+    _, n_out, n_in = kraus.shape
+    return superop_to_choi(kraus_to_superop(kraus), n_in, n_out)
 
 
-def choi_state(channel: KrausSet) -> np.ndarray:
+def choi_state(kraus) -> np.ndarray:
     """Normalized Choi state D / n_in of a CPTP channel: exactly Hermitian and
     PSD by construction, of unit trace within the completeness residual."""
-    channel.require_cptp()
-    return choi_matrix(channel) / channel.n_in
+    kraus = require_cptp_stack(_as_kraus(kraus)[None])[0]
+    return choi_matrix(kraus) / kraus.shape[-1]
 
 
 def _grams(kraus: np.ndarray) -> np.ndarray:
@@ -313,7 +280,7 @@ def channel_rank(choi, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(hermitian_eigenvalues(m) > tol))
 
 
-def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> KrausSet:
+def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Minimal Kraus representation from the Choi eigendecomposition.
 
     ``choi`` is an (n_in n_out, n_in n_out) Choi matrix.  One operator per
@@ -337,22 +304,23 @@ def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> Krau
         ops.append(g.T)
     if not ops:
         raise ValueError("Choi matrix has no eigenvalue above tolerance")
-    return KrausSet(n_in, n_out, ops)
+    return np.array(ops)
 
 
-def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> np.ndarray:
+def stinespring(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dilation unitary on env (x) sys for a square channel.
 
     The first block-column is the stacked Kraus operators; the remaining
     columns are completed deterministically by Gram-Schmidt against the
     canonical basis vectors in ascending index order.
     """
-    if channel.n_in != channel.n_out:
+    kraus = _as_kraus(kraus)
+    k, n_out, n = kraus.shape
+    if n != n_out:
         raise ValueError("square dilation requires n_in == n_out")
-    channel.require_cptp(tol)
-    n = channel.n_in
-    side = n * channel.k
-    cols = list(np.ascontiguousarray(channel.operators.reshape(side, n).T))
+    require_cptp_stack(kraus[None], tol)
+    side = n * k
+    cols = list(np.ascontiguousarray(kraus.reshape(side, n).T))
     for idx in range(side):
         if len(cols) == side:
             break
@@ -369,7 +337,7 @@ def stinespring(channel: KrausSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def kraus_from_unitary(u, n_env: int) -> KrausSet:
+def kraus_from_unitary(u, n_env: int) -> np.ndarray:
     """Read the Kraus operators off the first block-column of a square
     dilation unitary on env (x) sys."""
     m = _square(u, "unitary")
@@ -377,39 +345,40 @@ def kraus_from_unitary(u, n_env: int) -> KrausSet:
     if side % n_env:
         raise ValueError(f"unitary side {side} not divisible by environment dimension {n_env}")
     n = side // n_env
-    return KrausSet(n, n, m[:, :n].reshape(n_env, n, n))
+    return np.ascontiguousarray(m[:, :n].reshape(n_env, n, n))
 
 
-def tensor_channel(a: KrausSet, b: KrausSet) -> KrausSet:
+def tensor_channel(a, b) -> np.ndarray:
     """Tensor product channel; operator (i, j) = A_i (x) B_j, i-major."""
-    ops = [np.kron(x, y) for x in a.operators for y in b.operators]
-    return KrausSet(a.n_in * b.n_in, a.n_out * b.n_out, ops)
+    return np.array([np.kron(x, y) for x in _as_kraus(a) for y in _as_kraus(b)])
 
 
-def compose(outer: KrausSet, inner: KrausSet) -> KrausSet:
+def compose(outer, inner) -> np.ndarray:
     """Concatenation outer after inner; operator (i, j) = A_i B_j, i-major."""
-    if inner.n_out != outer.n_in:
+    outer, inner = _as_kraus(outer), _as_kraus(inner)
+    if inner.shape[1] != outer.shape[2]:
         raise ValueError(
-            f"inner output dimension {inner.n_out} != outer input dimension {outer.n_in}"
+            f"inner output dimension {inner.shape[1]} != outer input dimension {outer.shape[2]}"
         )
-    ops = [x @ y for x in outer.operators for y in inner.operators]
-    return KrausSet(inner.n_in, outer.n_out, ops)
+    return np.array([x @ y for x in outer for y in inner])
 
 
-def validate_channel(channel: KrausSet, tol: float = DEFAULT_TOL) -> ChannelValidation:
+def validate_channel(kraus, tol: float = DEFAULT_TOL) -> ChannelValidation:
     """Structural report from one completeness sum, one Gram build and one
     eigensolve of the Gram state G / n_in.  ``cptp_ok`` is the one check of
     the channel; the Choi rank counts the eigenvalues of G above ``tol`` and
     needs no completeness, so non-channels are reported too."""
-    residual = channel.completeness_residual
-    defect = selfcomplementarity_defect(channel)
-    spectrum = hermitian_eigenvalues(_grams(channel.operators[None]) / channel.n_in)[0]
+    kraus = _as_kraus(kraus)
+    n_in = kraus.shape[-1]
+    residual = float(completeness_residuals(kraus[None])[0])
+    defect = selfcomplementarity_defect(kraus)
+    spectrum = hermitian_eigenvalues(_grams(kraus[None]) / n_in)[0]
     return ChannelValidation(
         cptp_residual=residual,
         cptp_ok=residual <= tol,
         selfcomplementary=defect <= tol,
         selfcomplementarity_defect=defect,
-        choi_rank=int(np.count_nonzero(channel.n_in * spectrum > tol)),
+        choi_rank=int(np.count_nonzero(n_in * spectrum > tol)),
         gram_spectrum=spectrum,
     )
 

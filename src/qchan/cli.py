@@ -21,21 +21,20 @@ renames headers accordingly.  --tol (family, analyze) is at most MAX_TOL.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
-from .channels import KrausSet, validate_channel
+from .channels import validate_channel
 from .dynamics import (
     bloch_image,
     increase_duration,
     non_markovianity_measure,
     run_trajectory,
 )
-from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a_stack
+from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a
 from .linalg import DEFAULT_TOL, NumericalError, blocks
 from .measures import (
     capacity_lower_bounds,
@@ -47,6 +46,7 @@ from .measures import (
 from .serialize import (
     MAX_DIM,
     ChannelFormatError,
+    _read_json,
     channel_to_dict,
     matrix_from_pairs,
     read_channel,
@@ -84,17 +84,10 @@ def _load_w(source: str, dim: int) -> np.ndarray:
         return np.eye(dim)
     if source == "fourier":
         return dft_matrix(dim)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ChannelFormatError(f"cannot read unitary parameter file {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"invalid JSON in {source}: {exc}") from exc
-    return matrix_from_pairs(data)
+    return matrix_from_pairs(_read_json(source, "unitary parameter"))
 
 
-def _build(args: argparse.Namespace) -> KrausSet:
+def _build(args: argparse.Namespace) -> np.ndarray:
     """The channel of ``args.family``, built from the options its table row
     names, in order."""
     family = FAMILIES[args.family]
@@ -125,13 +118,14 @@ def _entropy_key(base: str, bits: bool) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    channel = read_channel(args.channel_path)
-    validation = validate_channel(channel, args.tol)
+    kraus = read_channel(args.channel_path)
+    validation = validate_channel(kraus, args.tol)
     scale = 1.0 / LN2 if args.bits else 1.0
+    k, n_out, n_in = kraus.shape
     report: dict = {
-        "n_in": channel.n_in,
-        "n_out": channel.n_out,
-        "kraus_count": channel.k,
+        "n_in": n_in,
+        "n_out": n_out,
+        "kraus_count": k,
         "cptp_residual": validation.cptp_residual,
         "cptp_ok": validation.cptp_ok,
         "selfcomplementary": validation.selfcomplementary,
@@ -141,7 +135,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # gets the structural fields and nulls.
     values = [None] * 3
     if validation.cptp_ok:
-        values = [v * scale for v in information_quantities(channel, validation.gram_spectrum)]
+        values = [v * scale for v in information_quantities(kraus, validation.gram_spectrum)]
     for name, value in zip(("map_entropy", "coherent_information", "chi_bound"), values):
         report[_entropy_key(f"{name}_nats", args.bits)] = value
     write_json_atomic(args.out, report)
@@ -157,7 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scale = 1.0 / LN2 if args.bits else 1.0
     neg, conc, ent, chi = np.empty((4, args.points))
     for block in blocks(args.points):
-        kraus = qubit_family_a_stack(thetas[block], args.phi)
+        kraus = qubit_family_a(thetas[block], args.phi)
         neg[block], conc[block], ent[block] = choi_measures(kraus)
         chi[block] = capacity_lower_bounds(kraus, np.eye(2))
     grid = thetas.tolist()

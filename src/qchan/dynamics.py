@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet, apply_kraus
+from .channels import _as_kraus, apply_kraus, require_cptp_stack
 from .families import FAMILIES, family_ids
 from .linalg import as_matrix, blocks, validate_states
 from .measures import choi_measures
@@ -36,7 +36,7 @@ def bloch_vector(rho) -> np.ndarray:
     return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
 
 
-def _bloch_images(channel: KrausSet, points) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_images(kraus, points) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli transfer matrix R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a CPTP
     qubit channel, and the rows R (1, r), trace and Bloch vector of
     Phi((1 + r . sigma) / 2), for each row r of ``points``.
@@ -47,19 +47,20 @@ def _bloch_images(channel: KrausSet, points) -> tuple[np.ndarray, np.ndarray]:
     point gets alone; a BLAS product rounds a row differently inside a
     larger block.
     """
-    if channel.n_in != 2 or channel.n_out != 2:
+    kraus = _as_kraus(kraus)
+    if kraus.shape[1:] != (2, 2):
         raise ValueError("affine form is defined for qubit channels only")
-    channel.require_cptp()
-    transfer = np.einsum("iab,jba->ij", _PAULI_BASIS, apply_kraus(channel.operators, _PAULI_BASIS))
+    require_cptp_stack(kraus[None])
+    transfer = np.einsum("iab,jba->ij", _PAULI_BASIS, apply_kraus(kraus, _PAULI_BASIS))
     transfer = transfer.real / 2
     images = transfer[:, 0] + sum(points[:, j, None] * transfer[:, j + 1] for j in range(3))
     return transfer, images
 
 
-def affine_of_channel(channel: KrausSet) -> tuple[np.ndarray, np.ndarray]:
+def affine_of_channel(kraus) -> tuple[np.ndarray, np.ndarray]:
     """The action r -> linear @ r + shift of a qubit channel on Bloch vectors:
     ``(R[1:, 1:], R[1:, 0])`` of its Pauli transfer matrix R."""
-    transfer, _ = _bloch_images(channel, np.vstack([np.zeros(3), np.eye(3)]))
+    transfer, _ = _bloch_images(kraus, np.vstack([np.zeros(3), np.eye(3)]))
     return transfer[1:, 1:], transfer[1:, 0]
 
 
@@ -75,13 +76,13 @@ def fibonacci_sphere(n_points: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
 
 
-def bloch_image(channel: KrausSet, n_points: int) -> np.ndarray:
+def bloch_image(kraus, n_points: int) -> np.ndarray:
     """Image of a Fibonacci-sphere sample of pure states, as Bloch rows.
 
     Each point r goes to linear @ r + shift (:func:`affine_of_channel`); no
     state matrix is built and no eigensolver runs.
     """
-    return np.ascontiguousarray(_bloch_images(channel, fibonacci_sphere(n_points))[1][:, 1:])
+    return np.ascontiguousarray(_bloch_images(kraus, fibonacci_sphere(n_points))[1][:, 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +120,7 @@ class Trajectory:
 def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Trajectory:
     """Evaluate Choi-state measures on a uniform time grid of n_steps samples.
 
-    The family's schedule gives the driving parameter on the grid; its stacked
+    The family's schedule gives the driving parameter on the grid; its
     constructor and choi_measures build and score STACK_BLOCK channels at once.
     """
     if n_steps < 2:
@@ -137,7 +138,7 @@ def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Tra
     params = driven.schedule(omega, times)
     records = np.empty((3, n_steps))
     for block in blocks(n_steps):
-        records[:, block] = choi_measures(driven.stack(params[block]))
+        records[:, block] = choi_measures(driven.build(params[block]))
     return Trajectory(family, omega, times, params, *records)
 
 

@@ -10,10 +10,15 @@ tensors (defect 0) whose V columns are not orthonormal (completeness
 residual 0.087 at theta = 0.3 and 0.71 at theta = 1.0 for W = 1); the ndim
 members are not symmetric (defect 0.21-0.60 for theta in [0.3, 1] at n = 4).
 
+Every constructor returns the channel's Kraus array (k, n_out, n_in).  The
+driven families, ``qubit_family_a``, ``qubit_family_b`` and
+``amplitude_damping``, take a scalar or an array of their driving
+parameter: a scalar gives one channel (2, 2, 2), an array of shape S the
+Kraus stack S + (2, 2, 2), built in one pass.
+
 :data:`FAMILIES` is the one table of the families: their constructors, the
 CLI options each takes, the commands that accept it, and for the driven
-families a constructor over a whole array of the driving parameter, of
-which the single-channel constructor is the N = 1 call.
+families the schedule of the driving parameter.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausSet
 from .linalg import DEFAULT_TOL, as_matrix, dagger, max_abs
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -53,8 +57,8 @@ def _check_unitary(w, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def qubit_family_a_stack(theta, phi: float = 0.0) -> np.ndarray:
-    """Kraus stack (N, 2, 2, 2) of the first qubit family at each theta:
+def qubit_family_a(theta, phi: float = 0.0) -> np.ndarray:
+    """First qubit family, (2, 2, 2) at one theta, (N, 2, 2, 2) at N of them:
 
         K1 = [[sin t, 0      ],      K2 = [[0,            1/sqrt2],
               [0,     1/sqrt2]],           [cos t e^(i p), 0      ]]
@@ -72,13 +76,8 @@ def qubit_family_a_stack(theta, phi: float = 0.0) -> np.ndarray:
     return kraus
 
 
-def qubit_family_a(theta: float, phi: float = 0.0) -> KrausSet:
-    """First qubit family at one theta: :func:`qubit_family_a_stack` at N = 1."""
-    return KrausSet(2, 2, qubit_family_a_stack([theta], phi)[0])
-
-
-def qubit_family_b_stack(theta, phi: float = 0.0) -> np.ndarray:
-    """Kraus stack (N, 2, 2, 2) of the second qubit family at each theta:
+def qubit_family_b(theta, phi: float = 0.0) -> np.ndarray:
+    """Second qubit family, (2, 2, 2) at one theta, (N, 2, 2, 2) at N of them:
 
         K1 = [[1, 0            ],    K2 = [[0, sin t / sqrt2],
               [0, sin t / sqrt2]],         [0, cos t e^(i p)]]
@@ -94,13 +93,9 @@ def qubit_family_b_stack(theta, phi: float = 0.0) -> np.ndarray:
     return kraus
 
 
-def qubit_family_b(theta: float, phi: float = 0.0) -> KrausSet:
-    """Second qubit family at one theta: :func:`qubit_family_b_stack` at N = 1."""
-    return KrausSet(2, 2, qubit_family_b_stack([theta], phi)[0])
-
-
-def amplitude_damping_stack(p) -> np.ndarray:
-    """Kraus stack (N, 2, 2, 2): decay to the ground state with probability p."""
+def amplitude_damping(p) -> np.ndarray:
+    """Decay to the ground state with probability p: (2, 2, 2) at one p,
+    (N, 2, 2, 2) at N of them."""
     p = _check_range("p", p, 1)
     kraus = np.zeros(p.shape + (2, 2, 2), dtype=complex)
     kraus[..., 0, 0, 0] = 1.0
@@ -109,21 +104,16 @@ def amplitude_damping_stack(p) -> np.ndarray:
     return kraus
 
 
-def amplitude_damping(p: float) -> KrausSet:
-    """Amplitude damping at one p: :func:`amplitude_damping_stack` at N = 1."""
-    return KrausSet(2, 2, amplitude_damping_stack([p])[0])
-
-
-def dephasing() -> KrausSet:
+def dephasing() -> np.ndarray:
     """Remove all off-diagonal elements in the computational basis."""
     return qubit_family_b(0.0, 0.0)
 
 
-def identity_channel(dim: int = 2) -> KrausSet:
-    return KrausSet(dim, dim, np.eye(dim, dtype=complex)[None])
+def identity_channel(dim: int = 2) -> np.ndarray:
+    return np.eye(dim, dtype=complex)[None]
 
 
-def qutrit_family(theta: float, w) -> KrausSet:
+def qutrit_family(theta: float, w) -> np.ndarray:
     """General qutrit parameterization.
 
     Rows two and three of the second and third operators share the row
@@ -153,7 +143,7 @@ def qutrit_family(theta: float, w) -> KrausSet:
         ],
         dtype=complex,
     )
-    return KrausSet(3, 3, (k1, k2, k3))
+    return np.array([k1, k2, k3])
 
 
 def _cycle(n: int) -> np.ndarray:
@@ -164,7 +154,7 @@ def _cycle(n: int) -> np.ndarray:
     return p
 
 
-def ndim_family(n: int, theta: float, w) -> KrausSet:
+def ndim_family(n: int, theta: float, w) -> np.ndarray:
     """N-dimensional parameterization built from a cyclic permutation P and
     a unitary W.
 
@@ -190,10 +180,10 @@ def ndim_family(n: int, theta: float, w) -> KrausSet:
         for r in range(1, n - 1):
             ops[i, r, :] = wp[:, r - 1] * s / math.sqrt(n - 2)
         ops[i, n - 1, :] = wp[:, n - 1] * s / math.sqrt(n - 1)
-    return KrausSet(n, n, ops)
+    return ops
 
 
-def ndim_theta0(n: int) -> KrausSet:
+def ndim_theta0(n: int) -> np.ndarray:
     """theta = 0 member in dimension n: exactly CPTP and self-complementary.
 
     K1 = diag(1, 1/sqrt2, ..., 1/sqrt2); K_i (i >= 2) has its only entry
@@ -206,7 +196,7 @@ def ndim_theta0(n: int) -> KrausSet:
     ops[0] = np.diag([1.0] + [SQRT_HALF] * (n - 1))
     rest = np.arange(1, n)
     ops[rest, 0, rest] = SQRT_HALF
-    return KrausSet(n, n, ops)
+    return ops
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -230,26 +220,25 @@ def _decay(omega: float, times: np.ndarray) -> np.ndarray:
 class Family:
     """One row of :data:`FAMILIES`.
 
-    ``build`` takes the CLI options named in ``params``, in that order;
-    ``commands`` are the CLI commands that accept the family.  A driven
-    family also has ``stack``, the Kraus stack over an array of its driving
-    parameter, and ``schedule``, the driving parameter at (omega, times).
+    ``build`` takes the CLI options named in ``params``, in that order, and
+    returns the Kraus array; ``commands`` are the CLI commands that accept
+    the family.  A driven family also has ``schedule``, the driving
+    parameter at (omega, times), and its ``build`` takes an array of that
+    parameter for a Kraus stack.
     """
 
-    build: Callable[..., KrausSet]
+    build: Callable[..., np.ndarray]
     params: tuple[str, ...]
     commands: tuple[str, ...]
-    stack: Callable[..., np.ndarray] | None = None
     schedule: Callable[[float, np.ndarray], np.ndarray] | None = None
 
 
 FAMILIES = {
     "qubit-a": Family(qubit_family_a, ("theta", "phi"), ("family", "bloch", "dynamics"),
-                      qubit_family_a_stack, _wrapped_phase),
+                      _wrapped_phase),
     "qubit-b": Family(qubit_family_b, ("theta", "phi"), ("family", "bloch", "dynamics"),
-                      qubit_family_b_stack, _wrapped_phase),
-    "ad": Family(amplitude_damping, ("p",), ("family", "dynamics"),
-                 amplitude_damping_stack, _decay),
+                      _wrapped_phase),
+    "ad": Family(amplitude_damping, ("p",), ("family", "dynamics"), _decay),
     "qutrit": Family(qutrit_family, ("theta", "w"), ("family",)),
     "ndim": Family(ndim_family, ("dim", "theta", "w"), ("family",)),
     "ndim-theta0": Family(ndim_theta0, ("dim",), ("family",)),

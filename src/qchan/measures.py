@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .channels import (
-    KrausSet,
+    _as_kraus,
     apply,
     apply_kraus,
     complementary,
@@ -100,20 +100,20 @@ def map_entropies(kraus) -> np.ndarray:
     return _entropies(gram_states(kraus)[1])
 
 
-def map_entropy(channel: KrausSet) -> float:
+def map_entropy(kraus) -> float:
     """Entropy of the normalized Choi state; 0 for unitary channels."""
-    return float(map_entropies(channel.operators[None])[0])
+    return float(map_entropies(_as_kraus(kraus)[None])[0])
 
 
-def coherent_information(channel: KrausSet, rho) -> float:
+def coherent_information(kraus, rho) -> float:
     """Output entropy minus environment entropy; zero for self-complementary maps.
 
     :func:`apply` checks the channel and the input state; the complementary
     channel, CPTP with the channel, takes the same state, and both outputs
     are eigensolved unchecked.
     """
-    out = apply(channel, rho)
-    env = apply_kraus(complementary(channel).operators, np.asarray(rho, dtype=complex))
+    out = apply(kraus, rho)
+    env = apply_kraus(complementary(kraus), np.asarray(rho, dtype=complex))
     s_out, s_env = (float(_entropies(hermitian_eigenvalues(s[None]))[0]) for s in (out, env))
     return s_out - s_env
 
@@ -195,21 +195,20 @@ def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarr
     return _capacity_bounds(kraus, vectors)[1]
 
 
-def classical_capacity_lower_bound(
-    channel: KrausSet, alphabet, tol: float = DEFAULT_TOL
-) -> float:
+def classical_capacity_lower_bound(kraus, alphabet, tol: float = DEFAULT_TOL) -> float:
     """Holevo quantity of the channel outputs for an equiprobable alphabet of
     orthonormal state vectors, the rows of ``alphabet``; lower-bounds the
     classical capacity."""
-    return float(capacity_lower_bounds(channel.operators[None], alphabet, tol)[0])
+    return float(capacity_lower_bounds(_as_kraus(kraus)[None], alphabet, tol)[0])
 
 
-def information_quantities(channel: KrausSet, gram_spectrum) -> tuple[float, float, float]:
+def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, float, float]:
     """Map entropy, coherent information at the maximally mixed input, and the
     capacity bound of the computational basis, all from small spectra, for a
-    channel that the caller accepted: ``gram_spectrum`` is the spectrum of
-    its Gram state G / n_in from :func:`channels.validate_channel`, whose
-    ``cptp_ok`` is the one completeness check.  Nothing is checked here.
+    Kraus array (k, n_out, n_in) that the caller accepted: ``gram_spectrum``
+    is the spectrum of its Gram state G / n_in from
+    :func:`channels.validate_channel`, whose ``cptp_ok`` is the one
+    completeness check.  Nothing is checked here.
 
     The computational basis is complete, so its average output is
     Phi(1/n_in), whose entropy serves the capacity bound and the coherent
@@ -218,7 +217,7 @@ def information_quantities(channel: KrausSet, gram_spectrum) -> tuple[float, flo
     Quantum Information, 2018, ch. 2).
     """
     entropy = float(_entropies(np.asarray(gram_spectrum)[None])[0])
-    mixed, chi = _capacity_bounds(channel.operators[None], np.eye(channel.n_in, dtype=complex))
+    mixed, chi = _capacity_bounds(kraus[None], np.eye(kraus.shape[-1], dtype=complex))
     return entropy, float(mixed[0]) - entropy, float(chi[0])
 
 
@@ -341,7 +340,7 @@ def negativity_closed_form(theta: float) -> float:
     return abs(math.cos(2.0 * float(theta))) / 4.0
 
 
-def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, float]:
+def entanglement_evolution_factor(kraus, rho_in) -> tuple[float, float]:
     """Check the product rule for one-sided entanglement evolution.
 
     For a pure two-qubit input with the channel acting on the second qubit,
@@ -353,14 +352,14 @@ def entanglement_evolution_factor(channel: KrausSet, rho_in) -> tuple[float, flo
     eigensolve, the Choi state's from the Kraus rows, and the output's
     columns (1 (x) K_a) V_in from the input's.
     """
-    if channel.n_in != 2 or channel.n_out != 2:
+    ops = _as_kraus(kraus)
+    if ops.shape[1:] != (2, 2):
         raise ValueError("entanglement evolution factor needs a qubit channel")
     state = as_matrix(rho_in)
     if state.shape != (4, 4):
         raise ValueError(f"input must be a two-qubit state, got shape {state.shape}")
-    channel.require_cptp()
+    require_cptp_stack(ops[None])
     validate_states(state[None])
-    ops = channel.operators
     rows_in = _state_rows(state[None])
     # Row (a, j) of the output's V^T is v_j^T (1 (x) K_a)^T, for v_j^T row j of the input's.
     extended = np.array([np.kron(np.eye(2), op) for op in ops])

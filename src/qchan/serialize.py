@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channels import KrausSet
+from .channels import _as_kraus
 
 # Largest n_in / n_out / Kraus count a channel document, or `qchan family
 # --n`, may ask for.  At the cap the Kraus array holds 128^3 complex
@@ -72,7 +72,7 @@ def matrix_from_pairs(data) -> np.ndarray:
         raise ChannelFormatError("matrix entries must be [re, im] pairs of two JSON numbers")
     try:
         parts = np.array(parts, dtype=float)
-        # Non-finite parts are left to the finiteness check of KrausSet.
+        # Non-finite parts are left to the callers' finiteness checks.
         too_big = np.any((np.abs(parts) > MAX_ENTRY) & np.isfinite(parts))
     except OverflowError:  # an integer beyond the float range
         too_big = True
@@ -81,18 +81,22 @@ def matrix_from_pairs(data) -> np.ndarray:
     return parts.view(complex).reshape(len(data), -1)
 
 
-def channel_to_dict(channel: KrausSet) -> dict:
+def channel_to_dict(kraus) -> dict:
     """The channel document, with the Kraus operators' real and imaginary
     parts as one float array of shape (k, n_out, n_in, 2)."""
-    ops = channel.operators
+    ops = _as_kraus(kraus)
+    _, n_out, n_in = ops.shape
     return {
-        "n_in": channel.n_in,
-        "n_out": channel.n_out,
+        "n_in": n_in,
+        "n_out": n_out,
         "kraus": np.stack([ops.real, ops.imag], axis=-1),
     }
 
 
-def channel_from_dict(data) -> KrausSet:
+def channel_from_dict(data) -> np.ndarray:
+    """The Kraus array (k, n_out, n_in) of a channel document.  The checks run
+    in this order: the entry format of every operator, positive dimensions,
+    finite entries in every operator, then each operator's shape."""
     if not isinstance(data, dict):
         raise ChannelFormatError("channel document must be a JSON object")
     try:
@@ -113,22 +117,35 @@ def channel_from_dict(data) -> KrausSet:
         raise ChannelFormatError(
             f"'kraus' holds {len(raw)} operators, above the Kraus count cap {MAX_DIM}"
         )
-    ops = tuple(matrix_from_pairs(mat) for mat in raw)
-    try:
-        return KrausSet(n_in, n_out, ops)
-    except ValueError as exc:
-        raise ChannelFormatError(str(exc)) from exc
+    ops = [matrix_from_pairs(mat) for mat in raw]
+    if n_in < 1 or n_out < 1:
+        raise ChannelFormatError("dimensions must be positive")
+    if not all(np.isfinite(op).all() for op in ops):
+        raise ChannelFormatError("matrix has non-finite entries")
+    for op in ops:
+        if op.shape != (n_out, n_in):
+            raise ChannelFormatError(
+                f"Kraus operator shape {op.shape} differs from ({n_out}, {n_in})"
+            )
+    return np.array(ops)
 
 
-def read_channel(path) -> KrausSet:
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``.  A file that cannot be read is
+    a ChannelFormatError naming ``what``, and so is one that cannot be
+    decoded: invalid JSON or UTF-8, an integer beyond Python's digit limit
+    (all ValueErrors), or nesting beyond the recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ChannelFormatError(f"cannot read channel file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ChannelFormatError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return channel_from_dict(data)
+
+
+def read_channel(path) -> np.ndarray:
+    return channel_from_dict(_read_json(path, "channel"))
 
 
 def write_text_atomic(path, *parts: str) -> None:

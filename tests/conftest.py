@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qchan import KrausSet
-
 settings.register_profile(
     "qchan",
     deadline=None,
@@ -64,17 +62,17 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_cptp(n_in: int, n_out: int, k: int, rng: np.random.Generator) -> KrausSet:
+def random_cptp(n_in: int, n_out: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Random CPTP channel from a Haar isometry (QR of a Ginibre block)."""
     if n_out * k < n_in:
         raise ValueError(f"no isometry exists: n_out * k = {n_out * k} < n_in = {n_in}")
     g = rng.standard_normal((n_out * k, n_in)) + 1j * rng.standard_normal((n_out * k, n_in))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return KrausSet(n_in, n_out, q.reshape(k, n_out, n_in))
+    return q.reshape(k, n_out, n_in)
 
 
-def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> KrausSet:
+def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """A strictly self-complementary CPTP channel: a Haar isometry from C^n_in
     into Sym^2(C^m), read as the Kraus tensor K[a, i, j] = V[(a, i), j].
 
@@ -89,4 +87,4 @@ def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> Kra
     v = np.empty((m, m, n_in), dtype=complex)
     for row, (a, b) in enumerate(pairs):
         v[a, b] = v[b, a] = q[row] * (1.0 if a == b else math.sqrt(0.5))
-    return KrausSet(n_in, m, v)
+    return v

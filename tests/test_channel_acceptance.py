@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    KrausSet,
     affine_of_channel,
     bloch_image,
     capacity_lower_bounds,
@@ -37,7 +36,7 @@ from conftest import bell_state, random_cptp
 def scaled(channel, residual):
     """The channel with every operator scaled by sqrt(1 + residual): its
     completeness residual is ``residual``."""
-    return KrausSet(channel.n_in, channel.n_out, math.sqrt(1 + residual) * channel.operators)
+    return math.sqrt(1 + residual) * channel
 
 
 def analyze(tmp_path, channel, *options):
@@ -60,9 +59,9 @@ ENTRY_POINTS = {
     "analyze": analyze_values,
     "coherent_information": lambda _, ch: coherent_information(ch, np.eye(2) / 2),
     "map_entropy": lambda _, ch: map_entropy(ch),
-    "map_entropies": lambda _, ch: map_entropies(ch.operators[None]),
-    "gram_states": lambda _, ch: gram_states(ch.operators[None])[1],
-    "capacity_lower_bounds": lambda _, ch: capacity_lower_bounds(ch.operators[None], np.eye(2)),
+    "map_entropies": lambda _, ch: map_entropies(ch[None]),
+    "gram_states": lambda _, ch: gram_states(ch[None])[1],
+    "capacity_lower_bounds": lambda _, ch: capacity_lower_bounds(ch[None], np.eye(2)),
     "classical_capacity_lower_bound": lambda _, ch: classical_capacity_lower_bound(ch, np.eye(2)),
     "affine_of_channel": lambda _, ch: np.concatenate([a.ravel() for a in affine_of_channel(ch)]),
     "bloch_image": lambda _, ch: bloch_image(ch, 16),
@@ -76,7 +75,7 @@ def test_a_channel_accepted_at_the_default_tolerance_is_evaluated(tmp_path, name
     # has a trace 5e-11 off 1, beyond the state trace tolerance 1e-12.
     call = ENTRY_POINTS[name]
     channel = scaled(identity_channel(2), 5e-11)
-    channel.require_cptp()
+    channels.require_cptp_stack(channel[None])
     got = np.asarray(call(tmp_path, channel), dtype=float)
     assert np.abs(got - np.asarray(call(tmp_path, identity_channel(2)), dtype=float)).max() <= 1e-9
 
@@ -93,8 +92,8 @@ def test_analyze_evaluates_a_channel_accepted_at_its_tol(tmp_path):
 
 
 def test_capacity_bound_checks_completeness_at_its_tol():
-    stack = scaled(qubit_family_a(0.3), 2e-8).operators[None]
-    exact = capacity_lower_bounds(qubit_family_a(0.3).operators[None], np.eye(2))
+    stack = scaled(qubit_family_a(0.3), 2e-8)[None]
+    exact = capacity_lower_bounds(qubit_family_a(0.3)[None], np.eye(2))
     assert abs(capacity_lower_bounds(stack, np.eye(2), tol=1e-6) - exact).max() <= 1e-6
     with pytest.raises(ValueError, match="not trace preserving"):
         capacity_lower_bounds(stack, np.eye(2), tol=1e-9)
@@ -144,7 +143,7 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
         counts["eigensolve"] += 1
         # The Gram state is the one k x k matrix of the run when k differs
         # from n_out; otherwise the output spectra have its shape too.
-        counts["gram_eigensolve"] += np.shape(a)[-2:] == (channel.k, channel.k)
+        counts["gram_eigensolve"] += np.shape(a)[-2:] == (len(channel), len(channel))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(channels, "completeness_residuals", count_residuals)
@@ -154,5 +153,5 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
     assert code == 0 and report["cptp_ok"] and report["chi_bound_nats"] is not None
     # One Gram state, then the capacity bound's per-state and average outputs.
     assert counts["completeness"] == 1 and counts["gram"] == 1 and counts["eigensolve"] == 3
-    if channel.k != channel.n_out:
+    if len(channel) != channel.shape[1]:
         assert counts["gram_eigensolve"] == 1

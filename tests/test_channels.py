@@ -15,13 +15,11 @@ from qchan import (
     dephasing,
     identity_channel,
     is_selfcomplementary,
-    kraus,
     kraus_from_unitary,
     kraus_to_superop,
     ndim_theta0,
     partial_trace,
     qubit_family_a,
-    qubit_family_a_stack,
     selfcomplementarity_defect,
     stinespring,
     superop_to_choi,
@@ -29,7 +27,6 @@ from qchan import (
     validate_channel,
     validate_states,
 )
-from qchan.channels import KrausSet
 from qchan.families import FAMILIES
 from qchan.serialize import channel_from_dict, channel_to_dict
 
@@ -45,7 +42,7 @@ def depolarizing_qubit():
         np.array([[0, -1j], [1j, 0]]),
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
-    return kraus([p / 2 for p in paulis])
+    return np.array([p / 2 for p in paulis])
 
 
 def unitarity_defect(u):
@@ -93,7 +90,7 @@ def test_apply_dimension_mismatch():
 
 
 def test_apply_refuses_incomplete_kraus_set():
-    broken = kraus([np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
+    broken = np.array([np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
     with pytest.raises(ValueError, match="trace preserving"):
         apply(broken, np.eye(2) / 2)
 
@@ -113,15 +110,14 @@ def test_complementary_fixes_family_members():
     for theta, phi in [(0.0, 0.0), (0.9, 2.1), (np.pi / 2, 0.0), (np.pi / 4, 5.0)]:
         ch = qubit_family_a(theta, phi)
         comp = complementary(ch)
-        for a, b in zip(ch.operators, comp.operators):
-            assert np.array_equal(a, b)
+        assert np.array_equal(ch, comp)
 
 
 def test_complementary_of_identity_is_full_trace_map():
     comp = complementary(identity_channel(2))
-    assert comp.n_out == 1 and comp.k == 2
-    assert np.array_equal(comp.operators[0], np.array([[1.0, 0.0]], dtype=complex))
-    assert np.array_equal(comp.operators[1], np.array([[0.0, 1.0]], dtype=complex))
+    assert comp.shape == (2, 1, 2)
+    assert np.array_equal(comp[0], np.array([[1.0, 0.0]], dtype=complex))
+    assert np.array_equal(comp[1], np.array([[0.0, 1.0]], dtype=complex))
 
 
 def test_complementary_is_involution_on_random_channels(rng):
@@ -197,14 +193,14 @@ def test_superop_choi_round_trip():
 
 def test_choi_to_kraus_identity():
     ks = choi_to_kraus(choi_matrix(identity_channel(2)), 2, 2)
-    assert ks.k == 1
-    op = ks.operators[0]
+    assert len(ks) == 1
+    op = ks[0]
     assert np.abs(op @ op.conj().T - np.eye(2)).max() <= 1e-10
 
 
 def test_choi_to_kraus_family_has_two_operators():
     ks = choi_to_kraus(choi_matrix(qubit_family_a(0.8, 0.1)), 2, 2)
-    assert ks.k == 2
+    assert len(ks) == 2
 
 
 def test_choi_to_kraus_rejects_non_psd():
@@ -265,19 +261,18 @@ def test_stinespring_random_channels_are_unitary_with_exact_readback(rng):
         u = stinespring(ch)
         assert unitarity_defect(u) <= 1e-10
         back = kraus_from_unitary(u, k)
-        for a, b in zip(back.operators, ch.operators):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back, ch)
 
 
 def test_stinespring_rejects_incomplete_channel():
-    broken = kraus([np.eye(2, dtype=complex) * 0.5])
+    broken = np.array([np.eye(2, dtype=complex) * 0.5])
     with pytest.raises(ValueError, match="not trace preserving"):
         stinespring(broken)
 
 
 def test_kraus_from_unitary_identity():
     ks = kraus_from_unitary(np.eye(2, dtype=complex), 1)
-    assert ks.k == 1 and np.array_equal(ks.operators[0], np.eye(2))
+    assert len(ks) == 1 and np.array_equal(ks[0], np.eye(2))
 
 
 def test_kraus_from_swap_unitary_is_reset_channel(rng):
@@ -302,8 +297,7 @@ def test_kraus_from_tabulated_unitary_recovers_family():
     )
     ks = kraus_from_unitary(tabulated, 2)
     expected = qubit_family_a(theta, phi)
-    for a, b in zip(ks.operators, expected.operators):
-        assert np.abs(a - b).max() <= 1e-12
+    assert np.abs(ks - expected).max() <= 1e-12
 
 
 # ------------------------------------------------------- algebra
@@ -323,7 +317,7 @@ def test_tensor_with_trivial_channel_is_identity_on_superop():
 
 def test_tensor_dimension_bookkeeping():
     t = tensor_channel(qubit_family_a(0.1), qubit_family_a(0.2))
-    assert (t.n_in, t.n_out, t.k) == (4, 4, 4)
+    assert t.shape == (4, 4, 4)
 
 
 def test_compose_with_identity():
@@ -334,7 +328,7 @@ def test_compose_with_identity():
 
 def test_compose_family_members_is_generically_not_selfcomplementary():
     comp = compose(qubit_family_a(0.4), qubit_family_a(1.0))
-    assert comp.k == 4
+    assert len(comp) == 4
     assert not is_selfcomplementary(comp)
 
 
@@ -351,7 +345,7 @@ def test_compose_dimension_mismatch():
 def test_validate_channel_cptp_verdicts():
     ok = validate_channel(qubit_family_a(0.8, 0.8))
     assert ok.cptp_ok and ok.cptp_residual <= 1e-12
-    bad = validate_channel(kraus([np.eye(2, dtype=complex)] * 2))
+    bad = validate_channel(np.array([np.eye(2, dtype=complex)] * 2))
     assert not bad.cptp_ok and abs(bad.cptp_residual - 1.0) <= 1e-12
     for n in range(2, 7):
         assert validate_channel(ndim_theta0(n)).cptp_ok
@@ -373,27 +367,31 @@ def test_family_choi_rank_is_two_everywhere(theta, phi):
     assert channel_rank(choi_matrix(qubit_family_a(theta, phi))) == 2
 
 
-def test_kraus_set_shape_validation():
-    with pytest.raises(ValueError, match="shape"):
-        KrausSet(2, 2, (np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
-    with pytest.raises(ValueError, match="at least one"):
-        KrausSet(2, 2, ())
-    with pytest.raises(ValueError, match=r"shape \(2, 3\) differs from \(2, 2\)"):
-        KrausSet(2, 2, np.zeros((1, 2, 3), dtype=complex))
-    with pytest.raises(ValueError, match="at least one"):
-        KrausSet(2, 2, np.zeros((0, 2, 2), dtype=complex))
-    with pytest.raises(ValueError, match="non-finite"):
-        KrausSet(1, 1, np.array([[[np.nan]]]))
+def test_kraus_array_shape_validation():
+    # Each public function coerces its channel once, at entry, with
+    # channels._as_kraus; these are some of them.
+    for entry in (validate_channel, complementary, kraus_to_superop, choi_state, channel_to_dict):
+        with pytest.raises(ValueError, match="shape"):
+            entry((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+        with pytest.raises(ValueError, match=r"Kraus array \(k, n_out, n_in\), got shape \(0,\)"):
+            entry(())
+        with pytest.raises(ValueError, match=r"Kraus array \(k, n_out, n_in\), got shape \(2, 3\)"):
+            entry(np.zeros((2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="at least one"):
+            entry(np.zeros((0, 2, 2), dtype=complex))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            entry(np.zeros((1, 2, 0), dtype=complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            entry(np.array([[[np.nan]]]))
 
 
 # ------------------------------------------------------- the Kraus array
 
 
-def assert_kraus_array(channel):
-    """operators is one C-contiguous complex array (k, n_out, n_in)."""
-    ops = channel.operators
+def assert_kraus_array(ops):
+    """A channel is one C-contiguous complex array (k, n_out, n_in)."""
     assert isinstance(ops, np.ndarray) and ops.dtype == np.complex128
-    assert ops.shape == (channel.k, channel.n_out, channel.n_in)
+    assert ops.ndim == 3
     assert ops.flags.c_contiguous
 
 
@@ -409,19 +407,12 @@ def test_derived_channels_hold_one_kraus_array(rng):
     ch = random_cptp(2, 3, 4, rng)
     comp = complementary(ch)  # built from a transposed view
     assert_kraus_array(comp)
-    assert np.array_equal(comp.operators, ch.operators.transpose(1, 0, 2))
+    assert np.array_equal(comp, ch.transpose(1, 0, 2))
     assert_kraus_array(channel_from_dict(channel_to_dict(ch)))
     assert_kraus_array(tensor_channel(ch, qubit_family_a(0.4)))
     assert_kraus_array(compose(qubit_family_a(0.4), identity_channel(2)))
-    assert_kraus_array(kraus([np.eye(2), np.zeros((2, 2))]))
-
-
-def test_kraus_array_of_the_right_form_is_kept_without_a_copy():
-    ops = qubit_family_a_stack([0.3, 0.4])[1]
-    assert KrausSet(2, 2, ops).operators is ops
-    floats = np.zeros((1, 2, 2))
-    floats[0] = np.eye(2)
-    assert_kraus_array(KrausSet(2, 2, floats))
+    assert_kraus_array(choi_to_kraus(choi_matrix(ch), 2, 3))
+    assert_kraus_array(kraus_from_unitary(np.eye(4), 2))
 
 
 def test_conversions_refuse_wrong_shapes():

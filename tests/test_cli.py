@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import identity_channel, kraus
+from qchan import identity_channel
 from qchan.cli import MAX_POINTS, _check_options, build_parser, main
 from qchan.families import FAMILIES, family_ids
 from qchan.serialize import MAX_DIM, channel_to_dict, read_channel, write_json_atomic
@@ -66,7 +66,7 @@ def test_family_round_trips_through_reader(tmp_path):
     out = tmp_path / "ch.json"
     run("family", "--id", "qubit-b", "--theta", 0.4, "--phi", 1.0, "--out", out)
     ch = read_channel(out)
-    assert ch.n_in == 2 and ch.k == 2
+    assert ch.shape == (2, 2, 2)
 
 
 def test_family_with_fourier_unitary(tmp_path):
@@ -103,7 +103,7 @@ def test_analyze_identity_and_depolarizing(tmp_path):
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
     depo = tmp_path / "depo.json"
-    write_json_atomic(depo, channel_to_dict(kraus([p / 2 for p in paulis])))
+    write_json_atomic(depo, channel_to_dict(np.array([p / 2 for p in paulis])))
     out2 = tmp_path / "depo_report.json"
     assert run("analyze", "--in", depo, "--out", out2) == 0
     assert load(out2)["choi_rank"] == 4
@@ -344,7 +344,7 @@ def run_process(*argv, cwd):
 def test_module_entry_point_exit_codes(tmp_path):
     ok = run_process("family", "--id", "qubit-a", "--theta", "0.4", "--out", "ch.json", cwd=tmp_path)
     assert ok.returncode == 0 and ok.stderr == ""
-    assert read_channel(tmp_path / "ch.json").k == 2
+    assert len(read_channel(tmp_path / "ch.json")) == 2
     usage = run_process("family", "--id", "no-such-family", "--out", "x.json", cwd=tmp_path)
     assert usage.returncode == 2 and "invalid choice" in usage.stderr
     (tmp_path / "bad.json").write_text("{not json")
@@ -359,6 +359,65 @@ def test_analyze_missing_input_file_exits_3(tmp_path, capsys):
     assert run("analyze", "--in", tmp_path / "missing.json", "--out", tmp_path / "r.json") == 3
     assert "format" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+# Files that json cannot decode: nesting beyond the recursion limit, bytes
+# that are not UTF-8, and an integer beyond Python's 4300-digit limit.
+UNDECODABLE = {
+    "nested 5000 deep": b"[" * 5000 + b"]" * 5000,
+    "not UTF-8": b'{"n_in": 1, "n_out": 1, "kraus": [[[[1, 0]]]], "note": "\xff\xfe"}',
+    "5000-digit integer": b'{"n_in": 1, "n_out": 1, "kraus": [[[[' + b"9" * 5000 + b", 0]]]]}",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "family"])
+@pytest.mark.parametrize("content", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+def test_undecodable_input_file_exits_3(tmp_path, capsys, command, content):
+    source, out = tmp_path / "in.json", tmp_path / "out.json"
+    source.write_bytes(content)
+    if command == "analyze":
+        argv = ["analyze", "--in", source]
+    else:
+        argv = ["family", "--id", "qutrit", "--w", source]
+    assert run(*argv, "--out", out) == 3
+    assert "input format error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _operator(rows):
+    """An operator as the rows of [re, im] pairs of a channel document."""
+    rows = np.asarray(rows, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in rows]
+
+
+EYE = _operator(np.eye(2))
+WIDE = _operator(np.eye(2, 3))
+NAN = _operator([[math.nan, 0.0], [0.0, 1.0]])
+INF = _operator([[math.inf, 0.0], [0.0, 1.0]])
+
+# Documents with well-formed entries that are not a channel, and the message
+# of the check that refuses each.  Finiteness is checked over every operator
+# before any shape is.
+NOT_A_CHANNEL = {
+    "operator of the wrong shape": (
+        2, [EYE, WIDE], "Kraus operator shape (2, 3) differs from (2, 2)"
+    ),
+    "n_in not the operators'": (3, [EYE], "Kraus operator shape (2, 2) differs from (2, 3)"),
+    "n_in = 0": (0, [EYE], "dimensions must be positive"),
+    "n_in = -1": (-1, [EYE], "dimensions must be positive"),
+    "NaN entry": (2, [EYE, NAN], "matrix has non-finite entries"),
+    "Infinity entry": (2, [INF], "matrix has non-finite entries"),
+    "wrong shape, then NaN": (2, [WIDE, NAN], "matrix has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("n_in,ops,message", list(NOT_A_CHANNEL.values()), ids=list(NOT_A_CHANNEL))
+def test_analyze_refuses_a_document_that_is_not_a_channel(tmp_path, capsys, n_in, ops, message):
+    doc, out = tmp_path / "ch.json", tmp_path / "r.json"
+    doc.write_text(json.dumps({"n_in": n_in, "n_out": 2, "kraus": ops}))
+    assert run("analyze", "--in", doc, "--out", out) == 3
+    assert capsys.readouterr().err == f"qchan: input format error: {message}\n"
+    assert not out.exists()
 
 
 def test_zero_entropies_are_written_as_positive_zero(tmp_path):
@@ -447,7 +506,7 @@ def test_unknown_option_is_refused_by_the_subcommand(tmp_path, capsys, argv, unk
 
 def test_analyze_reports_structural_fields_for_broken_channels(tmp_path):
     broken = tmp_path / "broken.json"
-    write_json_atomic(broken, channel_to_dict(kraus([np.eye(2, dtype=complex)] * 2)))
+    write_json_atomic(broken, channel_to_dict(np.array([np.eye(2, dtype=complex)] * 2)))
     out = tmp_path / "rep.json"
     assert run("analyze", "--in", broken, "--out", out) == 0
     report = load(out)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    KrausSet,
     Trajectory,
     affine_of_channel,
     amplitude_damping,
@@ -16,13 +15,13 @@ from qchan import (
     fibonacci_sphere,
     identity_channel,
     increase_duration,
-    kraus,
     non_markovianity_measure,
     positive_variation,
     qubit_family_a,
     qubit_family_b,
     run_trajectory,
 )
+from qchan.channels import require_cptp_stack
 from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
 from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
@@ -110,14 +109,14 @@ def kraus_route_bloch_image(channel, n_points):
     rows = []
     for r in fibonacci_sphere(n_points):
         rho = 0.5 * (np.eye(2, dtype=complex) + sum(r[i] * PAULIS[i] for i in range(3)))
-        out = sum(op @ rho @ np.conj(op).T for op in channel.operators)
+        out = sum(op @ rho @ np.conj(op).T for op in channel)
         rows.append([float(np.real(np.trace(p @ out))) for p in PAULIS])
     return np.array(rows)
 
 
 def test_affine_of_unitary_channel(rng):
     u = random_unitary(2, rng)
-    linear, shift = affine_of_channel(kraus([u]))
+    linear, shift = affine_of_channel(u[None])
     assert np.abs(np.linalg.svd(linear, compute_uv=False) - 1.0).max() <= 1e-10
     assert np.abs(shift).max() <= 1e-12
 
@@ -286,14 +285,15 @@ def test_stacked_constructors_equal_written_out_operators_bitwise(family):
     hi = 1.0 if family == "ad" else math.pi
     rng = np.random.default_rng(7)
     values = np.concatenate([[0.0, hi], np.linspace(0.0, hi, 1001), rng.uniform(0.0, hi, 1000)])
-    stack = FAMILIES[family].stack
+    build = FAMILIES[family].build
     for phi in [0.0] if family == "ad" else [0.0, 0.7, 2 * math.pi]:
-        got = stack(values) if family == "ad" else stack(values, phi)
+        got = build(values) if family == "ad" else build(values, phi)
         expected = np.array([reference_kraus(family, float(v), phi) for v in values])
         assert got.shape == (values.size, 2, 2, 2)
         assert got.tobytes() == expected.tobytes()
-        single = FAMILIES[family].build(*[values[3]] + ([] if family == "ad" else [phi]))
-        assert np.array(single.operators).tobytes() == expected[3].tobytes()
+        single = build(*[values[3]] + ([] if family == "ad" else [phi]))
+        assert single.shape == (2, 2, 2)
+        assert single.tobytes() == expected[3].tobytes()
 
 
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
@@ -306,13 +306,13 @@ def test_stacked_constructors_refuse_the_first_bad_value_like_one_channel(family
         with pytest.raises(ValueError) as single:
             row.build(bad)
         with pytest.raises(ValueError) as stacked:
-            row.stack(values)
+            row.build(values)
         assert str(stacked.value) == str(single.value)
     values = np.array([0.5, -1e-12, math.nan, hi + 1e-9])
     with pytest.raises(ValueError) as single:
         row.build(-1e-12)
     with pytest.raises(ValueError) as stacked:
-        row.stack(values)
+        row.build(values)
     assert str(stacked.value) == str(single.value)
 
 
@@ -353,14 +353,14 @@ def test_bloch_image_accepts_a_nearly_trace_preserving_channel():
     # The completeness residual 5e-11 passes the tolerance 1e-10: the channel
     # is accepted, and its images are not re-judged at the trace tolerance.
     scale = 1 + 5e-11
-    channel = KrausSet(2, 2, math.sqrt(scale) * np.eye(2, dtype=complex)[None])
-    channel.require_cptp()
+    channel = math.sqrt(scale) * np.eye(2, dtype=complex)[None]
+    require_cptp_stack(channel[None])
     points = fibonacci_sphere(10)
     assert np.abs(bloch_image(channel, 10) - scale * points).max() <= 1e-12
     linear, shift = affine_of_channel(channel)
     assert np.abs(linear - scale * np.eye(3)).max() <= 1e-12 and np.abs(shift).max() <= 1e-12
     with pytest.raises(ValueError, match="not trace preserving"):
-        bloch_image(KrausSet(2, 2, 1.001 * np.eye(2, dtype=complex)[None]), 10)
+        bloch_image(1.001 * np.eye(2, dtype=complex)[None], 10)
 
 
 def test_bloch_image_needs_no_eigensolver(monkeypatch):
@@ -386,3 +386,64 @@ def test_amplitude_damping_choi_negativity_closed_form():
     for p in (0.0, 0.3, 0.8):
         got = negativity(choi_state(amplitude_damping(p)), (2, 2))
         assert abs(got - (1.0 - p) / 2.0) <= 1e-12
+
+
+# ------------------------------------- CP-divisibility behind the witness
+#
+# A rise of an entanglement record of the Choi state between t1 and t2 is
+# impossible when the intermediate map Phi_t2 Phi_t1^-1 is completely
+# positive, since a CP map on one side cannot raise entanglement.  The
+# intermediate map's Pauli transfer matrix is R(t2) R(t1)^-1, and its Choi
+# matrix, on (input copy) (x) (output), is 1/2 sum_ij M_ij sigma_j^T (x) sigma_i.
+
+DIVISIBILITY_STEPS = 513  # samples of one period at omega = 1
+SINGULAR_DET = 1e-12
+CP_TOL = 1e-12
+PAULI_BASIS = (np.eye(2, dtype=complex),) + PAULIS
+
+
+def transfer_matrix(channel) -> np.ndarray:
+    """The 4 x 4 Pauli transfer matrix of a trace-preserving qubit channel."""
+    linear, shift = affine_of_channel(channel)
+    r = np.zeros((4, 4))
+    r[0, 0] = 1.0
+    r[1:, 0] = shift
+    r[1:, 1:] = linear
+    return r
+
+
+def choi_of_transfer(m) -> np.ndarray:
+    return sum(
+        m[i, j] * np.kron(PAULI_BASIS[j].T, PAULI_BASIS[i]) for i in range(4) for j in range(4)
+    ) / 2
+
+
+def intermediate_maps(family):
+    """For each interval of the grid: whether R(t1) is singular, and the
+    smallest Choi eigenvalue of the intermediate map (nan where singular)."""
+    times = np.linspace(0.0, math.pi, DIVISIBILITY_STEPS)
+    driven = FAMILIES[family]
+    transfers = [transfer_matrix(driven.build(p)) for p in driven.schedule(1.0, times)]
+    singular = np.array([abs(np.linalg.det(r)) < SINGULAR_DET for r in transfers[:-1]])
+    lowest = np.full(singular.shape, np.nan)
+    for i in np.flatnonzero(~singular):
+        m = transfers[i + 1] @ np.linalg.inv(transfers[i])
+        lowest[i] = np.linalg.eigvalsh(choi_of_transfer(m)).min()
+    return singular, lowest
+
+
+@pytest.mark.parametrize("measure", ["negativity", "concurrence"])
+@pytest.mark.parametrize("family", ["qubit-a", "qubit-b"])
+def test_every_rise_of_a_record_has_a_non_cp_intermediate_map(family, measure):
+    traj = run_trajectory(family, 1.0, math.pi, DIVISIBILITY_STEPS)
+    rising = np.diff(traj.record(measure)) > 0
+    singular, lowest = intermediate_maps(family)
+    assert rising.sum() >= DIVISIBILITY_STEPS // 4  # the witness fires on this grid
+    not_cp = singular | (np.nan_to_num(lowest, nan=0.0) < -CP_TOL)
+    assert not (rising & ~not_cp).any()
+
+
+def test_amplitude_damping_intermediate_maps_are_cp():
+    singular, lowest = intermediate_maps("ad")
+    assert not singular.any()
+    assert lowest.min() >= -CP_TOL

@@ -19,6 +19,7 @@ from qchan import (
     validate_channel,
     validate_states,
 )
+from qchan.channels import completeness_residuals
 from qchan.families import FAMILIES
 
 from conftest import random_density_matrix, random_unitary
@@ -28,22 +29,22 @@ SQ2 = 1.0 / np.sqrt(2.0)
 
 def test_family_a_special_points():
     ad_half = qubit_family_a(np.pi / 2, 0.0)
-    assert np.abs(ad_half.operators[0] - np.diag([1.0, SQ2])).max() <= 1e-15
-    assert np.abs(ad_half.operators[1] - np.array([[0, SQ2], [0, 0]])).max() <= 1e-15
+    assert np.abs(ad_half[0] - np.diag([1.0, SQ2])).max() <= 1e-15
+    assert np.abs(ad_half[1] - np.array([[0, SQ2], [0, 0]])).max() <= 1e-15
 
     at_zero = qubit_family_a(0.0, 0.0)
-    assert np.abs(at_zero.operators[0] - np.diag([0.0, SQ2])).max() <= 1e-15
-    assert np.abs(at_zero.operators[1] - np.array([[0, SQ2], [1, 0]])).max() <= 1e-15
+    assert np.abs(at_zero[0] - np.diag([0.0, SQ2])).max() <= 1e-15
+    assert np.abs(at_zero[1] - np.array([[0, SQ2], [1, 0]])).max() <= 1e-15
 
 
 def test_family_b_special_points():
     deph = qubit_family_b(0.0, 0.0)
-    assert np.abs(deph.operators[0] - np.diag([1.0, 0.0])).max() <= 1e-15
-    assert np.abs(deph.operators[1] - np.diag([0.0, 1.0])).max() <= 1e-15
+    assert np.abs(deph[0] - np.diag([1.0, 0.0])).max() <= 1e-15
+    assert np.abs(deph[1] - np.diag([0.0, 1.0])).max() <= 1e-15
 
     half = qubit_family_b(np.pi / 2, 0.0)
-    assert np.abs(half.operators[0] - np.diag([1.0, SQ2])).max() <= 1e-15
-    assert np.abs(half.operators[1] - np.array([[0, SQ2], [0, 0]])).max() <= 1e-15
+    assert np.abs(half[0] - np.diag([1.0, SQ2])).max() <= 1e-15
+    assert np.abs(half[1] - np.array([[0, SQ2], [0, 0]])).max() <= 1e-15
 
 
 def test_qubit_family_grid_is_cptp_and_selfcomplementary():
@@ -53,7 +54,7 @@ def test_qubit_family_grid_is_cptp_and_selfcomplementary():
         for theta in thetas:
             for phi in phis:
                 ch = build(float(theta), float(phi))
-                assert ch.completeness_residual <= 1e-12
+                assert completeness_residuals(ch[None])[0] <= 1e-12
                 assert is_selfcomplementary(ch, 1e-12)
 
 
@@ -76,12 +77,12 @@ def test_family_parameter_ranges():
 
 def test_amplitude_damping():
     ad0 = amplitude_damping(0.0)
-    assert np.abs(ad0.operators[0] - np.eye(2)).max() <= 1e-15
-    assert np.abs(ad0.operators[1]).max() <= 1e-15
+    assert np.abs(ad0[0] - np.eye(2)).max() <= 1e-15
+    assert np.abs(ad0[1]).max() <= 1e-15
 
     half = amplitude_damping(0.5)
     family = qubit_family_a(np.pi / 2, 0.0)
-    for a, b in zip(half.operators, family.operators):
+    for a, b in zip(half, family):
         assert np.abs(a - b).max() <= 1e-15
 
     full = amplitude_damping(1.0)
@@ -99,20 +100,20 @@ def test_amplitude_damping_selfcomplementary_only_at_half():
 
 
 def test_dephasing_alias():
-    for a, b in zip(dephasing().operators, qubit_family_b(0.0, 0.0).operators):
+    for a, b in zip(dephasing(), qubit_family_b(0.0, 0.0)):
         assert np.array_equal(a, b)
 
 
 def test_ndim_theta0_structure_and_validity():
     for n in range(2, 7):
         ch = ndim_theta0(n)
-        assert ch.completeness_residual <= 1e-15
+        assert completeness_residuals(ch[None])[0] <= 1e-15
         assert is_selfcomplementary(ch, 1e-12)
         assert channel_rank(choi_matrix(ch), 1e-10) == n
     two = ndim_theta0(2)
-    for a, b in zip(two.operators, qubit_family_b(np.pi / 2, 0.0).operators):
+    for a, b in zip(two, qubit_family_b(np.pi / 2, 0.0)):
         assert np.abs(a - b).max() <= 1e-15
-    for a, b in zip(two.operators, amplitude_damping(0.5).operators):
+    for a, b in zip(two, amplitude_damping(0.5)):
         assert np.abs(a - b).max() <= 1e-15
 
 
@@ -120,7 +121,7 @@ def test_qutrit_family_reduces_to_theta0(rng):
     w = random_unitary(3, rng)
     ch = qutrit_family(0.0, w)
     expected = ndim_theta0(3)
-    for a, b in zip(ch.operators, expected.operators):
+    for a, b in zip(ch, expected):
         assert np.abs(a - b).max() <= 1e-15
 
 
@@ -144,20 +145,20 @@ def test_ndim_family_reduces_to_theta0(rng):
         w = random_unitary(n, rng)
         ch = ndim_family(n, 0.0, w)
         expected = ndim_theta0(n)
-        for a, b in zip(ch.operators, expected.operators):
+        for a, b in zip(ch, expected):
             assert np.abs(a - b).max() <= 1e-15
 
 
 def test_ndim_family_matches_qutrit_at_shared_point():
     a = ndim_family(3, 0.0, np.eye(3))
     b = qutrit_family(0.0, np.eye(3))
-    for x, y in zip(a.operators, b.operators):
+    for x, y in zip(a, b):
         assert np.abs(x - y).max() <= 1e-15
 
 
 def test_ndim_family_two_dimensional_case_reports():
     ch = ndim_family(2, 0.7, np.eye(2))
-    assert ch.n_in == ch.n_out == 2 and ch.k == 2
+    assert ch.shape == (2, 2, 2)
     report = validate_channel(ch)
     assert report.cptp_residual >= 0.0  # report-only contract away from theta = 0
 
@@ -187,12 +188,12 @@ def test_dft_matrix_is_unitary():
 
 
 def test_family_table_dispatch():
-    assert FAMILIES["qubit-a"].build(0.4, 0.0).k == 2
-    assert FAMILIES["ad"].build(0.25).k == 2
-    assert FAMILIES["ndim-theta0"].build(4).k == 4
-    assert FAMILIES["qutrit"].build(0.0, np.eye(3)).k == 3
-    assert FAMILIES["ndim"].build(4, 0.0, np.eye(4)).k == 4
-    assert FAMILIES["identity"].build().k == 1
+    assert FAMILIES["qubit-a"].build(0.4, 0.0).shape[0] == 2
+    assert FAMILIES["ad"].build(0.25).shape[0] == 2
+    assert FAMILIES["ndim-theta0"].build(4).shape[0] == 4
+    assert FAMILIES["qutrit"].build(0.0, np.eye(3)).shape[0] == 3
+    assert FAMILIES["ndim"].build(4, 0.0, np.eye(4)).shape[0] == 4
+    assert FAMILIES["identity"].build().shape[0] == 1
 
 
 def test_random_inputs_spread_through_family(rng):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qchan import (
-    KrausSet,
     amplitude_damping,
     apply,
     apply_kraus,
@@ -27,7 +26,6 @@ from qchan import (
     entanglement_evolution_factor,
     holevo_chis,
     identity_channel,
-    kraus,
     map_entropies,
     map_entropy,
     ndim_family,
@@ -46,7 +44,8 @@ from qchan import (
     von_neumann_entropy,
 )
 from qchan.cli import main
-from qchan.families import FAMILIES, qubit_family_a_stack, qubit_family_b_stack
+from qchan.channels import completeness_residuals
+from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
 from qchan.measures import (
     ENTROPY_EIGENVALUE_FLOOR,
@@ -109,7 +108,7 @@ def test_map_entropy_values():
         np.array([[0, -1j], [1j, 0]]),
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
-    depolarizing = kraus([p / 2 for p in paulis])
+    depolarizing = np.array([p / 2 for p in paulis])
     assert abs(map_entropy(depolarizing) - math.log(4.0)) <= 1e-12
     assert abs(map_entropy(qubit_family_a(0.0)) - ANCHOR_ENTROPY) <= 1e-12
 
@@ -142,7 +141,7 @@ def test_map_entropy_bounds_for_family_members():
 def test_coherent_information_vanishes_for_selfcomplementary(rng):
     for ch in (qubit_family_a(0.35, 1.1), qubit_family_b(2.0, 0.4), ndim_theta0(3)):
         for _ in range(25):
-            rho = random_density_matrix(ch.n_in, rng)
+            rho = random_density_matrix(ch.shape[-1], rng)
             assert abs(coherent_information(ch, rho)) <= 1e-10
 
 
@@ -310,10 +309,10 @@ def factor_route_channels():
     6 Kraus operators, k > 4 included."""
     rng = np.random.default_rng(53)
     theta = np.concatenate([np.linspace(0.0, math.pi, 2001), rng.uniform(0.0, math.pi, 500)])
-    stacks = [qubit_family_a_stack(theta, 0.0), qubit_family_b_stack(theta, 1.3)]
-    stacks.append(FAMILIES["ad"].stack(np.linspace(0.0, 1.0, 501)))
+    stacks = [qubit_family_a(theta, 0.0), qubit_family_b(theta, 1.3)]
+    stacks.append(FAMILIES["ad"].build(np.linspace(0.0, 1.0, 501)))
     for k in range(1, 7):
-        stacks.append(np.array([random_cptp(2, 2, k, rng).operators for _ in range(50)]))
+        stacks.append(np.array([random_cptp(2, 2, k, rng) for _ in range(50)]))
     return stacks
 
 
@@ -323,7 +322,7 @@ def test_choi_measures_match_the_choi_state_routes():
     # the cut the ad states differ by 6.0e-9.
     for kraus in factor_route_channels():
         neg, conc, ent = choi_measures(kraus)
-        states = np.array([choi_state(KrausSet(2, 2, ops)) for ops in kraus])
+        states = np.array([choi_state(ops) for ops in kraus])
         assert bits(neg) == bits(negativities(states, (2, 2)))
         assert np.abs(conc - concurrences(states)).max() <= 1e-12
         assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
@@ -410,11 +409,11 @@ def test_choi_concurrence_of_qubit_b_near_half_pi_to_1e_12():
         ]
     )
     for phi in (0.0, 0.7):
-        kraus = qubit_family_b_stack(theta, phi)
+        kraus = qubit_family_b(theta, phi)
         _, conc, _ = choi_measures(kraus)
         expected = [decimal_concurrence(ops) for ops in kraus]
         assert np.abs(conc - expected).max() <= 1e-12
-        states = np.array([choi_state(KrausSet(2, 2, ops)) for ops in kraus])
+        states = np.array([choi_state(ops) for ops in kraus])
         assert np.abs(concurrences(states) - expected).max() <= 1e-12
 
 
@@ -431,7 +430,7 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    choi_measures(qubit_family_a_stack(np.linspace(0.0, 1.0, 7), 0.3))
+    choi_measures(qubit_family_a(np.linspace(0.0, 1.0, 7), 0.3))
     # The 2 x 2 Gram states, then the partial transposes for the negativity.
     assert shapes == [(7, 2, 2), (7, 4, 4)]
 
@@ -561,7 +560,7 @@ def reference_capacity_bound(channel) -> float:
     """The environment-side capacity bound of the computational basis, one
     channel at a time: the output of |i> is W_i W_i^dagger, where column a of
     W_i is K_a |i>, and the average output is Y Y^dagger / 2 for Y = [W_0 W_1]."""
-    w = [channel.operators[:, :, i].T for i in range(2)]
+    w = [channel[:, :, i].T for i in range(2)]
     parts = [reference_entropy(x @ x.conj().T) for x in w]
     y = np.concatenate(w, axis=1)
     return max(0.0, reference_entropy(y @ y.conj().T / 2) - sum(parts) / 2)
@@ -569,7 +568,7 @@ def reference_capacity_bound(channel) -> float:
 
 def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
     channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
-    got = capacity_lower_bounds(np.array([c.operators for c in channels]), np.eye(2))
+    got = capacity_lower_bounds(np.array(channels), np.eye(2))
     assert bits(got) == bits([reference_capacity_bound(ch) for ch in channels])
     assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], np.eye(2))])
 
@@ -578,11 +577,11 @@ def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
 def test_map_entropy_is_the_single_case_of_the_stack_bitwise(rng, n):
     channels = [ndim_theta0(n), random_cptp(n, n, n, rng)]
     for ch in channels:
-        flat = np.array([op.reshape(-1) for op in ch.operators])
+        flat = np.array([op.reshape(-1) for op in ch])
         gram = flat.conj() @ flat.T  # G_ab = tr(K_a^dagger K_b)
         gram_state = (gram + gram.conj().T) / 2 / n
         assert bits([map_entropy(ch)]) == bits([reference_entropy(gram_state)])
-    assert bits(map_entropies(np.array([c.operators for c in channels]))) == bits([map_entropy(c) for c in channels])
+    assert bits(map_entropies(np.array(channels))) == bits([map_entropy(c) for c in channels])
 
 
 def gram_vs_choi_channels():
@@ -604,7 +603,7 @@ def gram_vs_choi_channels():
     chans["isometry-2-3"] = random_cptp(2, 3, 1, rng)
     # The second Choi eigenvalue, 2 eps, lies on either side of the rank tolerance.
     for eps in (1e-8, 1e-12):
-        chans[f"near-unitary-{eps}"] = kraus(
+        chans[f"near-unitary-{eps}"] = np.array(
             [math.sqrt(1.0 - eps) * np.eye(2), math.sqrt(eps) * np.array([[0.0, 1.0], [1.0, 0.0]])]
         )
     for n in range(2, 17):
@@ -672,10 +671,10 @@ BAD_KRAUS = {
 @pytest.mark.parametrize("bad", BAD_KRAUS)
 def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     channels = [qubit_family_a(float(t)) for t in np.linspace(0.0, math.pi, STACK_BLOCK + 1)]
-    stack = np.array([c.operators for c in channels])
+    stack = np.array(channels)
     stack[100] = BAD_KRAUS[bad]
     with pytest.raises(ValueError) as single:
-        map_entropy(kraus(list(BAD_KRAUS[bad])))
+        map_entropy(BAD_KRAUS[bad])
     stacked_calls = (
         choi_measures,
         map_entropies,
@@ -702,9 +701,10 @@ def apply_kraus_route(channel, alphabet) -> tuple[float, float]:
     the environment side replaced: each |psi><psi| of the alphabet through
     apply_kraus, then holevo_chis; the complementary channel's output."""
     alphabet = np.asarray(alphabet, dtype=complex)
-    outputs = apply_kraus(channel.operators, np.einsum("ij,ik->ijk", alphabet, alphabet.conj()))
+    outputs = apply_kraus(channel, np.einsum("ij,ik->ijk", alphabet, alphabet.conj()))
     chi = holevo_chis(np.full(len(alphabet), 1.0 / len(alphabet)), outputs[None])[0]
-    return float(chi), coherent_information(channel, np.eye(channel.n_in) / channel.n_in)
+    n_in = channel.shape[-1]
+    return float(chi), coherent_information(channel, np.eye(n_in) / n_in)
 
 
 def route_channels():
@@ -728,13 +728,14 @@ def route_channels():
 def test_environment_side_matches_the_apply_kraus_route(rng, name):
     ch = route_channels()[name]
     entropy, coherent, chi = information_quantities(ch, validate_channel(ch).gram_spectrum)
-    old_chi, old_coherent = apply_kraus_route(ch, np.eye(ch.n_in))
+    n_in = ch.shape[-1]
+    old_chi, old_coherent = apply_kraus_route(ch, np.eye(n_in))
     assert abs(entropy - von_neumann_entropy(choi_state(ch))) <= 1e-12
     assert abs(coherent - old_coherent) <= 1e-12
     assert abs(chi - old_chi) <= 1e-12
-    assert abs(classical_capacity_lower_bound(ch, np.eye(ch.n_in)) - old_chi) <= 1e-12
+    assert abs(classical_capacity_lower_bound(ch, np.eye(n_in)) - old_chi) <= 1e-12
     # An incomplete rotated alphabet, whose average output is not Phi(1/n_in).
-    alphabet = random_unitary(ch.n_in, rng)[: max(1, ch.n_in - 1)]
+    alphabet = random_unitary(n_in, rng)[: max(1, n_in - 1)]
     got = classical_capacity_lower_bound(ch, alphabet)
     assert abs(got - apply_kraus_route(ch, alphabet)[0]) <= 1e-12
 
@@ -742,7 +743,7 @@ def test_environment_side_matches_the_apply_kraus_route(rng, name):
 def test_sweep_chi_column_matches_the_apply_kraus_route(tmp_path):
     thetas = np.linspace(0.0, math.pi / 2, 101)
     old = [apply_kraus_route(qubit_family_a(float(t), 0.7), np.eye(2))[0] for t in thetas]
-    stack = np.array([qubit_family_a(float(t), 0.7).operators for t in thetas])
+    stack = np.array([qubit_family_a(float(t), 0.7) for t in thetas])
     assert np.abs(capacity_lower_bounds(stack, np.eye(2)) - old).max() <= 1e-12
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--points", "101", "--phi", "0.7", "--out", str(out)]) == 0
@@ -764,7 +765,7 @@ def test_isometries_into_the_symmetric_subspace_are_selfcomplementary(seed, shap
     rng = np.random.default_rng(seed)
     ch = random_symmetric_channel(n_in, m, rng)
     assert selfcomplementarity_defect(ch) == 0.0
-    assert ch.completeness_residual <= 1e-12
+    assert completeness_residuals(ch[None])[0] <= 1e-12
     entropy, coherent, _ = information_quantities(ch, validate_channel(ch).gram_spectrum)
     assert abs(coherent) <= 1e-10
     for _ in range(3):

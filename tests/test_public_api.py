@@ -7,12 +7,10 @@ import qchan
 PUBLIC_API = [
     "ChannelValidation",
     "DEFAULT_TOL",
-    "KrausSet",
     "NumericalError",
     "Trajectory",
     "affine_of_channel",
     "amplitude_damping",
-    "amplitude_damping_stack",
     "apply",
     "apply_kraus",
     "bloch_image",
@@ -41,7 +39,6 @@ PUBLIC_API = [
     "identity_channel",
     "increase_duration",
     "is_selfcomplementary",
-    "kraus",
     "kraus_from_unitary",
     "kraus_to_superop",
     "map_entropies",
@@ -56,9 +53,7 @@ PUBLIC_API = [
     "partial_transpose",
     "positive_variation",
     "qubit_family_a",
-    "qubit_family_a_stack",
     "qubit_family_b",
-    "qubit_family_b_stack",
     "qutrit_family",
     "run_trajectory",
     "selfcomplementarity_defect",

@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchan import KrausSet
 from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
@@ -47,12 +46,13 @@ def written(tmp_path, obj) -> str:
 
 def pair_document(channel) -> dict:
     """The channel document built entry by entry, as [re, im] lists."""
+    _, n_out, n_in = channel.shape
     return {
-        "n_in": channel.n_in,
-        "n_out": channel.n_out,
+        "n_in": n_in,
+        "n_out": n_out,
         "kraus": [
             [[[float(z.real), float(z.imag)] for z in row] for row in op]
-            for op in channel.operators
+            for op in channel
         ],
     }
 
@@ -109,9 +109,8 @@ def test_zero_and_negative_zero_in_one_operator_keep_their_signs(tmp_path):
     ops.real[0] = [[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0]]
     ops.imag[0] = [[-0.0, 0.0, -0.0], [0.5, -0.0, 0.0]]
     ops.real[1] = -0.0
-    channel = KrausSet(3, 2, ops)
-    text = written(tmp_path, channel_to_dict(channel))
-    assert text == json.dumps(pair_document(channel), indent=2, sort_keys=True) + "\n"
+    text = written(tmp_path, channel_to_dict(ops))
+    assert text == json.dumps(pair_document(ops), indent=2, sort_keys=True) + "\n"
     assert text.count("-0.0") == 3 + 3 + 6
 
 
