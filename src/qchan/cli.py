@@ -79,12 +79,20 @@ def _csv(header: list[str], table: np.ndarray) -> str:
     return ",".join(header) + "\n" + (row * rows) % tuple(table.ravel().tolist())
 
 
+def _finite_matrix(data) -> np.ndarray:
+    """The matrix of a --w file, whose entries must be finite."""
+    w = matrix_from_pairs(data)
+    if not np.isfinite(w).all():
+        raise ChannelFormatError("matrix has non-finite entries")
+    return w
+
+
 def _load_w(source: str, dim: int) -> np.ndarray:
     if source == "identity":
         return np.eye(dim)
     if source == "fourier":
         return dft_matrix(dim)
-    return matrix_from_pairs(_read_json(source, "unitary parameter"))
+    return _read_json(source, "unitary parameter", _finite_matrix)
 
 
 def _build(args: argparse.Namespace) -> np.ndarray:

@@ -23,6 +23,7 @@ JSON.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from itertools import chain
@@ -130,40 +131,61 @@ def channel_from_dict(data) -> np.ndarray:
     return np.array(ops)
 
 
-def _read_json(path, what: str):
-    """The JSON value in the file at ``path``.  A file that cannot be read is
-    a ChannelFormatError naming ``what``, and so is one that cannot be
-    decoded: invalid JSON or UTF-8, an integer beyond Python's digit limit
-    (all ValueErrors), or nesting beyond the recursion limit."""
+def _read_json(path, what: str, convert):
+    """``convert`` of the JSON value in the file at ``path``.  A file that
+    cannot be read is a ChannelFormatError naming ``what``, and so is one that
+    cannot be decoded: invalid JSON or UTF-8, an integer beyond Python's digit
+    limit (all ValueErrors), or nesting beyond the recursion limit.
+
+    The cyclic garbage collector is paused for the parse and the conversion,
+    and restored to the caller's state after them.  A channel document of
+    side 32 decodes to some 34,000 lists, and each young-generation sweep the
+    parse would set off walks them all.  The pause is safe because neither
+    step builds a reference cycle: reference counting frees the lists, inside
+    the pause.  It is process-wide and lasts one parse."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ChannelFormatError(f"cannot read {what} file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ChannelFormatError(f"cannot read {what} file {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
+        value = convert(data)
+        del data  # frees the lists before the collector resumes
+        return value
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_channel(path) -> np.ndarray:
-    return channel_from_dict(_read_json(path, "channel"))
+    return _read_json(path, "channel", channel_from_dict)
 
 
 def write_text_atomic(path, *parts: str) -> None:
     """Write the text parts one by one, then rename, so partially written
     files are never observed and a text given in parts is never joined or
     encoded whole.  The kernel gives the file the mode open(path, "w") gives a
-    new file, 0o666 less the umask, which is never set, not even to read it."""
+    new file, 0o666 less the umask, which is never set, not even to read it.
+    A failure leaves no temporary file behind and is an OSError that names
+    ``path``, not the temporary file's random name."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".qchan-{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _array_template(shape: tuple, indent: str) -> str:

@@ -384,6 +384,17 @@ def test_undecodable_input_file_exits_3(tmp_path, capsys, command, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_w_entry_exits_3(tmp_path, capsys, value):
+    w = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    w[1][1][0] = value
+    source, out = tmp_path / "w.json", tmp_path / "out.json"
+    source.write_text(json.dumps(w))
+    assert run("family", "--id", "qutrit", "--w", source, "--out", out) == 3
+    assert capsys.readouterr().err == "qchan: input format error: matrix has non-finite entries\n"
+    assert os.listdir(tmp_path) == ["w.json"]
+
+
 def _operator(rows):
     """An operator as the rows of [re, im] pairs of a channel document."""
     rows = np.asarray(rows, dtype=complex)
@@ -639,9 +650,23 @@ def test_outputs_are_deterministic(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_unwritable_output_path_is_parameter_error(tmp_path):
+def test_unwritable_output_path_is_parameter_error(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nodir" / "x.csv"
     assert run("sweep", "--points", 5, "--out", missing) == 2
+    # The error names --out, not the random name of the temporary file, so
+    # identical invocations print identical stderr.
+    monkeypatch.chdir(tmp_path)
+    write_json_atomic("ch.json", channel_to_dict(identity_channel(2)))
+    (tmp_path / "adir").mkdir()
+    for out in ("missing/x.json", "adir"):
+        capsys.readouterr()
+        errors = []
+        for _ in range(2):
+            assert run("analyze", "--in", "ch.json", "--out", out) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"'{out}'" in errors[0] and ".qchan-" not in errors[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "ch.json"]
 
 
 @pytest.mark.parametrize(

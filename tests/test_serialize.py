@@ -6,6 +6,7 @@ and ``cli._csv`` the bytes of per-value ``f"{float(v):.12g}"`` formatting.
 Both references are kept here as the independent routes.
 """
 
+import gc
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
 from qchan.linalg import DEFAULT_TOL
-from qchan.serialize import channel_to_dict, write_json_atomic
+from qchan.serialize import ChannelFormatError, channel_to_dict, read_channel, write_json_atomic
 
 from conftest import random_cptp
 
@@ -211,3 +212,70 @@ def test_writes_never_set_the_umask(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temporary left
     for name in names:
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_enabled(request):
+    """Run the test with the cyclic garbage collector on, then off."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_a_channel_read_runs_no_collection(tmp_path):
+    # A side-32 document decodes to some 34,000 lists; with the collector
+    # running, the parse sets off dozens of collections that walk them.
+    path = tmp_path / "ndim-theta0-32.json"
+    write_json_atomic(path, channel_to_dict(FAMILIES["ndim-theta0"].build(32)))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert read_channel(path).shape == (32, 32, 32)
+    finally:
+        gc.callbacks.remove(count)
+        if not was:
+            gc.disable()
+    assert starts == []
+
+
+# Each read as (the matrix of side n it finds, or None for no file; a part of
+# the message it fails with, or None).
+READS = {
+    "success": (lambda n: [[[float(i == j), 0.0] for j in range(n)] for i in range(n)], None),
+    "string entry": (lambda n: [[["1", 0]]], "pairs of two JSON numbers"),
+    "missing file": (None, "cannot read"),
+}
+
+
+@pytest.mark.parametrize("case", list(READS))
+def test_read_channel_restores_the_collector_state(tmp_path, gc_enabled, case):
+    matrix, message = READS[case]
+    path = tmp_path / "ch.json"
+    if matrix is not None:
+        path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [matrix(1)]}))
+    if message is None:
+        read_channel(path)
+    else:
+        with pytest.raises(ChannelFormatError, match=message):
+            read_channel(path)
+    assert gc.isenabled() is gc_enabled
+
+
+@pytest.mark.parametrize("case", list(READS))
+def test_family_w_read_restores_the_collector_state(tmp_path, capsys, gc_enabled, case):
+    matrix, message = READS[case]
+    path = tmp_path / "w.json"
+    if matrix is not None:
+        path.write_text(json.dumps(matrix(3)))
+    code = main(["family", "--id", "qutrit", "--w", str(path), "--out", str(tmp_path / "q.json")])
+    assert code == (0 if message is None else 3)
+    assert (message or "") in capsys.readouterr().err
+    assert gc.isenabled() is gc_enabled
