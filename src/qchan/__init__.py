@@ -28,13 +28,11 @@ from .channels import (
     validate_channel,
 )
 from .dynamics import (
-    Trajectory,
     affine_of_channel,
     bloch_image,
     bloch_vector,
     fibonacci_sphere,
     increase_duration,
-    non_markovianity_measure,
     positive_variation,
     run_trajectory,
 )

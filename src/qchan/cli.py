@@ -28,12 +28,7 @@ import sys
 import numpy as np
 
 from .channels import validate_channel
-from .dynamics import (
-    bloch_image,
-    increase_duration,
-    non_markovianity_measure,
-    run_trajectory,
-)
+from .dynamics import bloch_image, increase_duration, positive_variation, run_trajectory
 from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a
 from .linalg import DEFAULT_TOL, NumericalError, blocks
 from .measures import (
@@ -199,7 +194,9 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         raise ValueError("dynamics needs at least 2 steps")
     # --steps counts uniform intervals; sampling the endpoints too keeps the
     # grid aligned with the extrema of the driven records.
-    traj = run_trajectory(args.family, args.omega, args.t_max, args.steps + 1)
+    times, theta, (negativity, concurrence, map_entropy) = run_trajectory(
+        args.family, args.omega, args.t_max, args.steps + 1
+    )
     scale = 1.0 / LN2 if args.bits else 1.0
     header = [
         "t",
@@ -208,18 +205,16 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "concurrence",
         _entropy_key("map_entropy_nats", args.bits),
     ]
-    table = np.column_stack(
-        [traj.times, traj.parameter, traj.negativity, traj.concurrence, traj.map_entropy * scale]
-    )
+    table = np.column_stack([times, theta, negativity, concurrence, map_entropy * scale])
     write_text_atomic(args.out, _csv(header, table))
     summary = {
         "family": args.family,
         "omega": args.omega,
         "t_max": args.t_max,
         "steps": args.steps,
-        "non_markovianity_positive_variation": non_markovianity_measure(traj, "negativity"),
-        "increase_duration": increase_duration(traj, "negativity"),
-        "concurrence_positive_variation": non_markovianity_measure(traj, "concurrence"),
+        "non_markovianity_positive_variation": positive_variation(negativity),
+        "increase_duration": increase_duration(times, negativity),
+        "concurrence_positive_variation": positive_variation(concurrence),
     }
     stem = os.path.splitext(args.out)[0] or args.out
     write_json_atomic(stem + ".summary.json", summary)

@@ -10,7 +10,6 @@ accumulated increase scores non-Markovianity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +35,25 @@ def bloch_vector(rho) -> np.ndarray:
     return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
 
 
-def _bloch_images(kraus, points) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_matrix(kraus) -> np.ndarray:
     """The Pauli transfer matrix R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a CPTP
-    qubit channel, and the rows R (1, r), trace and Bloch vector of
-    Phi((1 + r . sigma) / 2), for each row r of ``points``.
+    qubit channel.
 
-    The channel's completeness is the one check: the points are this
-    module's own (sphere samples, or 0 and the axes), and their images are
-    states of an accepted channel.  R (1, r) is summed entry by entry, so each row is the one its
-    point gets alone; a BLAS product rounds a row differently inside a
-    larger block.
+    The channel's completeness is the one check: the images of the sphere
+    samples that this module maps are states of an accepted channel.
     """
     kraus = _as_kraus(kraus)
     if kraus.shape[1:] != (2, 2):
         raise ValueError("affine form is defined for qubit channels only")
     require_cptp_stack(kraus[None])
     transfer = np.einsum("iab,jba->ij", _PAULI_BASIS, apply_kraus(kraus, _PAULI_BASIS))
-    transfer = transfer.real / 2
-    images = transfer[:, 0] + sum(points[:, j, None] * transfer[:, j + 1] for j in range(3))
-    return transfer, images
+    return transfer.real / 2
 
 
 def affine_of_channel(kraus) -> tuple[np.ndarray, np.ndarray]:
     """The action r -> linear @ r + shift of a qubit channel on Bloch vectors:
     ``(R[1:, 1:], R[1:, 0])`` of its Pauli transfer matrix R."""
-    transfer, _ = _bloch_images(kraus, np.vstack([np.zeros(3), np.eye(3)]))
+    transfer = _transfer_matrix(kraus)
     return transfer[1:, 1:], transfer[1:, 0]
 
 
@@ -80,48 +73,32 @@ def bloch_image(kraus, n_points: int) -> np.ndarray:
     """Image of a Fibonacci-sphere sample of pure states, as Bloch rows.
 
     Each point r goes to linear @ r + shift (:func:`affine_of_channel`); no
-    state matrix is built and no eigensolver runs.
+    state matrix is built and no eigensolver runs.  The sum runs entry by
+    entry, so each row is the one its point gets alone; a BLAS product
+    rounds a row differently inside a larger block.
     """
-    return np.ascontiguousarray(_bloch_images(kraus, fibonacci_sphere(n_points))[1][:, 1:])
+    transfer = _transfer_matrix(kraus)
+    points = fibonacci_sphere(n_points)
+    return transfer[1:, 0] + sum(points[:, j, None] * transfer[1:, j + 1] for j in range(3))
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Per-time channel measures along a driven family.
+def _require_ascending(times: np.ndarray) -> None:
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly ascending with at least two entries")
+
+
+def run_trajectory(
+    family: str, omega: float, t_max: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choi-state measures of a driven family on a uniform time grid of
+    n_steps samples: ``(times, parameter, records)``.
 
     ``parameter`` holds the driving value at each time: the wrapped phase
     theta = (omega t) mod pi for the qubit families, the decay probability
     p(t) = 1 - exp(-omega t) for the amplitude-damping schedule.
-    """
-
-    family: str
-    omega: float
-    times: np.ndarray
-    parameter: np.ndarray
-    negativity: np.ndarray
-    concurrence: np.ndarray
-    map_entropy: np.ndarray
-
-    def __post_init__(self):
-        arrays = [self.times, self.parameter, self.negativity, self.concurrence, self.map_entropy]
-        sizes = {np.asarray(a).shape for a in arrays}
-        if len(sizes) != 1:
-            raise ValueError("trajectory records are not aligned with the time grid")
-        t = np.asarray(self.times, dtype=float)
-        if t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly ascending with at least two entries")
-
-    def record(self, measure: str) -> np.ndarray:
-        if measure not in ("negativity", "concurrence", "map_entropy"):
-            raise ValueError(f"unknown measure {measure!r}")
-        return getattr(self, measure)
-
-
-def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Trajectory:
-    """Evaluate Choi-state measures on a uniform time grid of n_steps samples.
-
-    The family's schedule gives the driving parameter on the grid; its
-    constructor and choi_measures build and score STACK_BLOCK channels at once.
+    ``records`` is (3, n_steps): negativity, concurrence and map entropy, in
+    :func:`~qchan.measures.choi_measures` order.  The family's constructor
+    and choi_measures build and score STACK_BLOCK channels at once.
     """
     if n_steps < 2:
         raise ValueError("need at least two samples")
@@ -135,31 +112,32 @@ def run_trajectory(family: str, omega: float, t_max: float, n_steps: int) -> Tra
             f"unknown trajectory family {family!r}; choose from {family_ids('dynamics')}"
         )
     times = np.linspace(0.0, t_max, n_steps)
+    # A subnormal t_max gives repeated samples.
+    _require_ascending(times)
     params = driven.schedule(omega, times)
     records = np.empty((3, n_steps))
     for block in blocks(n_steps):
         records[:, block] = choi_measures(driven.build(params[block]))
-    return Trajectory(family, omega, times, params, *records)
+    return times, params, records
 
 
 def positive_variation(values) -> float:
-    """Sum of the upward moves of a sampled record."""
+    """Sum of the upward moves of a sampled record.
+
+    Zero for any record that is monotonically nonincreasing, as the
+    Choi-state entanglement of a concatenation of CPTP steps is; a positive
+    value witnesses memory effects.
+    """
     diffs = np.diff(np.asarray(values, dtype=float))
     return float(diffs[diffs > 0].sum())
 
 
-def non_markovianity_measure(traj: Trajectory, measure: str = "negativity") -> float:
-    """Accumulated increase of the chosen entanglement record over the run.
-
-    Zero for any record that is monotonically nonincreasing, as produced by
-    concatenations of CPTP steps; positive values witness memory effects.
-    """
-    return positive_variation(traj.record(measure))
-
-
-def increase_duration(traj: Trajectory, measure: str = "negativity") -> float:
-    """Total time spent on strictly increasing segments of the record."""
-    values = traj.record(measure)
-    diffs = np.diff(values)
-    dts = np.diff(traj.times)
-    return float(dts[diffs > 0].sum())
+def increase_duration(times, values) -> float:
+    """Total time spent on strictly increasing segments of a record sampled
+    at ``times``."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError("trajectory records are not aligned with the time grid")
+    _require_ascending(times)
+    return float(np.diff(times)[np.diff(values) > 0].sum())

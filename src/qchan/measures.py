@@ -132,9 +132,10 @@ def holevo_chis(probabilities, states) -> np.ndarray:
     probabilities = [float(p) for p in probabilities]
     if len(probabilities) != m or not probabilities:
         raise ValueError(f"need one probability per state: {len(probabilities)} for {m} states")
-    if min(probabilities) < 0:
+    # Written so that a NaN weight fails both checks.
+    if not all(p >= 0 for p in probabilities):
         raise ValueError("probabilities must be nonnegative")
-    if abs(sum(probabilities) - 1.0) > 1e-12:
+    if not abs(sum(probabilities) - 1.0) <= 1e-12:
         raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
     parts = von_neumann_entropies(states.reshape(n * m, d, d)).reshape(n, m)
     mixture = sum(p * states[:, i] for i, p in enumerate(probabilities))

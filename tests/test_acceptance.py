@@ -30,7 +30,7 @@ from qchan import (
     negativity_closed_form,
     ndim_family,
     ndim_theta0,
-    non_markovianity_measure,
+    positive_variation,
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
@@ -234,17 +234,17 @@ def test_criterion_11_concurrence_negativity_ordering():
 
 
 def test_criterion_12_non_markovianity():
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
-    variation = non_markovianity_measure(traj, "negativity")
+    times, _, records = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
+    variation = positive_variation(records[0])  # the negativity record
     assert abs(variation - 0.5) <= 1e-5
 
-    damping = run_trajectory("ad", omega=1.0, t_max=5.0, n_steps=512)
-    assert non_markovianity_measure(damping, "negativity") == 0.0
+    _, _, damping = run_trajectory("ad", omega=1.0, t_max=5.0, n_steps=512)
+    assert positive_variation(damping[0]) == 0.0
 
     rng = np.random.default_rng(12)
     probes = [np.eye(2) / 2] + [random_density_matrix(2, rng) for _ in range(3)]
     worst = 0.0
-    for t in traj.times[::64]:
+    for t in times[::64]:
         ch = qubit_family_a(math.fmod(float(t), math.pi))
         for rho in probes:
             worst = max(worst, abs(coherent_information(ch, rho)))

@@ -638,6 +638,16 @@ def test_dynamics_step_validation(tmp_path):
     assert run("dynamics", "--steps", 1, "--out", tmp_path / "x.csv") == 2
 
 
+@pytest.mark.parametrize("t_max", ["1e-320", "5e-324"])
+def test_dynamics_subnormal_t_max_exits_2(tmp_path, capsys, t_max):
+    # linspace of 4097 subnormal samples repeats values: no time grid.
+    out = tmp_path / "sub.csv"
+    assert run("dynamics", "--t-max", t_max, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "qchan: times must be strictly ascending with at least two entries\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run("sweep", "--points", 25, "--out", a)

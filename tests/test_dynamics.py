@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    Trajectory,
     affine_of_channel,
     amplitude_damping,
     apply,
@@ -15,7 +14,6 @@ from qchan import (
     fibonacci_sphere,
     identity_channel,
     increase_duration,
-    non_markovianity_measure,
     positive_variation,
     qubit_family_a,
     qubit_family_b,
@@ -183,23 +181,23 @@ def test_bloch_image_centroid_shift_at_theta_zero():
 
 
 def test_trajectory_negativity_record_matches_closed_form():
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=257)
-    expected = np.abs(np.cos(2.0 * traj.times)) / 4.0
-    assert np.abs(traj.negativity - expected).max() <= 1e-9
+    times, _, (negativity, _, _) = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=257)
+    expected = np.abs(np.cos(2.0 * times)) / 4.0
+    assert np.abs(negativity - expected).max() <= 1e-9
 
 
 def test_trajectory_two_step_grid():
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=1.0, n_steps=2)
-    assert traj.times.size == 2
-    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    times, parameter, records = run_trajectory("qubit-a", omega=1.0, t_max=1.0, n_steps=2)
+    assert times.shape == parameter.shape == (2,) and records.shape == (3, 2)
+    assert times[0] == 0.0 and times[-1] == 1.0
 
 
 def test_trajectory_reparameterization_invariance():
-    slow = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=65)
-    fast = run_trajectory("qubit-a", omega=2.0, t_max=math.pi / 2.0, n_steps=65)
-    assert np.abs(slow.parameter - fast.parameter).max() <= 1e-12
-    assert np.abs(slow.negativity - fast.negativity).max() <= 1e-12
-    assert np.abs(slow.map_entropy - fast.map_entropy).max() <= 1e-12
+    _, slow_param, slow = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=65)
+    _, fast_param, fast = run_trajectory("qubit-a", omega=2.0, t_max=math.pi / 2.0, n_steps=65)
+    assert np.abs(slow_param - fast_param).max() <= 1e-12
+    assert np.abs(slow[0] - fast[0]).max() <= 1e-12  # negativity
+    assert np.abs(slow[2] - fast[2]).max() <= 1e-12  # map entropy
 
 
 def test_trajectory_argument_validation():
@@ -211,73 +209,81 @@ def test_trajectory_argument_validation():
         run_trajectory("bogus", 1.0, math.pi, 8)
 
 
+@pytest.mark.parametrize("t_max", [1e-320, 5e-324])
+def test_trajectory_refuses_a_grid_with_repeated_samples(t_max, monkeypatch):
+    # linspace of 4097 subnormal samples repeats values; the grid is refused
+    # before any channel is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("measures evaluated")
+
+    monkeypatch.setattr("qchan.dynamics.choi_measures", refuse)
+    message = "^times must be strictly ascending with at least two entries$"
+    with pytest.raises(ValueError, match=message):
+        run_trajectory("qubit-a", 1.0, t_max, 4097)
+
+
 def test_positive_variation_of_family_period():
     # 4096 intervals put the kinks and peaks of |cos 2t|/4 exactly on the
     # grid, so the two rises of 1/4 accumulate to exactly 1/2.
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
-    assert abs(non_markovianity_measure(traj, "negativity") - 0.5) <= 1e-6
-    assert abs(increase_duration(traj, "negativity") - math.pi / 2.0) <= 1e-2
+    times, _, (negativity, _, _) = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
+    assert abs(positive_variation(negativity) - 0.5) <= 1e-6
+    assert abs(increase_duration(times, negativity) - math.pi / 2.0) <= 1e-2
 
 
 def test_positive_variation_stable_under_grid_refinement():
-    coarse = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=2049)
-    fine = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
-    a = non_markovianity_measure(coarse, "negativity")
-    b = non_markovianity_measure(fine, "negativity")
-    assert abs(a - b) <= 1e-6
+    _, _, coarse = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=2049)
+    _, _, fine = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
+    assert abs(positive_variation(coarse[0]) - positive_variation(fine[0])) <= 1e-6
 
 
 def test_amplitude_damping_schedule_is_markovian_by_this_witness():
-    traj = run_trajectory("ad", omega=1.0, t_max=5.0, n_steps=512)
-    assert non_markovianity_measure(traj, "negativity") == 0.0
-    assert increase_duration(traj, "negativity") == 0.0
+    times, _, (negativity, _, _) = run_trajectory("ad", omega=1.0, t_max=5.0, n_steps=512)
+    assert positive_variation(negativity) == 0.0
+    assert increase_duration(times, negativity) == 0.0
     # sanity: the record is (1 - p(t)) / 2 = exp(-t) / 2
-    expected = np.exp(-traj.times) / 2.0
-    assert np.abs(traj.negativity - expected).max() <= 1e-9
+    expected = np.exp(-times) / 2.0
+    assert np.abs(negativity - expected).max() <= 1e-9
 
 
 def test_constant_record_scores_zero():
     times = np.linspace(0.0, 1.0, 16)
     flat = np.full(16, 0.125)
-    traj = Trajectory("qubit-a", 1.0, times, flat, flat, flat, flat)
-    assert non_markovianity_measure(traj, "negativity") == 0.0
     assert positive_variation(flat) == 0.0
+    assert increase_duration(times, flat) == 0.0
 
 
 def test_capacity_witness_is_inert_while_entanglement_witness_fires(rng):
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=33)
-    assert non_markovianity_measure(traj, "negativity") > 0.1
+    times, _, (negativity, _, _) = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=33)
+    assert positive_variation(negativity) > 0.1
     probes = [np.eye(2) / 2] + [random_density_matrix(2, rng) for _ in range(3)]
-    for t in traj.times:
+    for t in times:
         ch = qubit_family_a(math.fmod(t, math.pi))
         for rho in probes:
             assert abs(coherent_information(ch, rho)) <= 1e-10
 
 
-def test_trajectory_record_selector():
-    traj = run_trajectory("qubit-a", omega=1.0, t_max=1.0, n_steps=4)
-    with pytest.raises(ValueError, match="unknown measure"):
-        traj.record("fidelity")
-
-
-def test_trajectory_alignment_validation():
+def test_increase_duration_refuses_unaligned_or_unordered_grids():
     times = np.linspace(0.0, 1.0, 8)
     with pytest.raises(ValueError, match="aligned"):
-        Trajectory("qubit-a", 1.0, times, times, times[:-1], times, times)
+        increase_duration(times, times[:-1])
     with pytest.raises(ValueError, match="ascending"):
-        Trajectory("qubit-a", 1.0, times[::-1], times, times, times, times)
+        increase_duration(times[::-1], times)
+    with pytest.raises(ValueError, match="ascending"):
+        increase_duration(np.zeros(8), times)
 
 
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
 @pytest.mark.parametrize("n_steps", [2, STACK_BLOCK + 1, 4097])
 def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
     # 257 and 4097 samples end in a partial block of one sample.
-    traj = run_trajectory(family, omega=1.3, t_max=2.9, n_steps=n_steps)
+    _, parameter, (negativity, concurrence, map_entropy) = run_trajectory(
+        family, omega=1.3, t_max=2.9, n_steps=n_steps
+    )
     param, neg, conc, ent = reference_trajectory(family, 1.3, 2.9, n_steps)
-    assert bits(traj.parameter) == bits(param)
-    assert bits(traj.negativity) == bits(neg)
-    assert bits(traj.concurrence) == bits(conc)
-    assert bits(traj.map_entropy) == bits(ent)
+    assert bits(parameter) == bits(param)
+    assert bits(negativity) == bits(neg)
+    assert bits(concurrence) == bits(conc)
+    assert bits(map_entropy) == bits(ent)
 
 
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
@@ -432,11 +438,11 @@ def intermediate_maps(family):
     return singular, lowest
 
 
-@pytest.mark.parametrize("measure", ["negativity", "concurrence"])
+@pytest.mark.parametrize("row", [0, 1], ids=["negativity", "concurrence"])
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b"])
-def test_every_rise_of_a_record_has_a_non_cp_intermediate_map(family, measure):
-    traj = run_trajectory(family, 1.0, math.pi, DIVISIBILITY_STEPS)
-    rising = np.diff(traj.record(measure)) > 0
+def test_every_rise_of_a_record_has_a_non_cp_intermediate_map(family, row):
+    _, _, records = run_trajectory(family, 1.0, math.pi, DIVISIBILITY_STEPS)
+    rising = np.diff(records[row]) > 0
     singular, lowest = intermediate_maps(family)
     assert rising.sum() >= DIVISIBILITY_STEPS // 4  # the witness fires on this grid
     not_cp = singular | (np.nan_to_num(lowest, nan=0.0) < -CP_TOL)
@@ -447,3 +453,27 @@ def test_amplitude_damping_intermediate_maps_are_cp():
     singular, lowest = intermediate_maps("ad")
     assert not singular.any()
     assert lowest.min() >= -CP_TOL
+
+
+# The trace distance of the images of the antipodal pair (1 +- e_i . sigma) / 2
+# is |M(t) e_i|, for M the linear part of the affine form.  Its extrema sit
+# at multiples of pi/4, which lie on every grid of 2^k + 1 samples of
+# [0, pi]: there the positive variation telescopes to the exact rises, and
+# refining the grid moves it by rounding only (0.99999999999999978 on each
+# axis at every grid below).  The tolerance bounds the rounding of a sum of
+# up to 2048 terms, 2048 eps = 4.5e-13.
+BLP_GRIDS = (257, 513, 1025, 2049)
+BLP_TOL = 1e-12
+
+
+def test_trace_distance_variation_of_antipodal_pairs_is_one():
+    # Breuer-Laine-Piilo: a rise of the distance of two states witnesses
+    # memory effects; over one period of qubit-a each axis rises by 1 in total.
+    driven = FAMILIES["qubit-a"]
+    for n_steps in BLP_GRIDS:
+        times = np.linspace(0.0, math.pi, n_steps)
+        params = driven.schedule(1.0, times)
+        linear = np.array([affine_of_channel(driven.build(p))[0] for p in params])
+        distances = np.linalg.norm(linear, axis=1)  # column i is |M(t) e_i|
+        for axis in range(3):
+            assert abs(positive_variation(distances[:, axis]) - 1.0) <= BLP_TOL

@@ -205,8 +205,11 @@ def test_ensemble_validation():
         ([], 0, "one probability per state: 0 for 0"),
         ([1.5, -0.5], 2, "nonnegative"),
         ([0.5, 0.5 + 2e-12], 2, "sum"),
+        ([math.nan, 1.0], 2, "probabilities must be nonnegative"),
+        ([1.0, math.nan], 2, "probabilities must be nonnegative"),
+        ([math.nan, math.nan], 2, "probabilities must be nonnegative"),
     ],
-    ids=["short", "long", "empty", "empty-ensemble", "negative", "sum"],
+    ids=["short", "long", "empty", "empty-ensemble", "negative", "sum", "nan", "nan-last", "all-nan"],
 )
 def test_holevo_chis_refuses_bad_weights(weights, m, match):
     states = np.tile(np.eye(2) / 2, (3, m, 1, 1))

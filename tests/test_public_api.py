@@ -8,7 +8,6 @@ PUBLIC_API = [
     "ChannelValidation",
     "DEFAULT_TOL",
     "NumericalError",
-    "Trajectory",
     "affine_of_channel",
     "amplitude_damping",
     "apply",
@@ -48,7 +47,6 @@ PUBLIC_API = [
     "negativities",
     "negativity",
     "negativity_closed_form",
-    "non_markovianity_measure",
     "partial_trace",
     "partial_transpose",
     "positive_variation",
