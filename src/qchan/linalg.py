@@ -68,13 +68,29 @@ def max_abs(a) -> float:
     return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
+def _spectra_2x2(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra m -+ h of 2 x 2 Hermitian matrices [[a, b*], [b, d]],
+    m = (a + d) / 2 and h = hypot((a - d) / 2, |b|), from the lower triangle.
+    The one of smaller magnitude is det / (m +- h), as LAPACK's dlae2 writes
+    it: m - h would cancel to eps * m at a near-singular state."""
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])
+    mid, half = (a + d) / 2, np.hypot((a - d) / 2, b)
+    big = np.where(mid >= 0, mid + half, mid - half)
+    scale = np.where(big != 0, big, 1.0)  # big = 0 only at the zero matrix
+    small = a / scale * d - b / scale * b
+    return np.stack([np.minimum(small, big), np.maximum(small, big)], axis=-1)
+
+
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
     Hermiticity is not checked: only the lower triangle is read.  Callers
     pass matrices that are Hermitian by construction, or check them first.
+    A 2 x 2 side takes :func:`_spectra_2x2`, a larger one LAPACK's eigvalsh.
     """
     m = _matrices(a)
+    if m.shape[-2:] == (2, 2):
+        return _spectra_2x2(m)
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes

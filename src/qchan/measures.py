@@ -240,8 +240,18 @@ def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
     spectrum: no root of rounding noise.  sigma_y (x) sigma_y is the
     antidiagonal (-1, 1, 1, -1), so a row times it is the row reversed and
     signed.
+
+    A 2 x 2 tau takes the closed form C = gap / (s1 + s2), with tau^dagger tau
+    = [[p, r], [r*, q]], gap = sqrt((p - q)^2 + 4|r|^2) and s1 + s2 = sqrt(p
+    + q + 2|det tau|): nothing cancels as C -> 0, and tau = 0 gives +0.0.
     """
     tau = rows[..., ::-1] * [-1, 1, 1, -1] @ rows.swapaxes(-1, -2) / n_in
+    if tau.shape[-1] == 2:
+        (t00, t01), (t10, t11) = tau[:, 0].T, tau[:, 1].T
+        p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
+        gap = np.hypot(p - q, 2 * abs(t00.conj() * t01 + t10.conj() * t11))
+        total = np.sqrt(p + q + 2 * abs(t00 * t11 - t01 * t10))
+        return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
     lam = np.linalg.svd(tau, compute_uv=False)
     return _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qchan import amplitude_damping, qubit_family_a, qubit_family_b
+
 settings.register_profile(
     "qchan",
     deadline=None,
@@ -88,3 +90,17 @@ def random_symmetric_channel(n_in: int, m: int, rng: np.random.Generator) -> np.
     for row, (a, b) in enumerate(pairs):
         v[a, b] = v[b, a] = q[row] * (1.0 if a == b else math.sqrt(0.5))
     return v
+
+
+def two_operator_qubit_stacks() -> dict:
+    """Kraus stacks (N, 2, 2, 2) of two-operator qubit channels: the three
+    driven families over their whole parameter ranges, the qubit families at
+    phi = 0 and phi = 0.9, and random channels."""
+    thetas = np.linspace(0.0, math.pi, 1001)
+    stacks = {"ad": amplitude_damping(np.linspace(0.0, 1.0, 1001))}
+    for phi in (0.0, 0.9):
+        stacks[f"qubit-a-{phi}"] = qubit_family_a(thetas, phi)
+        stacks[f"qubit-b-{phi}"] = qubit_family_b(thetas, phi)
+    rng = np.random.default_rng(16)
+    stacks["random"] = np.array([random_cptp(2, 2, 2, rng) for _ in range(300)])
+    return stacks

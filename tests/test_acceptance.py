@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qchan import (
+    affine_of_channel,
     apply,
     channel_rank,
     choi_matrix,
@@ -23,6 +24,7 @@ from qchan import (
     complementary,
     concurrence,
     concurrence_closed_form,
+    fibonacci_sphere,
     is_selfcomplementary,
     kraus_to_superop,
     map_entropy,
@@ -293,3 +295,49 @@ def test_criterion_14_general_family_instrumentation():
         recorded.append((theta, rep_q.cptp_residual, rep_n.cptp_residual))
     lines = "; ".join(f"t={t:.3f}: qutrit {q:.3f}, ndim4 {n:.3f}" for t, q, n in recorded)
     report(14, f"theta = 0 reductions exact; residuals recorded away from 0 ({lines})")
+
+
+def test_criterion_15_residual_coherence():
+    # Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014): the l1 coherence
+    # of a qubit state is sqrt(x^2 + y^2) of its Bloch vector.
+    sphere = fibonacci_sphere(50_000)
+    worst_attained, worst_excess = 0.0, -math.inf
+    for phi in (0.0, 0.9):
+        for theta in list(np.linspace(0.0, math.pi, 25)) + [math.pi / 4, 3 * math.pi / 4]:
+            s, c = math.sin(theta), math.cos(theta)
+            # qubit-a: |s w + c e^{-i phi} conj(w)| / sqrt 2 at |w| <= 1,
+            # largest where the two phases align.
+            half = phi / 2 if s * c >= 0 else (phi + math.pi) / 2
+            a_form = (abs(s) + abs(c)) / math.sqrt(2.0)
+            a_best = np.array([math.cos(half), math.sin(half), 0.0])
+            # qubit-b: |s| |w + (1 - z) c e^{-i phi}| / sqrt 2 with |w| =
+            # sqrt(1 - z^2), largest at z = -|c| / sqrt(1 + c^2).
+            root = math.sqrt(1.0 + c * c)
+            sign = 1.0 if c >= 0 else -1.0
+            b_form = abs(s) * (abs(c) + root) / math.sqrt(2.0)
+            b_best = np.array([sign * math.cos(phi) / root, sign * math.sin(phi) / root, -abs(c) / root])
+            for family, form, best in (
+                (qubit_family_a, a_form, a_best),
+                (qubit_family_b, b_form, b_best),
+            ):
+                linear, shift = affine_of_channel(family(float(theta), phi))
+                rows, offset = linear[:2], shift[:2]
+                worst_attained = max(worst_attained, abs(float(np.linalg.norm(rows @ best + offset)) - form))
+                excess = float(np.linalg.norm(sphere @ rows.T + offset, axis=1).max()) - form
+                worst_excess = max(worst_excess, excess)
+    assert worst_attained <= 1e-12
+    assert worst_excess <= 1e-12
+    # Coherence survives where entanglement is broken: at pi/4 the Choi
+    # negativity and concurrence of qubit-a vanish (criteria 1 and 2), and
+    # the largest output coherence is 1.
+    linear, shift = affine_of_channel(qubit_family_a(math.pi / 4))
+    coherence = float(np.linalg.norm(linear[:2] @ [1.0, 0.0, 0.0] + shift[:2]))
+    omega = choi_state(qubit_family_a(math.pi / 4))
+    assert abs(coherence - 1.0) <= 1e-12
+    assert negativity(omega, (2, 2)) <= 1e-9 and concurrence(omega) <= 1e-9
+    report(
+        15,
+        f"largest output l1 coherence attains its closed forms (worst {worst_attained:.2e}) and no "
+        f"sphere point exceeds them (worst excess {worst_excess:.2e}); qubit-a keeps coherence 1 at "
+        "pi/4, where its Choi state is separable",
+    )

@@ -27,7 +27,7 @@ from qchan import (
     ndim_theta0,
     qubit_family_a,
 )
-from qchan import channels, cli
+from qchan import channels, cli, linalg
 from qchan.serialize import channel_to_dict, write_json_atomic
 
 from conftest import bell_state, random_cptp
@@ -129,7 +129,7 @@ def test_tol_above_the_cap_exits_2_and_writes_nothing(tmp_path, capsys, command,
 )
 def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
     counts = {"completeness": 0, "gram": 0, "gram_eigensolve": 0, "eigensolve": 0}
-    residuals, grams, eigvalsh = channels.completeness_residuals, channels._grams, np.linalg.eigvalsh
+    residuals, grams = channels.completeness_residuals, channels._grams
 
     def count_residuals(kraus):
         counts["completeness"] += 1
@@ -139,16 +139,21 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
         counts["gram"] += 1
         return grams(kraus)
 
-    def count_eigvalsh(a, *args, **kwargs):
-        counts["eigensolve"] += 1
-        # The Gram state is the one k x k matrix of the run when k differs
-        # from n_out; otherwise the output spectra have its shape too.
-        counts["gram_eigensolve"] += np.shape(a)[-2:] == (len(channel), len(channel))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(solve):
+        def count_spectra(a, *args, **kwargs):
+            counts["eigensolve"] += 1
+            # The Gram state is the one k x k matrix of the run when k differs
+            # from n_out; otherwise the output spectra have its shape too.
+            counts["gram_eigensolve"] += np.shape(a)[-2:] == (len(channel), len(channel))
+            return solve(a, *args, **kwargs)
+
+        return count_spectra
 
     monkeypatch.setattr(channels, "completeness_residuals", count_residuals)
     monkeypatch.setattr(channels, "_grams", count_grams)
-    monkeypatch.setattr(np.linalg, "eigvalsh", count_eigvalsh)
+    # A stack of spectra is solved by LAPACK or, at side 2, by the closed form.
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(linalg, "_spectra_2x2", counting(linalg._spectra_2x2))
     code, report = analyze(tmp_path, channel)
     assert code == 0 and report["cptp_ok"] and report["chi_bound_nats"] is not None
     # One Gram state, then the capacity bound's per-state and average outputs.

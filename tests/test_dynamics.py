@@ -22,7 +22,7 @@ from qchan import (
 from qchan.channels import require_cptp_stack
 from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
-from qchan.measures import ENTROPY_EIGENVALUE_FLOOR
+from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, choi_measures
 
 from conftest import random_cptp, random_density_matrix, random_unitary
 
@@ -42,9 +42,10 @@ def bits(values) -> bytes:
 # ---------------------------------------------- per-sample reference loop
 #
 # The loop that the stacked evaluation replaced, one channel and one state
-# at a time, with the same arithmetic: the stacked results must equal it
-# bit for bit.  The driven families' Kraus operators are written out from
-# their definitions with math, not taken from qchan's constructors.
+# at a time, on LAPACK: the stacked results must equal it bit for bit where
+# they still take the same arithmetic, and within 1e-15 where they take the
+# 2 x 2 closed forms.  The driven families' Kraus operators are written out
+# from their definitions with math, not taken from qchan's constructors.
 
 
 def reference_kraus(family, param, phi=0.0) -> np.ndarray:
@@ -275,15 +276,19 @@ def test_increase_duration_refuses_unaligned_or_unordered_grids():
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
 @pytest.mark.parametrize("n_steps", [2, STACK_BLOCK + 1, 4097])
 def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
-    # 257 and 4097 samples end in a partial block of one sample.
-    _, parameter, (negativity, concurrence, map_entropy) = run_trajectory(
-        family, omega=1.3, t_max=2.9, n_steps=n_steps
-    )
+    # 1025 and 4097 samples end in a partial block of one sample.
+    _, parameter, records = run_trajectory(family, omega=1.3, t_max=2.9, n_steps=n_steps)
     param, neg, conc, ent = reference_trajectory(family, 1.3, 2.9, n_steps)
+    # The per-sample N = 1 calls of the library give the stacked bits.
+    singles = np.array([choi_measures(reference_kraus(family, p)[None]) for p in param])
+    assert bits(records) == bits(singles[:, :, 0].T)
+    # The parameter and the 4 x 4 negativity eigensolve equal the
+    # independent LAPACK loop bit for bit; the concurrence and the map
+    # entropy come from the 2 x 2 closed forms, held to its SVD and eigvalsh.
     assert bits(parameter) == bits(param)
-    assert bits(negativity) == bits(neg)
-    assert bits(concurrence) == bits(conc)
-    assert bits(map_entropy) == bits(ent)
+    assert bits(records[0]) == bits(neg)
+    assert np.abs(records[1] - conc).max() <= 1e-15
+    assert np.abs(records[2] - ent).max() <= 1e-15
 
 
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])

@@ -16,7 +16,7 @@ from qchan import (
 )
 from qchan.linalg import as_matrix
 
-from conftest import bell_state
+from conftest import bell_state, two_operator_qubit_stacks
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -51,6 +51,45 @@ def test_dagger():
 def test_hermitian_eigenvalues_basic():
     assert np.allclose(hermitian_eigenvalues(np.diag([0.25, 0.75])), [0.25, 0.75])
     assert np.allclose(hermitian_eigenvalues(np.array([[0, 1], [1, 0]])), [-1, 1])
+
+
+@pytest.mark.parametrize("name", sorted(two_operator_qubit_stacks()))
+def test_two_by_two_spectra_match_eigvalsh(name):
+    # Every 2 x 2 spectrum of the measures: the Gram states G / 2, the
+    # outputs of the basis states, and their mixture, Phi(1/2).
+    kraus = two_operator_qubit_stacks()[name]
+    flat = kraus.reshape(len(kraus), 2, 4)
+    gram = flat.conj() @ flat.swapaxes(-1, -2)
+    outputs = np.einsum("naji,naki->nijk", kraus, kraus.conj())
+    for states in (gram / 2, outputs[:, 0], outputs[:, 1], outputs.mean(axis=1)):
+        closed = hermitian_eigenvalues(states)
+        assert closed.shape == (len(kraus), 2)
+        assert np.all(closed[:, 0] <= closed[:, 1])
+        assert np.abs(closed - np.linalg.eigvalsh(states)).max() <= 1e-15
+
+
+def test_two_by_two_small_eigenvalue_keeps_its_relative_accuracy():
+    # Near-pure states: m - h would leave an absolute error of eps * m,
+    # which the entropy's logarithm magnifies; det / (m + h) keeps the digits.
+    near_pure = [
+        np.diag([1.0, 1e-13]),
+        np.array([[1.0, 1e-8], [1e-8, 1e-12]]),
+        np.array([[1e-12, 1e-8j], [-1e-8j, 1.0]]),
+        -np.array([[1.0, 1e-8], [1e-8, 1e-12]]),
+    ]
+    for m in near_pure:
+        expected = np.linalg.eigvalsh(m)
+        i = np.argmin(np.abs(expected))
+        assert abs(hermitian_eigenvalues(m)[i] - expected[i]) <= 1e-14 * abs(expected[i])
+
+
+@given(arrays(np.complex128, (3, 2, 2), elements=st.complex_numbers(max_magnitude=1.0)))
+def test_two_by_two_spectra_read_the_lower_triangle(m):
+    hermitian = np.tril(m) + dagger(np.tril(m, -1))
+    hermitian[:, [0, 1], [0, 1]] = hermitian[:, [0, 1], [0, 1]].real
+    closed = hermitian_eigenvalues(m)
+    assert np.array_equal(closed, hermitian_eigenvalues(hermitian))
+    assert np.abs(closed - np.linalg.eigvalsh(hermitian)).max() <= 8 * np.finfo(float).eps
 
 
 def test_partial_transpose_of_family_choi_has_single_negative_eigenvalue():

@@ -49,6 +49,7 @@ from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
 from qchan.measures import (
     ENTROPY_EIGENVALUE_FLOOR,
+    _concurrence_of_factors,
     choi_measures,
     information_quantities,
 )
@@ -61,6 +62,7 @@ from conftest import (
     random_density_matrix,
     random_symmetric_channel,
     random_unitary,
+    two_operator_qubit_stacks,
     x_state_concurrence,
 )
 
@@ -276,6 +278,39 @@ def test_concurrence_of_family_endpoint():
     assert abs(got - 1.0 / math.sqrt(2.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(two_operator_qubit_stacks()))
+def test_two_operator_concurrence_matches_the_svd(name):
+    kraus = two_operator_qubit_stacks()[name]
+    rows = kraus.swapaxes(-1, -2).reshape(len(kraus), 2, 4)
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    tau = rows @ np.kron(sigma_y, sigma_y) @ rows.swapaxes(-1, -2) / 2
+    lam = np.linalg.svd(tau, compute_uv=False)
+    got = _concurrence_of_factors(rows, 2)
+    assert np.abs(got - (lam[:, 0] - lam[:, 1])).max() <= 1e-15
+    assert bits(choi_measures(kraus)[1]) == bits(got)
+
+
+def test_qubit_a_concurrence_near_the_breaking_point():
+    # The zero at pi/4 keeps its absolute accuracy: no difference of nearly
+    # equal singular values is taken.
+    steps = [0.0] + [s * 10.0**-e for e in range(1, 17) for s in (-1, 1)]
+    thetas = np.concatenate([math.pi / 4 + np.linspace(-1e-2, 1e-2, 4001), math.pi / 4 + np.array(steps)])
+    for phi in (0.0, 0.9):
+        conc = choi_measures(qubit_family_a(thetas, phi))[1]
+        expected = [abs(math.sin(t) - math.cos(t)) / math.sqrt(2.0) for t in thetas]
+        assert np.abs(conc - expected).max() <= 1e-15
+
+
+def test_reset_channel_concurrence_is_positive_zero():
+    # ad at p = 1 has tau = 0; the closed form gives +0.0 with no 0 / 0
+    # (the suite turns a RuntimeWarning into an error).
+    conc = choi_measures(amplitude_damping(np.array([1.0, 1.0])))[1]
+    assert conc.tolist() == [0.0, 0.0]
+    assert all(math.copysign(1.0, c) == 1.0 for c in conc)
+    predicted, direct = entanglement_evolution_factor(amplitude_damping(1.0), bell_state())
+    assert math.copysign(1.0, predicted) == 1.0 and predicted == 0.0 and direct <= 1e-15
+
+
 def test_concurrence_against_pure_state_oracle(rng):
     for _ in range(25):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -433,9 +468,11 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     choi_measures(qubit_family_a(np.linspace(0.0, 1.0, 7), 0.3))
-    # The 2 x 2 Gram states, then the partial transposes for the negativity.
-    assert shapes == [(7, 2, 2), (7, 4, 4)]
+    # The 2 x 2 Gram states and tau take closed forms: only the partial
+    # transposes for the negativity reach LAPACK.
+    assert shapes == [(7, 4, 4)]
 
 
 def test_concurrence_closed_form_values_and_domain():
@@ -572,8 +609,10 @@ def reference_capacity_bound(channel) -> float:
 def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
     channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
     got = capacity_lower_bounds(np.array(channels), np.eye(2))
-    assert bits(got) == bits([reference_capacity_bound(ch) for ch in channels])
-    assert bits(got[:1]) == bits([classical_capacity_lower_bound(channels[0], np.eye(2))])
+    singles = [classical_capacity_lower_bound(ch, np.eye(2)) for ch in channels]
+    assert bits(got) == bits(singles)
+    # The 2 x 2 output spectra take the closed form; the LAPACK loop holds it.
+    assert np.abs(got - [reference_capacity_bound(ch) for ch in channels]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 8, 16])
