@@ -49,7 +49,6 @@ from .families import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    NumericalError,
     dagger,
     hermitian_eigenvalues,
     partial_trace,

@@ -55,31 +55,6 @@ from .linalg import (
     validate_states,
 )
 
-__all__ = [
-    "ChannelValidation",
-    "apply",
-    "apply_kraus",
-    "complementary",
-    "selfcomplementarity_defect",
-    "is_selfcomplementary",
-    "kraus_to_superop",
-    "superop_to_choi",
-    "choi_to_superop",
-    "choi_to_kraus",
-    "choi_matrix",
-    "choi_state",
-    "gram_states",
-    "completeness_residuals",
-    "require_cptp_stack",
-    "channel_rank",
-    "stinespring",
-    "kraus_from_unitary",
-    "tensor_channel",
-    "compose",
-    "validate_channel",
-]
-
-
 def _as_kraus_stack(kraus) -> np.ndarray:
     """Coerce to a finite C-contiguous complex Kraus stack (N, k, n_out,
     n_in), of at least one operator per channel and positive dimensions.
@@ -113,13 +88,13 @@ def completeness_residuals(kraus) -> np.ndarray:
     return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
 
 
-def require_cptp_stack(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
+def require_cptp_stack(kraus) -> np.ndarray:
     """Coerce a Kraus stack, refusing it unless every channel in it is trace
-    preserving within ``tol``."""
+    preserving within DEFAULT_TOL."""
     kraus = _as_kraus_stack(kraus)
     res = float(completeness_residuals(kraus).max())
-    if res > tol:
-        raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {tol:.3e}")
+    if res > DEFAULT_TOL:
+        raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {DEFAULT_TOL:.3e}")
     return kraus
 
 
@@ -145,14 +120,14 @@ class ChannelValidation:
     gram_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
-def apply(kraus, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply(kraus, rho) -> np.ndarray:
     """Push a state through the channel: rho -> sum_i K_i rho K_i^dagger.
 
     The channel's completeness and the input state (:func:`validate_states`)
     are checked; the output, a state by construction, is not checked again.
     """
     kraus = _as_kraus(kraus)
-    require_cptp_stack(kraus[None], tol)
+    require_cptp_stack(kraus[None])
     state = as_matrix(rho)
     validate_states(state[None])
     n_in = kraus.shape[-1]
@@ -190,23 +165,15 @@ def selfcomplementarity_defect(kraus) -> float:
     return max_abs(t - t.transpose(1, 0, 2))
 
 
-def is_selfcomplementary(kraus, tol: float = DEFAULT_TOL) -> bool:
-    """Strict tensor-symmetry check: the complementary operator list is the same list."""
-    return selfcomplementarity_defect(kraus) <= tol
+def is_selfcomplementary(kraus) -> bool:
+    """Strict tensor-symmetry check: the complementary operator list is the
+    same list, within DEFAULT_TOL."""
+    return selfcomplementarity_defect(kraus) <= DEFAULT_TOL
 
 
 def kraus_to_superop(kraus) -> np.ndarray:
     """S = sum_i K_i (x) conj(K_i), an (n_out^2, n_in^2) matrix."""
-    return _superops(_as_kraus(kraus)[None])[0]
-
-
-def _superops(kraus: np.ndarray) -> np.ndarray:
-    """S = sum_i K_i (x) conj(K_i) for each channel of a Kraus stack."""
-    n, _, n_out, n_in = kraus.shape
-    return sum(
-        (op[:, :, None, :, None] * op.conj()[:, None, :, None, :]).reshape(n, n_out**2, n_in**2)
-        for op in np.moveaxis(kraus, 1, 0)
-    )
+    return sum(np.kron(op, op.conj()) for op in _as_kraus(kraus))
 
 
 def superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
@@ -256,44 +223,44 @@ def _grams(kraus: np.ndarray) -> np.ndarray:
     return (g + dagger(g)) / 2
 
 
-def gram_states(kraus, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def gram_states(kraus) -> tuple[np.ndarray, np.ndarray]:
     """Gram states G / n_in of a stack of channels, each trace preserving
-    within ``tol``, with their spectra (N, k, k) and (N, k), ascending.
+    within DEFAULT_TOL, with their spectra (N, k, k) and (N, k), ascending.
 
     The environment side of the Choi state D / n_in, with its trace and
     nonzero spectrum.  Completeness is the one check: a Gram state is
     Hermitian and PSD by construction and is eigensolved as it is.
     """
-    kraus = require_cptp_stack(kraus, tol)
+    kraus = require_cptp_stack(kraus)
     states = _grams(kraus) / kraus.shape[-1]
     return states, hermitian_eigenvalues(states)
 
 
-def channel_rank(choi, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above tol of a square Choi matrix: the minimal
-    Kraus count.  Raises ValueError if the matrix is not Hermitian within
-    DEFAULT_TOL."""
+def channel_rank(choi) -> int:
+    """Number of eigenvalues above DEFAULT_TOL of a square Choi matrix: the
+    minimal Kraus count.  Raises ValueError if the matrix is not Hermitian
+    within DEFAULT_TOL."""
     m = _square(choi, "Choi matrix")
     defect = max_abs(m - dagger(m))
     if defect > DEFAULT_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
-    return int(np.count_nonzero(hermitian_eigenvalues(m) > tol))
+    return int(np.count_nonzero(hermitian_eigenvalues(m) > DEFAULT_TOL))
 
 
-def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def choi_to_kraus(choi, n_in: int, n_out: int) -> np.ndarray:
     """Minimal Kraus representation from the Choi eigendecomposition.
 
     ``choi`` is an (n_in n_out, n_in n_out) Choi matrix.  One operator per
-    eigenvalue above ``tol``, ordered by descending eigenvalue with ties
+    eigenvalue above DEFAULT_TOL, ordered by descending eigenvalue with ties
     broken lexicographically on the real parts of the eigenvector entries.
-    Raises on non-PSD input.
+    Raises on input with an eigenvalue below -DEFAULT_TOL.
     """
     ev, vec = np.linalg.eigh(_square(choi, "Choi matrix", n_in * n_out))
     lo = float(ev.min())
-    if lo < -tol:
+    if lo < -DEFAULT_TOL:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {lo:.3e}")
     picked = [
-        (float(ev[i]), tuple(np.real(vec[:, i])), i) for i in range(len(ev)) if ev[i] > tol
+        (float(ev[i]), tuple(np.real(vec[:, i])), i) for i in range(len(ev)) if ev[i] > DEFAULT_TOL
     ]
     picked.sort(key=lambda item: (-item[0], item[1]))
     ops = []
@@ -307,7 +274,7 @@ def choi_to_kraus(choi, n_in: int, n_out: int, tol: float = DEFAULT_TOL) -> np.n
     return np.array(ops)
 
 
-def stinespring(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
+def stinespring(kraus) -> np.ndarray:
     """Dilation unitary on env (x) sys for a square channel.
 
     The first block-column is the stacked Kraus operators; the remaining
@@ -318,7 +285,7 @@ def stinespring(kraus, tol: float = DEFAULT_TOL) -> np.ndarray:
     k, n_out, n = kraus.shape
     if n != n_out:
         raise ValueError("square dilation requires n_in == n_out")
-    require_cptp_stack(kraus[None], tol)
+    require_cptp_stack(kraus[None])
     side = n * k
     cols = list(np.ascontiguousarray(kraus.reshape(side, n).T))
     for idx in range(side):

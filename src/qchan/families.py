@@ -47,12 +47,12 @@ def _check_angle(name: str, value: float, hi: float) -> float:
     return float(_check_range(name, [value], hi)[0])
 
 
-def _check_unitary(w, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _check_unitary(w, dim: int) -> np.ndarray:
     m = as_matrix(w)
     if m.shape != (dim, dim):
         raise ValueError(f"unitary parameter has shape {m.shape}, expected ({dim}, {dim})")
     defect = max_abs(dagger(m) @ m - np.eye(dim))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ValueError(f"matrix parameter is not unitary: defect {defect:.3e}")
     return m
 

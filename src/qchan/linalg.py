@@ -26,10 +26,6 @@ PSD_TOL = 1e-10
 STACK_BLOCK = 1024
 
 
-class NumericalError(Exception):
-    """An eigensolver failed to converge."""
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
     return _finite(a, (2,), "a 2-D matrix")
@@ -91,10 +87,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     m = _matrices(a)
     if m.shape[-2:] == (2, 2):
         return _spectra_2x2(m)
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvalsh is robust at these sizes
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    return np.linalg.eigvalsh(m)
 
 
 def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -141,7 +134,7 @@ def validate_states(states) -> np.ndarray:
     defect = max_abs(m - dagger(m))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-    spectra = np.linalg.eigvalsh(m)
+    spectra = hermitian_eigenvalues(m)
     traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():

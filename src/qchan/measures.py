@@ -7,8 +7,8 @@ Each measure is evaluated on stacks: a plural function takes an (N, d, d)
 stack of states or an (N, k, n_out, n_in) Kraus stack, and returns one value
 per sample.  The singular function is its N = 1 call.
 
-A channel is checked once, for completeness at the caller's tolerance, and
-a state from the caller once, with ``validate_states``.  A state derived from
+A channel is checked once, for completeness within DEFAULT_TOL, and a
+state from the caller once, with ``validate_states``.  A state derived from
 accepted input (a Gram state, an output, a mixture) is W W^dagger for some W,
 Hermitian and PSD by construction: it is eigensolved as it is, not re-judged.
 
@@ -169,11 +169,11 @@ def _capacity_bounds(kraus: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
 
-def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarray:
+def capacity_lower_bounds(kraus, alphabet) -> np.ndarray:
     """Holevo quantity of the channel outputs for an equiprobable alphabet of
     orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
     channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
-    capacity.  ``tol`` bounds both the overlaps of the alphabet and the
+    capacity.  DEFAULT_TOL bounds both the overlaps of the alphabet and the
     completeness residual of every channel."""
     vectors = _finite(alphabet, (2,), "an alphabet (M, n_in) of state vectors")
     if not len(vectors):
@@ -185,22 +185,22 @@ def capacity_lower_bounds(kraus, alphabet, tol: float = DEFAULT_TOL) -> np.ndarr
         norm = float(np.real(inner[i, i]))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"basis state {i} is not normalised (<psi|psi> = {norm})")
-        bad = np.flatnonzero(overlaps[:i, i] > tol)
+        bad = np.flatnonzero(overlaps[:i, i] > DEFAULT_TOL)
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"basis states {j} and {i} overlap by {overlaps[j, i]:.3e}")
-    kraus = require_cptp_stack(kraus, tol)
+    kraus = require_cptp_stack(kraus)
     n_in = kraus.shape[-1]
     if vectors.shape[1] != n_in:
         raise ValueError(f"state dimension {vectors.shape[1]} != channel input dimension {n_in}")
     return _capacity_bounds(kraus, vectors)[1]
 
 
-def classical_capacity_lower_bound(kraus, alphabet, tol: float = DEFAULT_TOL) -> float:
+def classical_capacity_lower_bound(kraus, alphabet) -> float:
     """Holevo quantity of the channel outputs for an equiprobable alphabet of
     orthonormal state vectors, the rows of ``alphabet``; lower-bounds the
     classical capacity."""
-    return float(capacity_lower_bounds(_as_kraus(kraus)[None], alphabet, tol)[0])
+    return float(capacity_lower_bounds(_as_kraus(kraus)[None], alphabet)[0])
 
 
 def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, float, float]:

@@ -129,7 +129,7 @@ def test_complementary_is_involution_on_random_channels(rng):
 
 
 def test_selfcomplementary_verdicts():
-    assert is_selfcomplementary(qubit_family_a(1.1, 0.4), 1e-12)
+    assert selfcomplementarity_defect(qubit_family_a(1.1, 0.4)) <= 1e-12
     assert not is_selfcomplementary(identity_channel(2))
     assert not is_selfcomplementary(depolarizing_qubit())
     assert selfcomplementarity_defect(identity_channel(2)) == np.inf
@@ -306,7 +306,7 @@ def test_kraus_from_tabulated_unitary_recovers_family():
 def test_tensor_preserves_selfcomplementarity():
     a = qubit_family_a(0.3, 1.0)
     b = qubit_family_a(1.2, 0.0)
-    assert is_selfcomplementary(tensor_channel(a, b), 1e-12)
+    assert selfcomplementarity_defect(tensor_channel(a, b)) <= 1e-12
 
 
 def test_tensor_with_trivial_channel_is_identity_on_superop():

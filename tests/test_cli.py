@@ -121,7 +121,7 @@ def test_family_and_analyze_build_no_superoperator(tmp_path, monkeypatch):
     def refuse(kraus):
         raise AssertionError("superoperator built")
 
-    monkeypatch.setattr("qchan.channels._superops", refuse)
+    monkeypatch.setattr("qchan.channels.kraus_to_superop", refuse)
     assert family_then_analyze("guarded") == expected
 
 
@@ -143,7 +143,7 @@ def test_dynamics_and_sweep_build_no_superoperator(tmp_path, monkeypatch):
 
     # Every qchan module that holds the two functions, so that a module
     # importing them by name is guarded too.
-    for name in ("_superops", "superop_to_choi"):
+    for name in ("kraus_to_superop", "superop_to_choi"):
         for module in [m for key, m in sys.modules.items() if key.startswith("qchan")]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -646,6 +646,25 @@ def test_dynamics_subnormal_t_max_exits_2(tmp_path, capsys, t_max):
     err = capsys.readouterr().err
     assert err == "qchan: times must be strictly ascending with at least two entries\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "dynamics"])
+def test_eigensolver_failure_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # The analyze document's 3 x 3 Gram state and dynamics' 4 x 4 partial
+    # transposes are solved by LAPACK's eigvalsh.
+    doc = tmp_path / "ch.json"
+    assert run("family", "--id", "ndim-theta0", "--n", 3, "--out", doc) == 0
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    out = tmp_path / "out"
+    argv = ["analyze", "--in", doc] if command == "analyze" else ["dynamics", "--steps", 8]
+    assert run(*argv, "--out", out) == 4
+    assert capsys.readouterr().err == "qchan: numerical failure: Eigenvalues did not converge\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ch.json"]
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -413,33 +413,38 @@ CP_TOL = 1e-12
 PAULI_BASIS = (np.eye(2, dtype=complex),) + PAULIS
 
 
-def transfer_matrix(channel) -> np.ndarray:
-    """The 4 x 4 Pauli transfer matrix of a trace-preserving qubit channel."""
-    linear, shift = affine_of_channel(channel)
-    r = np.zeros((4, 4))
-    r[0, 0] = 1.0
-    r[1:, 0] = shift
-    r[1:, 1:] = linear
-    return r
+def transfer_matrices(kraus) -> np.ndarray:
+    """The Pauli transfer matrices R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a
+    stack (N, k, 2, 2) of qubit channels, from their Kraus entries."""
+    basis = np.array(PAULI_BASIS)
+    images = sum(
+        op[:, None] @ basis @ op[:, None].conj().swapaxes(-1, -2) for op in np.moveaxis(kraus, 1, 0)
+    )
+    return np.einsum("iab,njba->nij", basis, images).real / 2
 
 
-def choi_of_transfer(m) -> np.ndarray:
-    return sum(
-        m[i, j] * np.kron(PAULI_BASIS[j].T, PAULI_BASIS[i]) for i in range(4) for j in range(4)
-    ) / 2
+# CHOI_OF_TRANSFER[i, j] = sigma_j^T (x) sigma_i / 2.
+CHOI_OF_TRANSFER = np.array([[np.kron(q.T, p) for q in PAULI_BASIS] for p in PAULI_BASIS]) / 2
+
+
+def intermediate_chois(family, n_steps):
+    """For each interval of a grid of n_steps samples of one period: whether
+    R(t1) is singular; and, for the other intervals, the Choi matrices (trace
+    2) of the intermediate maps R(t2) R(t1)^-1."""
+    driven = FAMILIES[family]
+    times = np.linspace(0.0, math.pi, n_steps)
+    transfers = transfer_matrices(driven.build(driven.schedule(1.0, times)))
+    singular = np.abs(np.linalg.det(transfers[:-1])) < SINGULAR_DET
+    maps = transfers[1:][~singular] @ np.linalg.inv(transfers[:-1][~singular])
+    return singular, np.einsum("nij,ijxy->nxy", maps, CHOI_OF_TRANSFER)
 
 
 def intermediate_maps(family):
     """For each interval of the grid: whether R(t1) is singular, and the
     smallest Choi eigenvalue of the intermediate map (nan where singular)."""
-    times = np.linspace(0.0, math.pi, DIVISIBILITY_STEPS)
-    driven = FAMILIES[family]
-    transfers = [transfer_matrix(driven.build(p)) for p in driven.schedule(1.0, times)]
-    singular = np.array([abs(np.linalg.det(r)) < SINGULAR_DET for r in transfers[:-1]])
+    singular, chois = intermediate_chois(family, DIVISIBILITY_STEPS)
     lowest = np.full(singular.shape, np.nan)
-    for i in np.flatnonzero(~singular):
-        m = transfers[i + 1] @ np.linalg.inv(transfers[i])
-        lowest[i] = np.linalg.eigvalsh(choi_of_transfer(m)).min()
+    lowest[~singular] = np.linalg.eigvalsh(chois).min(axis=-1)
     return singular, lowest
 
 
@@ -458,6 +463,44 @@ def test_amplitude_damping_intermediate_maps_are_cp():
     singular, lowest = intermediate_maps("ad")
     assert not singular.any()
     assert lowest.min() >= -CP_TOL
+
+
+# Rivas-Huelga-Plenio: an intermediate map is |J|_1 - 1 away from CP, for J
+# its unit-trace Choi state, and the measure sums this over the intervals.
+# For qubit-a it diverges.  det R(t) vanishes at t = pi/4 and 3 pi/4, where
+# the two skipped intervals start, and near each such t* the terms fall off
+# as 1 / |t - t*|, so each doubling of the grid adds ln 2 per point.  Over
+# the grids below the sums are 9.936, 11.332, 12.723, 14.112 and 15.499,
+# and the increments 1.3960, 1.3911, 1.3887 and 1.3875 approach
+# 2 ln 2 = 1.3863: their excess halves with each doubling (ratios 0.4987 to
+# 0.4993, 1.2e-3 at the last), the 1 / N error of a Riemann sum, so the
+# limit is 2 ln 2.  The largest term approaches 1 from below.
+RHP_GRIDS = (257, 513, 1025, 2049, 4097)
+RHP_RATIO_TOL = 0.01
+
+
+def rhp_terms(family, n_steps):
+    """|J|_1 - 1 of the intermediate map of each interval whose start is not
+    singular, and the number of singular starts."""
+    singular, chois = intermediate_chois(family, n_steps)
+    return np.abs(np.linalg.eigvalsh(chois / 2)).sum(axis=-1) - 1.0, int(singular.sum())
+
+
+def test_rhp_measure_of_qubit_a_diverges_logarithmically():
+    sums = []
+    for n_steps in RHP_GRIDS:
+        terms, skipped = rhp_terms("qubit-a", n_steps)
+        assert skipped == 2 and terms.max() <= 1.0
+        sums.append(terms.sum())
+    excess = np.diff(sums) - 2 * math.log(2)
+    assert (excess > 0).all()
+    assert np.abs(excess[1:] / excess[:-1] - 0.5).max() <= RHP_RATIO_TOL
+    assert excess[-1] <= 1.3e-3
+
+
+def test_rhp_measure_of_amplitude_damping_is_zero():
+    terms, skipped = rhp_terms("ad", RHP_GRIDS[-1])
+    assert skipped == 0 and abs(terms.sum()) <= 1e-12
 
 
 # The trace distance of the images of the antipodal pair (1 +- e_i . sigma) / 2

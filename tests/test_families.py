@@ -9,12 +9,12 @@ from qchan import (
     dephasing,
     dft_matrix,
     hermitian_eigenvalues,
-    is_selfcomplementary,
     ndim_family,
     ndim_theta0,
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
+    selfcomplementarity_defect,
     tensor_channel,
     validate_channel,
     validate_states,
@@ -55,7 +55,7 @@ def test_qubit_family_grid_is_cptp_and_selfcomplementary():
             for phi in phis:
                 ch = build(float(theta), float(phi))
                 assert completeness_residuals(ch[None])[0] <= 1e-12
-                assert is_selfcomplementary(ch, 1e-12)
+                assert selfcomplementarity_defect(ch) <= 1e-12
 
 
 def test_family_choi_spectrum_is_phi_independent():
@@ -95,8 +95,8 @@ def test_amplitude_damping():
 
 
 def test_amplitude_damping_selfcomplementary_only_at_half():
-    assert is_selfcomplementary(amplitude_damping(0.5), 1e-12)
-    assert not is_selfcomplementary(amplitude_damping(0.3), 1e-6)
+    assert selfcomplementarity_defect(amplitude_damping(0.5)) <= 1e-12
+    assert selfcomplementarity_defect(amplitude_damping(0.3)) > 1e-6
 
 
 def test_dephasing_alias():
@@ -108,8 +108,8 @@ def test_ndim_theta0_structure_and_validity():
     for n in range(2, 7):
         ch = ndim_theta0(n)
         assert completeness_residuals(ch[None])[0] <= 1e-15
-        assert is_selfcomplementary(ch, 1e-12)
-        assert channel_rank(choi_matrix(ch), 1e-10) == n
+        assert selfcomplementarity_defect(ch) <= 1e-12
+        assert channel_rank(choi_matrix(ch)) == n
     two = ndim_theta0(2)
     for a, b in zip(two, qubit_family_b(np.pi / 2, 0.0)):
         assert np.abs(a - b).max() <= 1e-15
@@ -178,7 +178,7 @@ def test_tensor_products_of_family_members_stay_selfcomplementary(rng):
     ]
     for a in pool:
         for b in pool:
-            assert is_selfcomplementary(tensor_channel(a, b), 1e-12)
+            assert selfcomplementarity_defect(tensor_channel(a, b)) <= 1e-12
 
 
 def test_dft_matrix_is_unitary():

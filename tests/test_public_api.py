@@ -7,7 +7,6 @@ import qchan
 PUBLIC_API = [
     "ChannelValidation",
     "DEFAULT_TOL",
-    "NumericalError",
     "affine_of_channel",
     "amplitude_damping",
     "apply",
