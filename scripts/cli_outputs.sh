@@ -24,14 +24,13 @@ src=$(cd "$1" && pwd) || exit 2
 mkdir -p "$2" && cd "$2" || exit 2
 : > codes.txt
 : > stderr.txt
-PYTHON=${PYTHON:-python3}
 
 # run NAME ARGS...: qchan ARGS, recorded under NAME.
 run() {
     name=$1
     shift
     code=0
-    PYTHONPATH="$src/src" "$PYTHON" -m qchan.cli "$@" 2> stderr.tmp || code=$?
+    PYTHONPATH="$src/src" python3 -m qchan.cli "$@" 2> stderr.tmp || code=$?
     echo "$name $code" >> codes.txt
     sed "s/^/$name: /" stderr.tmp >> stderr.txt
     rm -f stderr.tmp
@@ -74,7 +73,7 @@ run refuse-format analyze --in malformed.json --out refuse-format.report.json
 run refuse-t-max dynamics --t-max 1e-320 --out refuse-t-max.csv
 
 code=0
-PYTHONPATH="$src/src" "$PYTHON" "$src/scripts/make_figure_data.py" figure_data \
+PYTHONPATH="$src/src" python3 "$src/scripts/make_figure_data.py" figure_data \
     > /dev/null 2> stderr.tmp || code=$?
 echo "make_figure_data $code" >> codes.txt
 sed "s/^/make_figure_data: /" stderr.tmp >> stderr.txt

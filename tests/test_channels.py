@@ -130,6 +130,7 @@ def test_complementary_is_involution_on_random_channels(rng):
 
 def test_selfcomplementary_verdicts():
     assert selfcomplementarity_defect(qubit_family_a(1.1, 0.4)) <= 1e-12
+    assert is_selfcomplementary(qubit_family_a(1.1, 0.4))
     assert not is_selfcomplementary(identity_channel(2))
     assert not is_selfcomplementary(depolarizing_qubit())
     assert selfcomplementarity_defect(identity_channel(2)) == np.inf
