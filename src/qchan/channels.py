@@ -48,6 +48,7 @@ from .linalg import (
     DEFAULT_TOL,
     _finite,
     _matrices,
+    _product,
     as_matrix,
     dagger,
     hermitian_eigenvalues,
@@ -84,7 +85,7 @@ def _as_kraus(kraus) -> np.ndarray:
 def completeness_residuals(kraus) -> np.ndarray:
     """max |sum_i K_i^dagger K_i - 1| of each channel of a Kraus stack."""
     kraus = _as_kraus_stack(kraus)
-    acc = sum(dagger(op) @ op for op in np.moveaxis(kraus, 1, 0))
+    acc = sum(_product(dagger(op), op) for op in np.moveaxis(kraus, 1, 0))
     return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
 
 
@@ -217,7 +218,7 @@ def _grams(kraus: np.ndarray) -> np.ndarray:
     """G_ab = tr(K_a^dagger K_b) for each channel of a Kraus stack."""
     n, k = kraus.shape[:2]
     flat = kraus.reshape(n, k, -1)
-    g = flat.conj() @ flat.swapaxes(-1, -2)
+    g = _product(flat.conj(), flat.swapaxes(-1, -2))
     # The product rounds G_ab and G_ba apart; their mean is exactly
     # Hermitian, as the Choi matrix built from K (x) conj(K) is.
     return (g + dagger(g)) / 2
@@ -332,9 +333,12 @@ def compose(outer, inner) -> np.ndarray:
 
 def validate_channel(kraus, tol: float = DEFAULT_TOL) -> ChannelValidation:
     """Structural report from one completeness sum, one Gram build and one
-    eigensolve of the Gram state G / n_in.  ``cptp_ok`` is the one check of
-    the channel; the Choi rank counts the eigenvalues of G above ``tol`` and
-    needs no completeness, so non-channels are reported too."""
+    eigensolve of the Gram state G / n_in.  ``cptp_ok``, the residual within
+    ``tol``, is the one check of the channel and the only verdict that
+    ``tol`` moves: self-complementarity and the Choi rank, the eigenvalues of
+    G above DEFAULT_TOL, are judged as :func:`is_selfcomplementary` and
+    :func:`channel_rank` judge them.  The rank needs no completeness, so
+    non-channels are reported too."""
     kraus = _as_kraus(kraus)
     n_in = kraus.shape[-1]
     residual = float(completeness_residuals(kraus[None])[0])
@@ -343,9 +347,9 @@ def validate_channel(kraus, tol: float = DEFAULT_TOL) -> ChannelValidation:
     return ChannelValidation(
         cptp_residual=residual,
         cptp_ok=residual <= tol,
-        selfcomplementary=defect <= tol,
+        selfcomplementary=defect <= DEFAULT_TOL,
         selfcomplementarity_defect=defect,
-        choi_rank=int(np.count_nonzero(n_in * spectrum > tol)),
+        choi_rank=int(np.count_nonzero(n_in * spectrum > DEFAULT_TOL)),
         gram_spectrum=spectrum,
     )
 

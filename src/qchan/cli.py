@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tol: bool = False, bits: bool = False):
         p.add_argument("--out", required=True, help="output path")
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="completeness tolerance")
         if bits:
             p.add_argument(
                 "--bits",

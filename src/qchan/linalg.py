@@ -64,6 +64,19 @@ def max_abs(a) -> float:
     return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks.  A contraction of at most 4 is summed entry by
+    entry, one elementwise product per index: matmul makes one BLAS call per
+    matrix of a stack, whose overhead outweighs a tiny product's arithmetic."""
+    n = a.shape[-1]
+    if n > 4:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for j in range(1, n):
+        out += a[..., :, j, None] * b[..., j, None, :]
+    return out
+
+
 def _spectra_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending spectra m -+ h of 2 x 2 Hermitian matrices [[a, b*], [b, d]],
     m = (a + d) / 2 and h = hypot((a - d) / 2, |b|), from the lower triangle.

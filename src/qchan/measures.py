@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     _finite,
     _matrices,
+    _product,
     as_matrix,
     as_stack,
     dagger,
@@ -159,13 +160,13 @@ def _capacity_bounds(kraus: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     n, k, n_out, n_in = kraus.shape
     m = len(vectors)
     # w[:, i, :, a] = K_a psi_i, column a of W for the i-th state.
-    w = vectors @ kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k)
+    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
     w = w.reshape(n, m, n_out, k)
-    small = dagger(w) @ w if k < n_out else w @ dagger(w)
+    small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
     parts = _entropies(hermitian_eigenvalues(small.reshape(n * m, side, side))).reshape(n, m)
     y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
-    mixed = _entropies(hermitian_eigenvalues(y @ dagger(y) / m))
+    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / m))
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
 
@@ -245,7 +246,7 @@ def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
     = [[p, r], [r*, q]], gap = sqrt((p - q)^2 + 4|r|^2) and s1 + s2 = sqrt(p
     + q + 2|det tau|): nothing cancels as C -> 0, and tau = 0 gives +0.0.
     """
-    tau = rows[..., ::-1] * [-1, 1, 1, -1] @ rows.swapaxes(-1, -2) / n_in
+    tau = _product(rows[..., ::-1] * [-1, 1, 1, -1], rows.swapaxes(-1, -2)) / n_in
     if tau.shape[-1] == 2:
         (t00, t01), (t10, t11) = tau[:, 0].T, tau[:, 1].T
         p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2

@@ -15,6 +15,7 @@ import pytest
 
 from qchan import (
     affine_of_channel,
+    amplitude_damping,
     bloch_image,
     capacity_lower_bounds,
     classical_capacity_lower_bound,
@@ -90,6 +91,37 @@ def test_analyze_evaluates_a_channel_accepted_at_its_tol(tmp_path):
     for key in ("map_entropy_nats", "coherent_information_nats", "chi_bound_nats"):
         assert abs(report[key] - exact[key]) <= 1e-6
     assert report["choi_rank"] == exact["choi_rank"] == 2
+
+
+def test_tol_moves_only_the_completeness_verdict(tmp_path):
+    # Defect 1e-8 and residual 7.1e-9: complete within --tol 1e-6, but not
+    # self-complementary within DEFAULT_TOL, as is_selfcomplementary says.
+    channel = qubit_family_a(0.3).copy()
+    channel[0, 1, 0] += 1e-8
+    assert not channels.is_selfcomplementary(channel)
+    code, report = analyze(tmp_path, channel, "--tol", "1e-6")
+    assert code == 0
+    assert report["cptp_ok"] is True and report["selfcomplementary"] is False
+
+
+def test_family_tol_moves_only_the_completeness_verdict(tmp_path):
+    # ndim at theta = 1e-8 is complete within 1e-15, with defect 7.1e-9.
+    doc, report = tmp_path / "ndim.json", tmp_path / "ndim.report.json"
+    family = ["family", "--id", "ndim", "--n", "4", "--theta", "1e-8", "--tol", "1e-6"]
+    assert cli.main([*family, "--out", str(doc)]) == 0
+    validation = json.loads(doc.read_text())["validation"]
+    assert validation["cptp_residual"] <= 1e-15 and validation["selfcomplementary"] is False
+    assert cli.main(["analyze", "--in", str(doc), "--tol", "1e-6", "--out", str(report)]) == 0
+    verdicts = json.loads(report.read_text())
+    assert verdicts["cptp_ok"] is True and verdicts["selfcomplementary"] is False
+
+
+def test_choi_rank_is_cut_at_the_default_tolerance():
+    # Amplitude damping at p = 1e-8 has a Gram eigenvalue of about 1e-8 n_in.
+    channel = amplitude_damping(1e-8)
+    report = channels.validate_channel(channel, 1e-6)
+    assert report.cptp_ok and report.choi_rank == 2
+    assert report.choi_rank == channels.channel_rank(channels.choi_matrix(channel))
 
 
 def test_capacity_bound_checks_completeness_at_its_tol():

@@ -14,7 +14,8 @@ from qchan import (
     spin_flip,
     validate_states,
 )
-from qchan.linalg import as_matrix
+from qchan.channels import _grams
+from qchan.linalg import _product, as_matrix
 
 from conftest import bell_state, two_operator_qubit_stacks
 
@@ -90,6 +91,38 @@ def test_two_by_two_spectra_read_the_lower_triangle(m):
     closed = hermitian_eigenvalues(m)
     assert np.array_equal(closed, hermitian_eigenvalues(hermitian))
     assert np.abs(closed - np.linalg.eigvalsh(hermitian)).max() <= 8 * np.finfo(float).eps
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((64, 3, n), (64, n, 5)) for n in (1, 2, 3, 4)]
+    # _capacity_bounds multiplies its (M, n_in) alphabet into a Kraus stack.
+    + [((3, 2), (7, 2, 4))],
+)
+def test_product_sums_a_short_contraction_within_rounding(rng, shapes):
+    a, b = (complex_normal(rng, shape) for shape in shapes)
+    expected = a @ b
+    got = _product(a, b)
+    assert got.shape == expected.shape
+    bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(got - expected) <= bound)
+
+
+@pytest.mark.parametrize("n", [5, 8, 32])
+def test_product_of_a_longer_contraction_is_matmul(rng, n):
+    a, b = complex_normal(rng, (4, 3, n)), complex_normal(rng, (4, n, 6))
+    assert np.array_equal(_product(a, b), a @ b)
+
+
+@pytest.mark.parametrize("name", sorted(two_operator_qubit_stacks()))
+def test_grams_summed_entry_by_entry_are_exactly_hermitian(name):
+    # A qubit channel's Gram product contracts over n_out * n_in = 4.
+    g = _grams(two_operator_qubit_stacks()[name])
+    assert np.array_equal(g, dagger(g))
 
 
 def test_partial_transpose_of_family_choi_has_single_negative_eigenvalue():
