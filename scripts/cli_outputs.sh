@@ -9,9 +9,11 @@
 #   diff -r /tmp/a /tmp/b
 #
 # The set covers every command: dynamics of each driven family with and
-# without --bits, sweep, bloch single and --batch, family then analyze for
-# each family (ndim-theta0 at several n, with and without --tol), three
-# refusals, and scripts/make_figure_data.py.
+# without --bits, sweep (with and without --bits), bloch single and --batch,
+# family then analyze for each family (ndim-theta0 at several n, with and
+# without --tol; qutrit and ndim --n 3 with a --w file of -identity, whose
+# off-diagonal entries are all -0.0), four refusals, and
+# scripts/make_figure_data.py.
 #
 # usage: scripts/cli_outputs.sh SRC OUTDIR
 
@@ -53,6 +55,7 @@ for family in qubit-a qubit-b ad; do
         --out "dynamics-$family-bits.csv"
 done
 run sweep sweep --points 300 --phi 0.4 --out sweep.csv
+run sweep-bits sweep --points 57 --theta-max 1.0 --bits --out sweep-bits.csv
 run bloch bloch --family qubit-b --theta 0.7 --phi 0.3 --points 200 --out bloch.csv
 run bloch-batch bloch --batch --points 200 --out bloch-batch.csv
 
@@ -66,11 +69,22 @@ for n in 2 5 16 32; do
     pair "ndim-theta0-n$n-tol" "--tol 1e-6" --id ndim-theta0 --n "$n" --tol 1e-6
 done
 pair ndim-fourier "" --id ndim --n 6 --theta 0.8 --w fourier
+pair ndim-fourier-n32 "" --id ndim --n 32 --theta 0.5 --w fourier
+pair qutrit-identity "" --id qutrit --theta 1.0
+printf '[[[-1.0, -0.0], [-0.0, -0.0], [-0.0, -0.0]],
+ [[-0.0, -0.0], [-1.0, -0.0], [-0.0, -0.0]],
+ [[-0.0, -0.0], [-0.0, -0.0], [-1.0, -0.0]]]\n' > minus-identity.json
+for theta in 0 0.5; do
+    pair "qutrit-minus-identity-$theta" "" --id qutrit --theta "$theta" --w minus-identity.json
+    pair "ndim-minus-identity-$theta" "" --id ndim --n 3 --theta "$theta" --w minus-identity.json
+done
 
 run refuse-tol family --id ndim-theta0 --n 4 --tol 1e-3 --out refuse-tol.json
 printf '{"n_in": 2, "n_out": 2, "kraus": 1}\n' > malformed.json
 run refuse-format analyze --in malformed.json --out refuse-format.report.json
 run refuse-t-max dynamics --t-max 1e-320 --out refuse-t-max.csv
+printf '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]\n' > two-by-two.json
+run refuse-w-shape family --id qutrit --w two-by-two.json --out refuse-w-shape.json
 
 code=0
 PYTHONPATH="$src/src" python3 "$src/scripts/make_figure_data.py" figure_data \

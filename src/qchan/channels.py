@@ -260,49 +260,32 @@ def choi_to_kraus(choi, n_in: int, n_out: int) -> np.ndarray:
     lo = float(ev.min())
     if lo < -DEFAULT_TOL:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {lo:.3e}")
-    picked = [
-        (float(ev[i]), tuple(np.real(vec[:, i])), i) for i in range(len(ev)) if ev[i] > DEFAULT_TOL
-    ]
-    picked.sort(key=lambda item: (-item[0], item[1]))
-    ops = []
-    for lam, _, i in picked:
-        # Eigenvector components are indexed (input k, output i); the Kraus
-        # operator is the transpose of that reshape.
-        g = (math.sqrt(lam) * vec[:, i]).reshape(n_in, n_out)
-        ops.append(g.T)
-    if not ops:
+    keep = np.flatnonzero(ev > DEFAULT_TOL)
+    if not keep.size:
         raise ValueError("Choi matrix has no eigenvalue above tolerance")
-    return np.array(ops)
+    # lexsort's last key is the primary one: descending eigenvalue, then the
+    # eigenvector's real parts, first entry first.
+    order = keep[np.lexsort([*np.real(vec[::-1, keep]), -ev[keep]])]
+    # Eigenvector components are indexed (input k, output i); the Kraus
+    # operator is the transpose of that reshape.
+    ops = (np.sqrt(ev[order]) * vec[:, order]).reshape(n_in, n_out, -1)
+    return np.ascontiguousarray(ops.transpose(2, 1, 0))
 
 
 def stinespring(kraus) -> np.ndarray:
     """Dilation unitary on env (x) sys for a square channel.
 
     The first block-column is the stacked Kraus operators; the remaining
-    columns are completed deterministically by Gram-Schmidt against the
-    canonical basis vectors in ascending index order.
+    columns are their orthonormal complement, the trailing columns of the
+    complete QR factor of the first block-column.
     """
     kraus = _as_kraus(kraus)
     k, n_out, n = kraus.shape
     if n != n_out:
         raise ValueError("square dilation requires n_in == n_out")
     require_cptp_stack(kraus[None])
-    side = n * k
-    cols = list(np.ascontiguousarray(kraus.reshape(side, n).T))
-    for idx in range(side):
-        if len(cols) == side:
-            break
-        cand = np.zeros(side, dtype=complex)
-        cand[idx] = 1.0
-        for _ in range(2):  # re-orthogonalize once for full precision
-            for c in cols:
-                cand = cand - np.vdot(c, cand) * c
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            cols.append(cand / norm)
-    if len(cols) != side:
-        raise ValueError("orthonormal completion failed")
-    return np.column_stack(cols)
+    column = kraus.reshape(n * k, n)
+    return np.concatenate([column, np.linalg.qr(column, mode="complete")[0][:, n:]], axis=1)
 
 
 def kraus_from_unitary(u, n_env: int) -> np.ndarray:

@@ -158,10 +158,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # choi_measures checks the block once; the capacity bound takes it as accepted.
         neg[block], conc[block], ent[block] = choi_measures(kraus)
         chi[block] = _capacity_bounds(kraus, np.eye(2, dtype=complex))[1]
-    grid = thetas.tolist()
-    neg_closed = [negativity_closed_form(theta) for theta in grid]
-    conc_closed = [concurrence_closed_form(theta) for theta in grid]
-    table = np.column_stack([thetas, neg, neg_closed, conc, conc_closed, chi * scale, ent * scale])
+    closed_neg, closed_conc = negativity_closed_form(thetas), concurrence_closed_form(thetas)
+    table = np.column_stack([thetas, neg, closed_neg, conc, closed_conc, chi * scale, ent * scale])
     header = [
         "theta",
         "negativity_numeric",

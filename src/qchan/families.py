@@ -125,33 +125,13 @@ def qutrit_family(theta: float, w) -> np.ndarray:
     w = _check_unitary(w, 3)
     s, c = math.sin(theta), math.cos(theta)
     ch = c * SQRT_HALF
-    k1 = np.diag([c, ch, ch]).astype(complex)
-    shared = np.array([w[1, 1] * s * SQRT_HALF, w[0, 1] * s * SQRT_HALF, w[1, 2] * s * SQRT_HALF])
-    k2 = np.array(
-        [
-            [0.0, ch, 0.0],
-            [w[0, 0] * s, w[1, 0] * s, w[2, 0] * s],
-            shared,
-        ],
-        dtype=complex,
-    )
-    k3 = np.array(
-        [
-            [0.0, 0.0, ch],
-            shared,
-            [w[0, 2] * s, w[1, 2] * s, w[2, 2] * s],
-        ],
-        dtype=complex,
-    )
-    return np.array([k1, k2, k3])
-
-
-def _cycle(n: int) -> np.ndarray:
-    """Cyclic permutation sending basis vector e_j to e_(j+1 mod n)."""
-    p = np.zeros((n, n))
-    for j in range(n):
-        p[(j + 1) % n, j] = 1.0
-    return p
+    ops = np.zeros((3, 3, 3), dtype=complex)
+    ops[0] = np.diag([c, ch, ch])
+    ops[1, 0, 1] = ops[2, 0, 2] = ch
+    ops[1, 1] = w[:, 0] * s
+    ops[2, 2] = w[:, 2] * s
+    ops[1, 2] = ops[2, 1] = w[[1, 0, 1], [1, 1, 2]] * s * SQRT_HALF
+    return ops
 
 
 def ndim_family(n: int, theta: float, w) -> np.ndarray:
@@ -173,13 +153,13 @@ def ndim_family(n: int, theta: float, w) -> np.ndarray:
     ch = c * SQRT_HALF
     ops = np.zeros((n, n, n), dtype=complex)
     ops[0] = np.diag([c] + [ch] * (n - 1))
-    p = _cycle(n)
-    for i in range(1, n):
-        wp = np.linalg.matrix_power(p, (n - i) % n) @ w  # P^(-i) W
-        ops[i, 0, i] = ch
-        for r in range(1, n - 1):
-            ops[i, r, :] = wp[:, r - 1] * s / math.sqrt(n - 2)
-        ops[i, n - 1, :] = wp[:, n - 1] * s / math.sqrt(n - 1)
+    rest = np.arange(1, n)
+    ops[rest, 0, rest] = ch
+    # wp[i - 1] = P^(-i) W, whose row r is row r + i of W; + 0.0 gives each
+    # zero of W the sign +0.0 that the matrix product P^(-i) W gives it.
+    wp = w[(np.arange(n) + rest[:, None]) % n] + 0.0
+    ops[1:, 1:-1] = wp[:, :, : n - 2].swapaxes(-1, -2) * s / math.sqrt(n - 2)
+    ops[1:, -1] = wp[:, :, n - 1] * s / math.sqrt(n - 1)
     return ops
 
 

@@ -329,27 +329,29 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return neg, conc, _entropies(spectra)
 
 
-def concurrence_closed_form(theta: float) -> float:
-    """Choi-state concurrence of the first qubit family at phi = 0.
+def concurrence_closed_form(theta):
+    """Choi-state concurrence of the first qubit family at phi = 0, a float
+    at one theta and an array at an array of them.
 
     The spin-flip product of the family's Choi state has exact spectrum
     {sin^2(t)/2, cos^2(t)/2, 0, 0}, so the concurrence is the difference of
     the two square roots, written in the usual three-branch arrangement with
     the entanglement-breaking zero at theta = pi/4.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta = {theta} outside [0, pi/2]")
-    if theta < math.pi / 4:
-        return (math.cos(theta) - math.sin(theta)) / math.sqrt(2.0)
-    if theta == math.pi / 4:
-        return 0.0
-    return (math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
+    t = np.asarray(theta, dtype=float)
+    bad = ~((t >= 0.0) & (t <= math.pi / 2))
+    if bad.any():
+        raise ValueError(f"theta = {float(t[bad][0])} outside [0, pi/2]")
+    cos, sin, quarter = np.cos(t), np.sin(t), math.pi / 4
+    conc = np.where(t < quarter, cos - sin, np.where(t == quarter, 0.0, sin - cos)) / math.sqrt(2.0)
+    return float(conc) if conc.ndim == 0 else conc
 
 
-def negativity_closed_form(theta: float) -> float:
-    """Choi-state negativity of the first qubit family: |cos 2t| / 4."""
-    return abs(math.cos(2.0 * float(theta))) / 4.0
+def negativity_closed_form(theta):
+    """Choi-state negativity of the first qubit family, |cos 2t| / 4: a
+    float at one theta and an array at an array of them."""
+    neg = np.abs(np.cos(2.0 * np.asarray(theta, dtype=float))) / 4.0
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def entanglement_evolution_factor(kraus, rho_in) -> tuple[float, float]:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from qchan import (
     apply,
+    bloch_vector,
+    capacity_lower_bounds,
     channel_rank,
     choi_matrix,
     choi_state,
@@ -12,6 +14,7 @@ from qchan import (
     choi_to_superop,
     complementary,
     compose,
+    concurrences,
     dephasing,
     identity_channel,
     is_selfcomplementary,
@@ -19,6 +22,7 @@ from qchan import (
     kraus_to_superop,
     ndim_theta0,
     partial_trace,
+    partial_transpose,
     qubit_family_a,
     selfcomplementarity_defect,
     stinespring,
@@ -257,12 +261,13 @@ def test_stinespring_trivial_channel():
 
 
 def test_stinespring_random_channels_are_unitary_with_exact_readback(rng):
-    for n, k in [(2, 2), (3, 2), (2, 4)]:
-        ch = random_cptp(n, n, k, rng)
-        u = stinespring(ch)
-        assert unitarity_defect(u) <= 1e-10
-        back = kraus_from_unitary(u, k)
-        assert np.array_equal(back, ch)
+    for n in (1, 2, 3):
+        for k in range(1, 10):
+            ch = random_cptp(n, n, k, rng)
+            u = stinespring(ch)
+            assert unitarity_defect(u) <= 1e-12
+            back = kraus_from_unitary(u, k)
+            assert np.array_equal(back, ch)
 
 
 def test_stinespring_rejects_incomplete_channel():
@@ -369,7 +374,7 @@ def test_family_choi_rank_is_two_everywhere(theta, phi):
 
 
 def test_kraus_array_shape_validation():
-    # Each public function coerces its channel once, at entry, with
+    # Each public function coerces its channel at entry with
     # channels._as_kraus; these are some of them.
     for entry in (validate_channel, complementary, kraus_to_superop, choi_state, channel_to_dict):
         with pytest.raises(ValueError, match="shape"):
@@ -429,3 +434,72 @@ def test_conversions_refuse_wrong_shapes():
         kraus_from_unitary(np.eye(4)[:, :2], 2)
     with pytest.raises(ValueError, match="not divisible"):
         kraus_from_unitary(np.eye(3), 2)
+
+
+# ------------------------------------- choi_to_kraus against a tuple sort
+
+
+def choi_to_kraus_by_tuple_sort(choi, n_in, n_out, tol=1e-10):
+    """Minimal Kraus operators, ordered by a sort of (-eigenvalue, real parts
+    of the eigenvector) tuples, one operator at a time."""
+    ev, vec = np.linalg.eigh(choi)
+    picked = [(float(ev[i]), tuple(np.real(vec[:, i])), i) for i in range(len(ev)) if ev[i] > tol]
+    picked.sort(key=lambda item: (-item[0], item[1]))
+    return np.array([(np.sqrt(lam) * vec[:, i]).reshape(n_in, n_out).T for lam, _, i in picked])
+
+
+PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])])
+
+DEGENERATE_CHOI = {
+    "qubit-a at pi/4": choi_matrix(qubit_family_a(np.pi / 4)),
+    "dephasing, a tie of exactly equal eigenvalues": choi_matrix(dephasing()),
+    "equal-weight Pauli mixture": choi_matrix(PAULIS / 2),
+    "equal-weight identity and Z mixture": choi_matrix(PAULIS[[0, 3]] * SQ2),
+}
+
+
+@pytest.mark.parametrize("choi", list(DEGENERATE_CHOI.values()), ids=list(DEGENERATE_CHOI))
+def test_choi_to_kraus_is_bitwise_the_tuple_sort(choi):
+    got, expected = choi_to_kraus(choi, 2, 2), choi_to_kraus_by_tuple_sort(choi, 2, 2)
+    assert got.flags.c_contiguous and got.dtype == expected.dtype
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+LIBRARY_REFUSALS = {
+    "stinespring of a non-square channel": (
+        lambda: stinespring(np.ones((1, 2, 3))), "square dilation requires n_in == n_out"
+    ),
+    "choi_to_kraus of zero": (
+        lambda: choi_to_kraus(np.zeros((4, 4)), 2, 2),
+        "Choi matrix has no eigenvalue above tolerance",
+    ),
+    "superop_to_choi of the wrong shape": (
+        lambda: superop_to_choi(np.zeros((4, 3)), 2, 2), r"shape \(4, 3\) does not match \(4, 4\)"
+    ),
+    "partial_transpose at wrong dims": (
+        lambda: partial_transpose(np.eye(4), (2, 3)),
+        r"matrix shape \(4, 4\) does not match dims \(2, 3\)",
+    ),
+    "validate_states of a non-square state": (
+        lambda: validate_states(np.zeros((1, 2, 3))),
+        r"density matrix must be square, got \(2, 3\)",
+    ),
+    "capacity_lower_bounds of an empty alphabet": (
+        lambda: capacity_lower_bounds(qubit_family_a(0.3)[None], np.zeros((0, 2))),
+        "need at least one basis state",
+    ),
+    "concurrences of a qubit state": (
+        lambda: concurrences(np.eye(2)[None] / 2), "concurrence needs a two-qubit state, got dim 2"
+    ),
+    "bloch_vector of a qutrit state": (
+        lambda: bloch_vector(np.eye(3) / 3), "Bloch coordinates need a qubit state, got dim 3"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call,message", list(LIBRARY_REFUSALS.values()), ids=list(LIBRARY_REFUSALS)
+)
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -431,6 +431,65 @@ def test_analyze_refuses_a_document_that_is_not_a_channel(tmp_path, capsys, n_in
     assert not out.exists()
 
 
+def _document(kraus):
+    return {"n_in": 2, "n_out": 2, "kraus": kraus}
+
+
+# Refusals with their input file, if any, which follows the last option of
+# the arguments, the exit code and the one stderr line.
+REFUSALS = {
+    "document not an object": (
+        ["analyze", "--in"], [], 3, "input format error: channel document must be a JSON object"
+    ),
+    "no operators": (
+        ["analyze", "--in"],
+        _document([]),
+        3,
+        "input format error: 'kraus' must be a nonempty list of matrices",
+    ),
+    "operator not a matrix": (
+        ["analyze", "--in"],
+        _document([5]),
+        3,
+        "input format error: a matrix must be a list of rows of [re, im] pairs",
+    ),
+    "operator without rows": (
+        ["analyze", "--in"],
+        _document([[]]),
+        3,
+        "input format error: matrix rows are empty or ragged",
+    ),
+    "ragged operator": (
+        ["analyze", "--in"],
+        _document([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]),
+        3,
+        "input format error: matrix rows are empty or ragged",
+    ),
+    "2 x 2 --w for the qutrit": (
+        ["family", "--id", "qutrit", "--w"],
+        _operator(np.eye(2)),
+        2,
+        "unitary parameter has shape (2, 2), expected (3, 3)",
+    ),
+    "bloch --points 0": (["bloch", "--points", 0], None, 2, "grid size must be at least 1"),
+    "sweep --points 0": (["sweep", "--points", 0], None, 2, "grid size must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv,content,code,message", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_refusal_exit_code_and_line(tmp_path, capsys, argv, content, code, message):
+    argv = list(argv)
+    if content is not None:
+        source = tmp_path / "in.json"
+        source.write_text(json.dumps(content))
+        argv.append(source)
+    written = os.listdir(tmp_path)
+    assert run(*argv, "--out", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert err == f"qchan: {message}\n" and "Traceback" not in err
+    assert os.listdir(tmp_path) == written
+
+
 def test_zero_entropies_are_written_as_positive_zero(tmp_path):
     ident = tmp_path / "id.json"
     write_json_atomic(ident, channel_to_dict(identity_channel(2)))

@@ -203,3 +203,70 @@ def test_random_inputs_spread_through_family(rng):
         out = apply(ch, random_density_matrix(2, rng))
         validate_states(out[None])
         assert abs(np.trace(out) - 1.0) <= 1e-12
+
+
+# ------------------------------------- bitwise against the explicit builds
+
+
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from +0.0."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def ndim_by_permutation(n, theta, w):
+    """The ndim family built with the cyclic permutation matrix P, e_j ->
+    e_(j+1), as P^(-i) W = P^(n - i) W, one row of each operator at a time."""
+    s, c = np.sin(theta), np.cos(theta)
+    ch = c * SQ2
+    w = np.asarray(w, dtype=complex)
+    p = np.roll(np.eye(n), 1, axis=0)
+    ops = np.zeros((n, n, n), dtype=complex)
+    ops[0] = np.diag([c] + [ch] * (n - 1))
+    for i in range(1, n):
+        wp = np.linalg.matrix_power(p, n - i) @ w
+        ops[i, 0, i] = ch
+        for r in range(1, n - 1):
+            ops[i, r, :] = wp[:, r - 1] * s / np.sqrt(n - 2)
+        ops[i, n - 1, :] = wp[:, n - 1] * s / np.sqrt(n - 1)
+    return ops
+
+
+def qutrit_by_rows(theta, w):
+    """The qutrit family laid out row by row."""
+    s, c = np.sin(theta), np.cos(theta)
+    ch = c * SQ2
+    w = np.asarray(w, dtype=complex)
+    shared = [w[1, 1] * s * SQ2, w[0, 1] * s * SQ2, w[1, 2] * s * SQ2]
+    k1 = np.diag([c, ch, ch]).astype(complex)
+    k2 = np.array([[0.0, ch, 0.0], [w[0, 0] * s, w[1, 0] * s, w[2, 0] * s], shared], dtype=complex)
+    k3 = np.array([[0.0, 0.0, ch], shared, [w[0, 2] * s, w[1, 2] * s, w[2, 2] * s]], dtype=complex)
+    return np.array([k1, k2, k3])
+
+
+def unitaries(n, rng):
+    """W = identity, Fourier, -identity (every zero part -0.0) and a random
+    unitary."""
+    return {
+        "identity": np.eye(n),
+        "fourier": dft_matrix(n),
+        "minus-identity": -np.eye(n, dtype=complex),
+        "random": random_unitary(n, rng),
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ndim_family_is_bitwise_the_permutation_build(rng, n):
+    for w in unitaries(n, rng).values():
+        for theta in (0.0, 0.5, np.pi):
+            assert_same_bits(ndim_family(n, theta, w), ndim_by_permutation(n, theta, w))
+
+
+def test_qutrit_family_is_bitwise_the_row_build(rng):
+    ws = [*unitaries(3, rng).values(), dft_matrix(3).conj()]
+    ws += [random_unitary(3, rng) for _ in range(7)]
+    thetas = np.linspace(0.0, np.pi, 12)
+    for w in ws:
+        for theta in thetas:
+            assert_same_bits(qutrit_family(theta, w), qutrit_by_rows(theta, w))
+    assert len(ws) * len(thetas) == 144

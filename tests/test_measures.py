@@ -486,6 +486,33 @@ def test_concurrence_closed_form_values_and_domain():
         concurrence_closed_form(2.0)
 
 
+# The grids of sweep: --points 100, 101, 1001 and 4097 up to pi/2, and 57
+# points up to 1.0.
+SWEEP_GRIDS = [(100, math.pi / 2), (101, math.pi / 2), (1001, math.pi / 2), (4097, math.pi / 2),
+               (57, 1.0)]
+
+
+@pytest.mark.parametrize("points,theta_max", SWEEP_GRIDS)
+def test_closed_forms_of_an_array_are_the_scalar_calls_bit_for_bit(points, theta_max):
+    thetas = np.linspace(0.0, theta_max, points)
+    for closed_form in (negativity_closed_form, concurrence_closed_form):
+        values = closed_form(thetas)
+        scalars = [closed_form(theta) for theta in thetas.tolist()]
+        assert all(type(value) is float for value in scalars)
+        assert values.shape == thetas.shape and values.tobytes() == np.array(scalars).tobytes()
+
+
+def test_closed_forms_keep_the_scalar_contract():
+    assert type(concurrence_closed_form(np.float64(0.3))) is float
+    assert type(negativity_closed_form(np.array(0.3))) is float
+    values = concurrence_closed_form([0.0, math.pi / 4, math.pi / 2])
+    assert values[1] == 0.0 and not np.signbit(values[1])
+    with pytest.raises(ValueError, match=r"^theta = -0.5 outside \[0, pi/2\]$"):
+        concurrence_closed_form([0.1, -0.5, 2.0])
+    with pytest.raises(ValueError, match=r"^theta = nan outside"):
+        concurrence_closed_form(np.array([math.nan]))
+
+
 def test_negativity_examples():
     assert abs(negativity(bell_state(), (2, 2)) - 0.5) <= 1e-12
     assert abs(negativity(choi_state(qubit_family_a(0.0)), (2, 2)) - 0.25) <= 1e-12
