@@ -10,9 +10,9 @@
 #
 # The set covers every command: dynamics of each driven family with and
 # without --bits, sweep (with and without --bits), bloch single and --batch,
-# family then analyze for each family (ndim-theta0 at several n, with and
-# without --tol; qutrit and ndim --n 3 with a --w file of -identity, whose
-# off-diagonal entries are all -0.0), four refusals, and
+# family then analyze for each family (ndim-theta0 at several n, analyzed
+# with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
+# whose off-diagonal entries are all -0.0), six refusals, and
 # scripts/make_figure_data.py.
 #
 # usage: scripts/cli_outputs.sh SRC OUTDIR
@@ -66,7 +66,7 @@ pair qutrit "" --id qutrit --theta 0.3 --w fourier
 pair ndim "--bits" --id ndim --n 4 --theta 0.5
 for n in 2 5 16 32; do
     pair "ndim-theta0-n$n" "" --id ndim-theta0 --n "$n"
-    pair "ndim-theta0-n$n-tol" "--tol 1e-6" --id ndim-theta0 --n "$n" --tol 1e-6
+    pair "ndim-theta0-n$n-tol" "--tol 1e-6" --id ndim-theta0 --n "$n"
 done
 pair ndim-fourier "" --id ndim --n 6 --theta 0.8 --w fourier
 pair ndim-fourier-n32 "" --id ndim --n 32 --theta 0.5 --w fourier
@@ -79,12 +79,17 @@ for theta in 0 0.5; do
     pair "ndim-minus-identity-$theta" "" --id ndim --n 3 --theta "$theta" --w minus-identity.json
 done
 
-run refuse-tol family --id ndim-theta0 --n 4 --tol 1e-3 --out refuse-tol.json
+run refuse-tol analyze --in qubit-a.json --tol 1e-3 --out refuse-tol.report.json
+run refuse-family-tol family --id ndim-theta0 --n 4 --tol 1e-6 --out refuse-family-tol.json
 printf '{"n_in": 2, "n_out": 2, "kraus": 1}\n' > malformed.json
 run refuse-format analyze --in malformed.json --out refuse-format.report.json
 run refuse-t-max dynamics --t-max 1e-320 --out refuse-t-max.csv
 printf '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]\n' > two-by-two.json
 run refuse-w-shape family --id qutrit --w two-by-two.json --out refuse-w-shape.json
+printf '[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+ [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]],
+ [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]\n' > nan-w.json
+run refuse-nan-w family --id qutrit --w nan-w.json --out refuse-nan-w.json
 
 code=0
 PYTHONPATH="$src/src" python3 "$src/scripts/make_figure_data.py" figure_data \

@@ -47,7 +47,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _finite,
-    _matrices,
     _product,
     as_matrix,
     dagger,
@@ -82,9 +81,9 @@ def _as_kraus(kraus) -> np.ndarray:
     return _as_kraus_stack(kraus[None])[0]
 
 
-def completeness_residuals(kraus) -> np.ndarray:
-    """max |sum_i K_i^dagger K_i - 1| of each channel of a Kraus stack."""
-    kraus = _as_kraus_stack(kraus)
+def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
+    """max |sum_i K_i^dagger K_i - 1| of each channel of an accepted Kraus
+    stack (:func:`_as_kraus_stack`); nothing is checked here."""
     acc = sum(_product(dagger(op), op) for op in np.moveaxis(kraus, 1, 0))
     return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
 
@@ -114,9 +113,7 @@ class ChannelValidation:
     ascending spectrum of the Gram state G / n_in."""
 
     cptp_residual: float
-    cptp_ok: bool
     selfcomplementary: bool
-    selfcomplementarity_defect: float
     choi_rank: int
     gram_spectrum: np.ndarray = field(repr=False, compare=False)
 
@@ -178,19 +175,17 @@ def kraus_to_superop(kraus) -> np.ndarray:
 
 
 def superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
-    """Reindex a superoperator, or each of a stack, into a Choi matrix on
-    (input copy) (x) (output).
+    """Reindex a superoperator into a Choi matrix on (input copy) (x) (output).
 
     D[(k,i),(l,j)] = S[(i,j),(k,l)] with i,j output indices and k,l input
     indices; applied to ``sum K (x) conj(K)`` this gives
     ``sum_kl E_kl (x) Phi(E_kl)``.
     """
-    m = _matrices(matrix)
-    if m.shape[-2:] != (n_out**2, n_in**2):
+    m = as_matrix(matrix)
+    if m.shape != (n_out**2, n_in**2):
         raise ValueError(f"shape {m.shape} does not match ({n_out**2}, {n_in**2})")
-    lead = m.shape[:-2]
-    t = m.reshape(*lead, n_out, n_out, n_in, n_in)
-    return t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, n_in * n_out, n_in * n_out)
+    t = m.reshape(n_out, n_out, n_in, n_in)
+    return t.transpose(2, 0, 3, 1).reshape(n_in * n_out, n_in * n_out)
 
 
 def choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
@@ -314,24 +309,20 @@ def compose(outer, inner) -> np.ndarray:
     return np.array([x @ y for x in outer for y in inner])
 
 
-def validate_channel(kraus, tol: float = DEFAULT_TOL) -> ChannelValidation:
+def validate_channel(kraus) -> ChannelValidation:
     """Structural report from one completeness sum, one Gram build and one
-    eigensolve of the Gram state G / n_in.  ``cptp_ok``, the residual within
-    ``tol``, is the one check of the channel and the only verdict that
-    ``tol`` moves: self-complementarity and the Choi rank, the eigenvalues of
-    G above DEFAULT_TOL, are judged as :func:`is_selfcomplementary` and
+    eigensolve of the Gram state G / n_in.  The completeness residual is
+    reported, not judged: the caller compares it with its own tolerance.
+    Self-complementarity and the Choi rank, the eigenvalues of G above
+    DEFAULT_TOL, are judged as :func:`is_selfcomplementary` and
     :func:`channel_rank` judge them.  The rank needs no completeness, so
     non-channels are reported too."""
     kraus = _as_kraus(kraus)
     n_in = kraus.shape[-1]
-    residual = float(completeness_residuals(kraus[None])[0])
-    defect = selfcomplementarity_defect(kraus)
     spectrum = hermitian_eigenvalues(_grams(kraus[None]) / n_in)[0]
     return ChannelValidation(
-        cptp_residual=residual,
-        cptp_ok=residual <= tol,
-        selfcomplementary=defect <= DEFAULT_TOL,
-        selfcomplementarity_defect=defect,
+        cptp_residual=float(completeness_residuals(kraus[None])[0]),
+        selfcomplementary=is_selfcomplementary(kraus),
         choi_rank=int(np.count_nonzero(n_in * spectrum > DEFAULT_TOL)),
         gram_spectrum=spectrum,
     )

@@ -15,7 +15,7 @@ Exit codes: 0 success, 2 parameter error, 3 input-format error,
 4 numerical failure.  All outputs are deterministic: the same invocation
 produces byte-identical files.  Entropic columns are in nats unless --bits
 (analyze, sweep, dynamics) is given, which rescales them by 1/ln 2 and
-renames headers accordingly.  --tol (family, analyze) is at most MAX_TOL.
+renames headers accordingly.  --tol (analyze) is at most MAX_TOL.
 """
 
 from __future__ import annotations
@@ -74,20 +74,12 @@ def _csv(header: list[str], table: np.ndarray) -> str:
     return ",".join(header) + "\n" + (row * rows) % tuple(table.ravel().tolist())
 
 
-def _finite_matrix(data) -> np.ndarray:
-    """The matrix of a --w file, whose entries must be finite."""
-    w = matrix_from_pairs(data)
-    if not np.isfinite(w).all():
-        raise ChannelFormatError("matrix has non-finite entries")
-    return w
-
-
 def _load_w(source: str, dim: int) -> np.ndarray:
     if source == "identity":
         return np.eye(dim)
     if source == "fourier":
         return dft_matrix(dim)
-    return _read_json(source, "unitary parameter", _finite_matrix)
+    return _read_json(source, "unitary parameter", matrix_from_pairs)
 
 
 def _build(args: argparse.Namespace) -> np.ndarray:
@@ -105,7 +97,7 @@ def _build(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_family(args: argparse.Namespace) -> int:
     channel = _build(args)
-    validation = validate_channel(channel, args.tol)
+    validation = validate_channel(channel)
     doc = channel_to_dict(channel)
     doc["validation"] = {
         "cptp_residual": validation.cptp_residual,
@@ -122,7 +114,9 @@ def _entropy_key(base: str, bits: bool) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     kraus = read_channel(args.channel_path)
-    validation = validate_channel(kraus, args.tol)
+    validation = validate_channel(kraus)
+    # The one place --tol is applied: the library reports the residual only.
+    cptp_ok = validation.cptp_residual <= args.tol
     scale = 1.0 / LN2 if args.bits else 1.0
     k, n_out, n_in = kraus.shape
     report: dict = {
@@ -130,14 +124,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "n_out": n_out,
         "kraus_count": k,
         "cptp_residual": validation.cptp_residual,
-        "cptp_ok": validation.cptp_ok,
+        "cptp_ok": cptp_ok,
         "selfcomplementary": validation.selfcomplementary,
         "choi_rank": validation.choi_rank,
     }
     # Information measures are meaningless for a non-channel: a non-channel
     # gets the structural fields and nulls.
     values = [None] * 3
-    if validation.cptp_ok:
+    if cptp_ok:
         values = [v * scale for v in information_quantities(kraus, validation.gram_spectrum)]
     for name, value in zip(("map_entropy", "coherent_information", "chi_bound"), values):
         report[_entropy_key(f"{name}_nats", args.bits)] = value
@@ -238,10 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    def common(p, tol: bool = False, bits: bool = False):
+    def common(p, bits: bool = False):
         p.add_argument("--out", required=True, help="output path")
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="completeness tolerance")
         if bits:
             p.add_argument(
                 "--bits",
@@ -266,11 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
         help="unitary parameter: 'identity', 'fourier', or a JSON matrix file",
     )
-    common(p_family, tol=True)
+    common(p_family)
 
     p_analyze = sub.add_parser("analyze", help="report on a channel JSON file")
     p_analyze.add_argument("--in", dest="channel_path", required=True)
-    common(p_analyze, tol=True, bits=True)
+    p_analyze.add_argument("--tol", type=float, default=DEFAULT_TOL, help="completeness tolerance")
+    common(p_analyze, bits=True)
 
     p_sweep = sub.add_parser("sweep", help="phase sweep CSV for the first qubit family")
     p_sweep.add_argument("--points", type=int, default=100)

@@ -2,7 +2,7 @@
 
 The two qubit families and the theta = 0 family in arbitrary dimension are
 exactly CPTP and exactly self-complementary for every parameter value.  The
-general qutrit and N-dimensional parameterizations are exploratory, judged
+general qutrit and N-dimensional parameterizations are exploratory, reported on
 by :func:`qchan.channels.validate_channel` and refused by operations that
 need a genuine channel.  A strictly self-complementary channel is an
 isometry V into Sym^2(C^m).  Off theta = 0 the qutrit members are symmetric

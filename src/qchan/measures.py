@@ -209,8 +209,8 @@ def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, flo
     capacity bound of the computational basis, all from small spectra, for a
     Kraus array (k, n_out, n_in) that the caller accepted: ``gram_spectrum``
     is the spectrum of its Gram state G / n_in from
-    :func:`channels.validate_channel`, whose ``cptp_ok`` is the one
-    completeness check.  Nothing is checked here.
+    :func:`channels.validate_channel`, whose ``cptp_residual`` the caller
+    compared with its tolerance.  Nothing is checked here.
 
     The computational basis is complete, so its average output is
     Phi(1/n_in), whose entropy serves the capacity bound and the coherent

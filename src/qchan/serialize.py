@@ -7,7 +7,8 @@ Channel JSON schema::
 
 where each matrix is a row-major nested list and each scalar a two-element
 array [re, im] of JSON numbers.  A document holds at most MAX_DIM Kraus
-operators, and no finite part of an entry exceeds MAX_ENTRY in magnitude.
+operators, and every part of an entry is finite and at most MAX_ENTRY in
+magnitude.
 
 Every JSON output is the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set that call runs the
@@ -63,7 +64,7 @@ def _parts(data) -> list | None:
 
 def matrix_from_pairs(data) -> np.ndarray:
     """A complex matrix from rows of [re, im] pairs of JSON numbers, each
-    finite part at most MAX_ENTRY in magnitude."""
+    part finite and at most MAX_ENTRY in magnitude."""
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ChannelFormatError("a matrix must be a list of rows of [re, im] pairs")
     if not data or len(set(map(len, data))) != 1:
@@ -73,12 +74,14 @@ def matrix_from_pairs(data) -> np.ndarray:
         raise ChannelFormatError("matrix entries must be [re, im] pairs of two JSON numbers")
     try:
         parts = np.array(parts, dtype=float)
-        # Non-finite parts are left to the callers' finiteness checks.
-        too_big = np.any((np.abs(parts) > MAX_ENTRY) & np.isfinite(parts))
+        finite = np.isfinite(parts)
+        too_big = np.any((np.abs(parts) > MAX_ENTRY) & finite)
     except OverflowError:  # an integer beyond the float range
         too_big = True
     if too_big:
         raise ChannelFormatError(f"matrix entry part above the magnitude cap {MAX_ENTRY:g}")
+    if not finite.all():
+        raise ChannelFormatError("matrix has non-finite entries")
     return parts.view(complex).reshape(len(data), -1)
 
 
@@ -96,8 +99,9 @@ def channel_to_dict(kraus) -> dict:
 
 def channel_from_dict(data) -> np.ndarray:
     """The Kraus array (k, n_out, n_in) of a channel document.  The checks run
-    in this order: the entry format of every operator, positive dimensions,
-    finite entries in every operator, then each operator's shape."""
+    in this order: the type, size cap and sign of each dimension, the Kraus
+    count, the format and finiteness of each operator in turn, then each
+    operator's shape."""
     if not isinstance(data, dict):
         raise ChannelFormatError("channel document must be a JSON object")
     try:
@@ -110,8 +114,8 @@ def channel_from_dict(data) -> np.ndarray:
             raise ChannelFormatError(f"'{name}' must be an integer, got {value!r}")
         if value > MAX_DIM:
             raise ChannelFormatError(f"'{name}' = {value} is above the dimension cap {MAX_DIM}")
-    if isinstance(raw, np.ndarray):  # as channel_to_dict gives it
-        raw = raw.tolist()
+        if value < 1:
+            raise ChannelFormatError("dimensions must be positive")
     if not isinstance(raw, list) or not raw:
         raise ChannelFormatError("'kraus' must be a nonempty list of matrices")
     if len(raw) > MAX_DIM:
@@ -119,10 +123,6 @@ def channel_from_dict(data) -> np.ndarray:
             f"'kraus' holds {len(raw)} operators, above the Kraus count cap {MAX_DIM}"
         )
     ops = [matrix_from_pairs(mat) for mat in raw]
-    if n_in < 1 or n_out < 1:
-        raise ChannelFormatError("dimensions must be positive")
-    if not all(np.isfinite(op).all() for op in ops):
-        raise ChannelFormatError("matrix has non-finite entries")
     for op in ops:
         if op.shape != (n_out, n_in):
             raise ChannelFormatError(

@@ -1,10 +1,10 @@
 """One acceptance rule for channels and the states derived from them.
 
 A channel is checked once, for completeness: within --tol by the CLI's
-``validate_channel``, within DEFAULT_TOL everywhere else.  A state that
-the library derives from an accepted channel, or from accepted input
-states, is eigensolved as it is and not re-judged at the stricter state
-tolerances.
+``analyze``, which compares the residual that ``validate_channel`` reports
+with it, and within DEFAULT_TOL everywhere else.  A state that the library
+derives from an accepted channel, or from accepted input states, is
+eigensolved as it is and not re-judged at the stricter state tolerances.
 """
 
 import json
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qchan import (
+    DEFAULT_TOL,
     affine_of_channel,
     amplitude_damping,
     bloch_image,
@@ -29,7 +30,7 @@ from qchan import (
     ndim_theta0,
     qubit_family_a,
 )
-from qchan import channels, cli, linalg
+from qchan import channels, cli, linalg, measures
 from qchan.serialize import channel_to_dict, write_json_atomic
 
 from conftest import bell_state, random_cptp
@@ -104,10 +105,10 @@ def test_tol_moves_only_the_completeness_verdict(tmp_path):
     assert report["cptp_ok"] is True and report["selfcomplementary"] is False
 
 
-def test_family_tol_moves_only_the_completeness_verdict(tmp_path):
+def test_analyze_tol_on_a_family_document_moves_only_the_completeness_verdict(tmp_path):
     # ndim at theta = 1e-8 is complete within 1e-15, with defect 7.1e-9.
     doc, report = tmp_path / "ndim.json", tmp_path / "ndim.report.json"
-    family = ["family", "--id", "ndim", "--n", "4", "--theta", "1e-8", "--tol", "1e-6"]
+    family = ["family", "--id", "ndim", "--n", "4", "--theta", "1e-8"]
     assert cli.main([*family, "--out", str(doc)]) == 0
     validation = json.loads(doc.read_text())["validation"]
     assert validation["cptp_residual"] <= 1e-15 and validation["selfcomplementary"] is False
@@ -119,8 +120,8 @@ def test_family_tol_moves_only_the_completeness_verdict(tmp_path):
 def test_choi_rank_is_cut_at_the_default_tolerance():
     # Amplitude damping at p = 1e-8 has a Gram eigenvalue of about 1e-8 n_in.
     channel = amplitude_damping(1e-8)
-    report = channels.validate_channel(channel, 1e-6)
-    assert report.cptp_ok and report.choi_rank == 2
+    report = channels.validate_channel(channel)
+    assert report.cptp_residual <= DEFAULT_TOL and report.choi_rank == 2
     assert report.choi_rank == channels.channel_rank(channels.choi_matrix(channel))
 
 
@@ -145,14 +146,46 @@ def test_holevo_mixture_of_accepted_states_is_not_rejudged():
 def test_tol_above_the_cap_exits_2_and_writes_nothing(tmp_path, capsys, command, tol):
     out = tmp_path / "out.json"
     if command == "family":
-        argv = ["family", "--id", "qubit-a"]
+        # family takes no --tol: its parser refuses the option, whatever its value.
+        with pytest.raises(SystemExit) as refused:
+            cli.main(["family", "--id", "qubit-a", "--tol", repr(tol), "--out", str(out)])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: --tol {tol!r}" in capsys.readouterr().err
     else:
         doc = tmp_path / "ch.json"
         write_json_atomic(doc, channel_to_dict(qubit_family_a(0.3)))
-        argv = ["analyze", "--in", str(doc)]
-    assert cli.main([*argv, "--tol", repr(tol), "--out", str(out)]) == 2
-    assert f"--tol {tol} is above the tolerance cap {cli.MAX_TOL}" in capsys.readouterr().err
+        argv = ["analyze", "--in", str(doc), "--tol", repr(tol), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"--tol {tol} is above the tolerance cap {cli.MAX_TOL}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The finiteness passes (linalg._finite) of one call on a qubit channel.
+# Each public function a call goes through coerces its argument once;
+# completeness_residuals takes an accepted stack and makes none.
+FINITE_PASSES = {
+    "validate_channel": (channels.validate_channel, 3),
+    "gram_states": (lambda ch: channels.gram_states(ch[None]), 2),
+    "choi_state": (channels.choi_state, 5),
+    "stinespring": (channels.stinespring, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(FINITE_PASSES))
+def test_finiteness_passes_per_call(monkeypatch, name):
+    call, expected = FINITE_PASSES[name]
+    passes = []
+    finite = linalg._finite
+
+    def count(*args):
+        passes.append(args[-1])
+        return finite(*args)
+
+    # channels and measures hold their own binding of the name.
+    for module in (linalg, channels, measures):
+        monkeypatch.setattr(module, "_finite", count)
+    call(qubit_family_a(0.3))
+    assert len(passes) == expected, passes
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qchan import (
+    DEFAULT_TOL,
     apply,
     bloch_vector,
     capacity_lower_bounds,
@@ -32,7 +33,7 @@ from qchan import (
     validate_states,
 )
 from qchan.families import FAMILIES
-from qchan.serialize import channel_from_dict, channel_to_dict
+from qchan.serialize import channel_to_dict, read_channel, write_json_atomic
 
 from conftest import random_cptp, random_density_matrix
 
@@ -350,16 +351,16 @@ def test_compose_dimension_mismatch():
 
 def test_validate_channel_cptp_verdicts():
     ok = validate_channel(qubit_family_a(0.8, 0.8))
-    assert ok.cptp_ok and ok.cptp_residual <= 1e-12
+    assert ok.cptp_residual <= 1e-12
     bad = validate_channel(np.array([np.eye(2, dtype=complex)] * 2))
-    assert not bad.cptp_ok and abs(bad.cptp_residual - 1.0) <= 1e-12
+    assert abs(bad.cptp_residual - 1.0) <= 1e-12
     for n in range(2, 7):
-        assert validate_channel(ndim_theta0(n)).cptp_ok
+        assert validate_channel(ndim_theta0(n)).cptp_residual <= DEFAULT_TOL
 
 
 def test_validate_channel_report():
     rep = validate_channel(qubit_family_a(0.25, 0.75))
-    assert rep.cptp_ok and rep.selfcomplementary and rep.choi_rank == 2
+    assert rep.cptp_residual <= DEFAULT_TOL and rep.selfcomplementary and rep.choi_rank == 2
 
 
 def test_choi_state_is_valid_density_matrix():
@@ -409,12 +410,13 @@ def test_family_operators_are_one_kraus_array(name):
     assert_kraus_array(family.build(*(options[p] for p in family.params)))
 
 
-def test_derived_channels_hold_one_kraus_array(rng):
+def test_derived_channels_hold_one_kraus_array(tmp_path, rng):
     ch = random_cptp(2, 3, 4, rng)
     comp = complementary(ch)  # built from a transposed view
     assert_kraus_array(comp)
     assert np.array_equal(comp, ch.transpose(1, 0, 2))
-    assert_kraus_array(channel_from_dict(channel_to_dict(ch)))
+    write_json_atomic(tmp_path / "ch.json", channel_to_dict(ch))
+    assert_kraus_array(read_channel(tmp_path / "ch.json"))
     assert_kraus_array(tensor_channel(ch, qubit_family_a(0.4)))
     assert_kraus_array(compose(qubit_family_a(0.4), identity_channel(2)))
     assert_kraus_array(choi_to_kraus(choi_matrix(ch), 2, 3))

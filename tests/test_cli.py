@@ -406,9 +406,10 @@ WIDE = _operator(np.eye(2, 3))
 NAN = _operator([[math.nan, 0.0], [0.0, 1.0]])
 INF = _operator([[math.inf, 0.0], [0.0, 1.0]])
 
-# Documents with well-formed entries that are not a channel, and the message
-# of the check that refuses each.  Finiteness is checked over every operator
-# before any shape is.
+# Documents that are not a channel, and the message of the check that refuses
+# each.  The dimensions are checked before any operator is read, and each
+# operator's format and finiteness before any shape is: a document with two
+# faults gets the message of the first check that fails.
 NOT_A_CHANNEL = {
     "operator of the wrong shape": (
         2, [EYE, WIDE], "Kraus operator shape (2, 3) differs from (2, 2)"
@@ -419,6 +420,8 @@ NOT_A_CHANNEL = {
     "NaN entry": (2, [EYE, NAN], "matrix has non-finite entries"),
     "Infinity entry": (2, [INF], "matrix has non-finite entries"),
     "wrong shape, then NaN": (2, [WIDE, NAN], "matrix has non-finite entries"),
+    "NaN, then not a matrix": (2, [NAN, 5], "matrix has non-finite entries"),
+    "n_in = 0 and not a matrix": (0, [5], "dimensions must be positive"),
 }
 
 
@@ -502,8 +505,8 @@ def test_zero_entropies_are_written_as_positive_zero(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["family", "--id", "qubit-a", "--theta", 0.3, "--tol", "nan"],
-        ["family", "--id", "qubit-a", "--theta", 0.3, "--tol", "inf"],
+        ["analyze", "--in", "missing.json", "--tol", "nan"],
+        ["analyze", "--in", "missing.json", "--tol", "inf"],
         ["family", "--id", "qubit-a", "--theta", "nan"],
         ["family", "--id", "ad", "--p", "nan"],
         ["sweep", "--theta-max", "nan"],
@@ -561,6 +564,7 @@ def test_family_table_decides_what_each_command_accepts(tmp_path, capsys, comman
         (["family", "--id", "ad", "--bits"], "--bits"),
         (["dynamics", "--steps", 8, "--tol", "1e-9"], "--tol 1e-9"),
         (["analyze", "--in", "missing.json", "--bogus"], "--bogus"),
+        (["family", "--id", "ad", "--tol", "1e-9"], "--tol 1e-9"),
     ],
 )
 def test_unknown_option_is_refused_by_the_subcommand(tmp_path, capsys, argv, unknown):

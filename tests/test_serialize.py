@@ -20,8 +20,13 @@ from hypothesis.extra import numpy as hnp
 from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
-from qchan.linalg import DEFAULT_TOL
-from qchan.serialize import ChannelFormatError, channel_to_dict, read_channel, write_json_atomic
+from qchan.serialize import (
+    ChannelFormatError,
+    channel_to_dict,
+    matrix_from_pairs,
+    read_channel,
+    write_json_atomic,
+)
 
 from conftest import random_cptp
 
@@ -77,7 +82,7 @@ def test_family_output_is_the_json_module_encoding(tmp_path, name, dim):
     if "w" in family.params:
         options["w"] = dft_matrix(dim or 3)
     channel = family.build(*(options[p] for p in family.params))
-    validation = validate_channel(channel, DEFAULT_TOL)
+    validation = validate_channel(channel)
     doc = pair_document(channel)
     doc["validation"] = {
         "cptp_residual": validation.cptp_residual,
@@ -152,6 +157,24 @@ def test_a_non_finite_array_value_raises_and_writes_nothing(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         write_json_atomic(path, {"kraus": np.array([[0.5, bad]]), "n_in": 1})
     assert os.listdir(tmp_path) == []
+
+
+# A part json.loads can give that matrix_from_pairs refuses, with its message.
+BAD_PARTS = {
+    "NaN": (math.nan, "matrix has non-finite entries"),
+    "Infinity": (math.inf, "matrix has non-finite entries"),
+    "-Infinity": (-math.inf, "matrix has non-finite entries"),
+    "integer beyond the float range": (10**400, "magnitude cap"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PARTS))
+@pytest.mark.parametrize("where", ["re", "im"])
+def test_matrix_from_pairs_refuses_a_part(case, where):
+    part, message = BAD_PARTS[case]
+    entry = [part, 0.0] if where == "re" else [0.0, part]
+    with pytest.raises(ChannelFormatError, match=message):
+        matrix_from_pairs([[[1.0, 0.0], entry], [[0.0, 0.0], [1.0, 0.0]]])
 
 
 CSV_VALUES = [
