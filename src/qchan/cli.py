@@ -21,6 +21,7 @@ renames headers accordingly.  --tol (analyze) is at most MAX_TOL.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -225,7 +226,14 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qchan`` argument parser, built on the first call.
+
+    Every later call returns the same parser, one per process, so that
+    repeated ``main`` calls do not rebuild it.  Parsing leaves it as it was;
+    callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Quantum-channel toolkit: families, conversions, measures, dynamics.",

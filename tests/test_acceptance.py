@@ -31,6 +31,7 @@ from qchan import (
     negativity_closed_form,
     ndim_family,
     ndim_theta0,
+    partial_trace,
     positive_variation,
     qubit_family_a,
     qubit_family_b,
@@ -340,4 +341,81 @@ def test_criterion_15_residual_coherence():
         f"largest output l1 coherence attains its closed forms (worst {worst_attained:.2e}) and no "
         f"sphere point exceeds them (worst excess {worst_excess:.2e}); qubit-a keeps coherence 1 at "
         "pi/4, where its Choi state is separable",
+    )
+
+
+def test_criterion_16_approximate_copy_machine():
+    # The dilation V maps a qubit into output (x) environment, and both
+    # marginals are Phi(rho): V is a symmetric 1 -> 2 cloner whose copies
+    # have the channel's fidelity.  For a Bloch map r -> A r + b the mean
+    # fidelity over the sphere is 1/2 + tr A / 6 and over the equator
+    # 1/2 + (A_xx + A_yy) / 4.
+    sq2 = math.sqrt(2.0)
+    universal_forms = (
+        (qubit_family_a, lambda t: 0.5 + sq2 / 6 * math.sin(t) - math.cos(2 * t) / 12),
+        (qubit_family_b, lambda t: 7 / 12 + sq2 / 6 * math.sin(t) + math.cos(t) ** 2 / 12),
+    )
+    # Optimal phase-covariant 1 -> 2 qubit cloner (Bruss et al., PRA 62,
+    # 012302, 2000) and optimal universal one (Buzek and Hillery, PRA 54,
+    # 1844, 1996).
+    equatorial_optimum, universal_optimum = 0.5 + math.sqrt(1 / 8), 5 / 6
+    worst_form, equatorial_excess, universal_best = 0.0, -math.inf, 0.0
+    for phi in (0.0, 0.9, math.pi / 2):
+        for theta in np.linspace(0.0, math.pi, 201):
+            t = float(theta)
+            for family, universal in universal_forms:
+                linear, _ = affine_of_channel(family(t, phi))
+                equatorial = 0.5 + (linear[0, 0] + linear[1, 1]) / 4
+                mean = 0.5 + np.trace(linear) / 6
+                worst_form = max(
+                    worst_form,
+                    abs(equatorial - (0.5 + sq2 / 4 * math.sin(t))),
+                    abs(mean - universal(t)),
+                )
+                equatorial_excess = max(equatorial_excess, equatorial - equatorial_optimum)
+                universal_best = max(universal_best, mean)
+    assert worst_form <= 1e-12
+    assert equatorial_excess <= 1e-12 and universal_best <= universal_optimum
+    for family, _ in universal_forms:
+        linear, _ = affine_of_channel(family(math.pi / 2, 0.0))
+        assert abs(0.5 + (linear[0, 0] + linear[1, 1]) / 4 - equatorial_optimum) <= 1e-15
+
+    # Both copies: the output and environment marginals of V rho V^dagger.
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    sphere = fibonacci_sphere(100)
+    inputs = (np.eye(2) + np.einsum("pi,ijk->pjk", sphere, paulis)) / 2
+    worst_copies, worst_affine = 0.0, 0.0
+    for phi in (0.0, 0.9):
+        for theta in np.linspace(0.0, math.pi, 9):
+            for family, _ in universal_forms:
+                kraus = family(float(theta), phi)
+                isometry = stinespring(kraus)[:, :2]
+                linear, shift = affine_of_channel(kraus)
+                for r, rho in zip(sphere, inputs):
+                    joint = isometry @ rho @ isometry.conj().T
+                    output, environment = (
+                        float(np.trace(rho @ partial_trace(joint, (2, 2), keep)).real)
+                        for keep in (1, 0)
+                    )
+                    worst_copies = max(worst_copies, abs(output - environment))
+                    worst_affine = max(worst_affine, abs(output - (1 + r @ (linear @ r + shift)) / 2))
+    assert worst_copies <= 1e-12 and worst_affine <= 1e-12
+
+    # Werner's optimal universal 1 -> 2 cloner in dimension n (PRA 58, 1827,
+    # 1998) bounds ndim-theta0, whose mean fidelity is (n F_e + 1) / (n + 1)
+    # with entanglement fidelity F_e = sum_a |tr K_a|^2 / n^2 (Nielsen, Phys.
+    # Lett. A 303, 249, 2002).
+    gaps = []
+    for n in range(2, 17):
+        kraus = ndim_theta0(n)
+        entanglement_fidelity = float(np.sum(np.abs(np.trace(kraus, axis1=1, axis2=2)) ** 2)) / n**2
+        assert abs(entanglement_fidelity - (1 + (n - 1) / sq2) ** 2 / n**2) <= 1e-12
+        gaps.append((n + 3) / (2 * (n + 1)) - (n * entanglement_fidelity + 1) / (n + 1))
+    assert min(gaps) > 0.0
+    report(
+        16,
+        f"both dilation marginals copy with one fidelity (worst {worst_copies:.2e}); equatorial "
+        f"1/2 + (sqrt 2/4) sin t and universal closed forms hold (worst {worst_form:.2e}); the "
+        f"optimal phase-covariant cloner is reached at pi/2, 5/6 is never passed, and ndim-theta0 "
+        f"stays below Werner's bound for n = 2..16 (smallest gap {min(gaps):.4f})",
     )

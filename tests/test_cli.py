@@ -355,6 +355,48 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "ch.json"]
 
 
+def test_repeated_main_calls_share_one_parser_and_match_fresh_processes(
+    tmp_path, monkeypatch, capsys
+):
+    # Each command runs after others that set options it leaves at their
+    # defaults, and must write what a fresh process writes.
+    sequence = [
+        ("bloch", "--batch", "--points", 32, "--out", "batch.csv"),
+        ("bloch", "--points", 32, "--out", "single.csv"),
+        ("sweep", "--bits", "--points", 11, "--out", "bits.csv"),
+        ("sweep", "--points", 11, "--out", "nats.csv"),
+        ("sweep", "--tol", "1e-9", "--out", "refused.csv"),
+        ("family", "--id", "qubit-a", "--theta", 0.4, "--out", "ch.json"),
+        ("analyze", "--in", "ch.json", "--out", "report.json"),
+    ]
+    assert build_parser() is build_parser()
+    # argparse wraps the usage line at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
+    for argv in sequence:
+        expected = run_process(*argv, cwd=fresh)
+        if argv[1] == "--tol":
+            with pytest.raises(SystemExit) as refused:
+                run(*argv)
+            assert refused.value.code == expected.returncode == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: qchan sweep ") and err == expected.stderr
+        else:
+            assert run(*argv) == expected.returncode == 0
+            assert capsys.readouterr().err == expected.stderr == ""
+    assert (shared / "nats.csv").read_text().splitlines()[0].endswith(
+        "chi_bound_nats,map_entropy_nats"
+    )
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(shared)) == names
+    assert "single.csv" in names and "refused.csv" not in names
+    for name in names:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_analyze_missing_input_file_exits_3(tmp_path, capsys):
     assert run("analyze", "--in", tmp_path / "missing.json", "--out", tmp_path / "r.json") == 3
     assert "format" in capsys.readouterr().err
