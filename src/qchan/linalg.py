@@ -95,11 +95,27 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
     Hermiticity is not checked: only the lower triangle is read.  Callers
     pass matrices that are Hermitian by construction, or check them first.
-    A 2 x 2 side takes :func:`_spectra_2x2`, a larger one LAPACK's eigvalsh.
+    There are three routes: a 2 x 2 side takes :func:`_spectra_2x2`; a 4 x 4
+    X-matrix, whose entries (1,0), (2,0), (3,1) and (3,2) are exactly zero,
+    is the direct sum of its {0, 3} and {1, 2} blocks and takes the sorted
+    :func:`_spectra_2x2` of both, decided sample by sample; every other
+    matrix takes LAPACK's eigvalsh.
     """
     m = _matrices(a)
     if m.shape[-2:] == (2, 2):
         return _spectra_2x2(m)
+    if m.shape[-2:] == (4, 4):
+        flat = m.reshape(-1, 4, 4)
+        x = ~flat[:, [1, 2, 3, 3], [0, 0, 1, 2]].any(axis=-1)
+        if x.any():
+            out = np.empty(flat.shape[:-1])
+            # pairs[s, b] is the {0, 3} (b = 0) or {1, 2} (b = 1) block of X-matrix s.
+            pairs = flat[np.flatnonzero(x)[:, None, None, None], [[[0], [3]], [[1], [2]]],
+                         [[[0, 3]], [[1, 2]]]]
+            out[x] = np.sort(_spectra_2x2(pairs).reshape(-1, 4), axis=-1)
+            if not x.all():
+                out[~x] = np.linalg.eigvalsh(flat[~x])
+            return out.reshape(m.shape[:-1])
     return np.linalg.eigvalsh(m)
 
 

@@ -755,8 +755,8 @@ def test_dynamics_subnormal_t_max_exits_2(tmp_path, capsys, t_max):
 
 @pytest.mark.parametrize("command", ["analyze", "dynamics"])
 def test_eigensolver_failure_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    # The analyze document's 3 x 3 Gram state and dynamics' 4 x 4 partial
-    # transposes are solved by LAPACK's eigvalsh.
+    # The analyze document's 3 x 3 Gram state and qubit-b's dense 4 x 4
+    # partial transposes are solved by LAPACK's eigvalsh.
     doc = tmp_path / "ch.json"
     assert run("family", "--id", "ndim-theta0", "--n", 3, "--out", doc) == 0
     capsys.readouterr()
@@ -766,7 +766,10 @@ def test_eigensolver_failure_exits_4_and_writes_nothing(tmp_path, capsys, monkey
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     out = tmp_path / "out"
-    argv = ["analyze", "--in", doc] if command == "analyze" else ["dynamics", "--steps", 8]
+    if command == "analyze":
+        argv = ["analyze", "--in", doc]
+    else:
+        argv = ["dynamics", "--family", "qubit-b", "--steps", 8]
     assert run(*argv, "--out", out) == 4
     assert capsys.readouterr().err == "qchan: numerical failure: Eigenvalues did not converge\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ch.json"]

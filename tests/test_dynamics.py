@@ -282,11 +282,16 @@ def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
     # The per-sample N = 1 calls of the library give the stacked bits.
     singles = np.array([choi_measures(reference_kraus(family, p)[None]) for p in param])
     assert bits(records) == bits(singles[:, :, 0].T)
-    # The parameter and the 4 x 4 negativity eigensolve equal the
-    # independent LAPACK loop bit for bit; the concurrence and the map
-    # entropy come from the 2 x 2 closed forms, held to its SVD and eigvalsh.
+    # The parameter equals the independent LAPACK loop bit for bit, and so
+    # does qubit-b's negativity, whose dense partial transposes LAPACK
+    # solves.  qubit-a's and ad's partial transposes are X-matrices, solved
+    # as two 2 x 2 closed forms; they, the concurrence and the map entropy
+    # are held to the loop's eigvalsh and SVD.
     assert bits(parameter) == bits(param)
-    assert bits(records[0]) == bits(neg)
+    if family == "qubit-b":
+        assert bits(records[0]) == bits(neg)
+    else:
+        assert np.abs(records[0] - neg).max() <= 1e-15
     assert np.abs(records[1] - conc).max() <= 1e-15
     assert np.abs(records[2] - ent).max() <= 1e-15
 
@@ -388,6 +393,14 @@ def test_trajectory_rejects_non_finite_arguments():
     for omega, t_max in ((math.nan, 1.0), (1.0, math.inf), (1e200, 1e200)):
         with pytest.raises(ValueError, match="finite"):
             run_trajectory("qubit-a", omega, t_max, 8)
+
+
+def test_amplitude_damping_stacked_record_follows_its_closed_forms():
+    # ad's Choi partial transpose is an X-matrix, with spectrum {-(1 - p) / 2,
+    # (1 - p) / 2, 1 / 2, 1 / 2}: negativity (1 - p) / 2, concurrence sqrt(1 - p).
+    _, p, (neg, conc, _) = run_trajectory("ad", omega=0.7, t_max=30.0, n_steps=4097)
+    assert np.abs(neg - (1.0 - p) / 2.0).max() <= 5e-16
+    assert np.abs(conc - np.sqrt(1.0 - p)).max() <= 5e-16
 
 
 def test_amplitude_damping_choi_negativity_closed_form():

@@ -5,19 +5,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qchan import (
+    amplitude_damping,
     choi_state,
     dagger,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     qubit_family_a,
+    qubit_family_b,
     spin_flip,
     validate_states,
 )
 from qchan.channels import _grams
 from qchan.linalg import _product, as_matrix
+from qchan.measures import choi_measures
 
-from conftest import bell_state, two_operator_qubit_stacks
+from conftest import bell_state, random_cptp, two_operator_qubit_stacks
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -91,6 +94,64 @@ def test_two_by_two_spectra_read_the_lower_triangle(m):
     closed = hermitian_eigenvalues(m)
     assert np.array_equal(closed, hermitian_eigenvalues(hermitian))
     assert np.abs(closed - np.linalg.eigvalsh(hermitian)).max() <= 8 * np.finfo(float).eps
+
+
+def phase_covariant_pairs(rng, n) -> np.ndarray:
+    """Kraus pairs K1 = diag(a, b), K2 = [[0, c], [d, 0]] with |a|^2 + |d|^2
+    = |b|^2 + |c|^2 = 1 and random phases: their partial transposes are
+    X-matrices."""
+    alpha, beta = rng.uniform(0.0, np.pi / 2, (2, n))
+    phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (4, n)))
+    kraus = np.zeros((n, 2, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0], kraus[:, 0, 1, 1] = np.cos(alpha) * phases[0], np.cos(beta) * phases[1]
+    kraus[:, 1, 0, 1], kraus[:, 1, 1, 0] = np.sin(beta) * phases[2], np.sin(alpha) * phases[3]
+    return kraus
+
+
+def choi_partial_transposes(kraus) -> np.ndarray:
+    """PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k]) / 2 of each qubit
+    channel of a Kraus stack."""
+    return np.einsum("nail,najk->nkilj", kraus, kraus.conj()).reshape(-1, 4, 4) / 2
+
+
+def test_four_by_four_x_matrices_take_the_closed_form_sample_by_sample(rng, monkeypatch):
+    thetas = np.linspace(0.0, np.pi, 40)
+    x_shaped = [qubit_family_a(thetas, 0.9), amplitude_damping(np.linspace(0.0, 1.0, 40)),
+                phase_covariant_pairs(rng, 40)]
+    # qubit-b is phase-covariant only at theta = 0, where both operators are diagonal.
+    dense = [qubit_family_b(thetas[1:-1], 0.4),
+             np.array([random_cptp(2, 2, 2, rng) for _ in range(40)])]
+    kraus = np.concatenate(x_shaped + dense)
+    is_x = np.arange(len(kraus)) < 120
+    order = rng.permutation(len(kraus))
+    kraus, is_x = kraus[order], is_x[order]
+    pts = choi_partial_transposes(kraus)
+    expected = np.linalg.eigvalsh(pts)
+
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    ev = hermitian_eigenvalues(pts)
+    # The dense rows alone reach LAPACK, in one call, and keep its bits.
+    assert shapes == [(78, 4, 4)]
+    assert ev[~is_x].tobytes() == expected[~is_x].tobytes()
+    # X-shaped rows are ascending and within rounding of LAPACK.
+    assert np.all(np.diff(ev[is_x], axis=-1) >= 0)
+    scale = np.abs(pts[is_x]).max(axis=(-2, -1))[:, None]
+    assert np.all(np.abs(ev[is_x] - expected[is_x]) <= 1e-15 * scale)
+    # A row's bits do not depend on its neighbours.
+    measures = np.array(choi_measures(kraus))
+    for i in range(len(kraus)):
+        assert hermitian_eigenvalues(pts[i]).tobytes() == ev[i].tobytes()
+        assert hermitian_eigenvalues(pts[i:i + 1]).tobytes() == ev[i:i + 1].tobytes()
+        single = np.array(choi_measures(kraus[i:i + 1]))[:, 0]
+        assert single.tobytes() == measures[:, i].tobytes()
+    assert hermitian_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
 def complex_normal(rng, shape):

@@ -470,9 +470,12 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    # The 2 x 2 Gram states and tau take closed forms, and so do qubit-a's
+    # X-shaped partial transposes: nothing reaches LAPACK.
     choi_measures(qubit_family_a(np.linspace(0.0, 1.0, 7), 0.3))
-    # The 2 x 2 Gram states and tau take closed forms: only the partial
-    # transposes for the negativity reach LAPACK.
+    assert shapes == []
+    # qubit-b's dense partial transposes reach eigvalsh once, as one stack.
+    choi_measures(qubit_family_b(np.linspace(0.1, 1.0, 7), 0.3))
     assert shapes == [(7, 4, 4)]
 
 
