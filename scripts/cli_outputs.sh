@@ -10,6 +10,9 @@
 #
 # The set covers every command: dynamics of each driven family with and
 # without --bits, sweep (with and without --bits), bloch single and --batch,
+# runs that cross block boundaries (dynamics of qubit-b and ad at 4097
+# samples, four full blocks and a one-sample tail; sweep at 3000 points,
+# blocks of 1024, 1024 and 952; the figure script's qubit-a at 4097),
 # family then analyze for each family (ndim-theta0 at several n, analyzed
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
 # whose off-diagonal entries are all -0.0), six refusals, and
@@ -54,7 +57,12 @@ for family in qubit-a qubit-b ad; do
     run "dynamics-$family-bits" dynamics --family "$family" --steps 512 --omega 2.5 --bits \
         --out "dynamics-$family-bits.csv"
 done
+for family in qubit-b ad; do
+    run "dynamics-$family-blocks" dynamics --family "$family" --steps 4096 \
+        --out "dynamics-$family-blocks.csv"
+done
 run sweep sweep --points 300 --phi 0.4 --out sweep.csv
+run sweep-blocks sweep --points 3000 --out sweep-blocks.csv
 run sweep-bits sweep --points 57 --theta-max 1.0 --bits --out sweep-bits.csv
 run bloch bloch --family qubit-b --theta 0.7 --phi 0.3 --points 200 --out bloch.csv
 run bloch-batch bloch --batch --points 200 --out bloch-batch.csv

@@ -77,17 +77,60 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectra_2x2(m: np.ndarray) -> np.ndarray:
+def _pair_spectra(a, d, b) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra m -+ h of 2 x 2 Hermitian matrices [[a, b*], [b, d]],
-    m = (a + d) / 2 and h = hypot((a - d) / 2, |b|), from the lower triangle.
-    The one of smaller magnitude is det / (m +- h), as LAPACK's dlae2 writes
-    it: m - h would cancel to eps * m at a near-singular state."""
-    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])
+    given the real diagonals a, d and the moduli b = |b| entry by entry;
+    m = (a + d) / 2 and h = hypot((a - d) / 2, b).  The one of smaller
+    magnitude is det / (m +- h), as LAPACK's dlae2 writes it: m - h would
+    cancel to eps * m at a near-singular state."""
     mid, half = (a + d) / 2, np.hypot((a - d) / 2, b)
     big = np.where(mid >= 0, mid + half, mid - half)
     scale = np.where(big != 0, big, 1.0)  # big = 0 only at the zero matrix
     small = a / scale * d - b / scale * b
-    return np.stack([np.minimum(small, big), np.maximum(small, big)], axis=-1)
+    return np.minimum(small, big), np.maximum(small, big)
+
+
+def _spectra_2x2(m: np.ndarray) -> np.ndarray:
+    """:func:`_pair_spectra` of a stack of 2 x 2 matrices, from the lower triangle."""
+    spectra = _pair_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0]))
+    return np.stack(spectra, axis=-1)
+
+
+# Rows and columns of the lower triangle of a 4 x 4 matrix, row by row, as
+# np.tril_indices(4) gives them; that call at import would add 128 KB to the
+# resident set.  The couplings (1,0), (2,0), (3,1) and (3,2) that an
+# X-matrix has zero are at the positions _X_COUPLINGS.
+_LOWER_4X4 = ([0, 1, 1, 2, 2, 2, 3, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
+_X_COUPLINGS = [1, 3, 7, 8]
+
+
+def _spectra_4x4(lower: np.ndarray) -> np.ndarray:
+    """Ascending spectra of 4 x 4 Hermitian matrices from their lower
+    triangles, one row of ``lower`` (10, N) per entry in _LOWER_4X4 order.
+
+    A matrix whose couplings (1,0), (2,0), (3,1) and (3,2) are exactly zero
+    is an X-matrix, the direct sum of its {0, 3} and {1, 2} blocks, and takes
+    the sorted :func:`_pair_spectra` of both.  The others are filled out as
+    Hermitian matrices and go to LAPACK's eigvalsh, in one call.  The route
+    is chosen matrix by matrix, so a matrix's bits never depend on its stack.
+    """
+    x = ~lower[_X_COUPLINGS].any(axis=0)
+    out = np.empty(lower.shape[1:] + (4,))
+    if x.any():
+        # A slice, not a mask, where every matrix is an X-matrix: no copies.
+        rows = slice(None) if x.all() else x
+        # Both blocks at once: [[m00, m03], [m30, m33]] and [[m11, m12], [m21, m22]].
+        xs = lower[:, rows]
+        lo, hi = _pair_spectra(xs[[0, 2]].real, xs[[9, 5]].real, np.abs(xs[[6, 4]]))
+        pairs = np.stack([lo, hi], axis=-1).transpose(1, 0, 2)
+        out[rows] = np.sort(pairs.reshape(-1, 4), axis=-1)
+    if not x.all():
+        dense = lower[:, ~x].T
+        m = np.empty((len(dense), 4, 4), dtype=complex)
+        m[:, _LOWER_4X4[1], _LOWER_4X4[0]] = dense.conj()
+        m[:, _LOWER_4X4[0], _LOWER_4X4[1]] = dense
+        out[~x] = np.linalg.eigvalsh(m)
+    return out
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -95,27 +138,25 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
     Hermiticity is not checked: only the lower triangle is read.  Callers
     pass matrices that are Hermitian by construction, or check them first.
-    There are three routes: a 2 x 2 side takes :func:`_spectra_2x2`; a 4 x 4
-    X-matrix, whose entries (1,0), (2,0), (3,1) and (3,2) are exactly zero,
-    is the direct sum of its {0, 3} and {1, 2} blocks and takes the sorted
-    :func:`_spectra_2x2` of both, decided sample by sample; every other
-    matrix takes LAPACK's eigvalsh.
+    There are three routes: a 2 x 2 side takes :func:`_spectra_2x2`, a 4 x 4
+    side :func:`_spectra_4x4`, which solves X-matrices in closed form, and
+    every other side LAPACK's eigvalsh.
     """
-    m = _matrices(a)
+    return _eigenvalues(_matrices(a))
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_eigenvalues` of a complex array (..., d, d) that the
+    caller built or accepted: nothing is coerced or checked."""
     if m.shape[-2:] == (2, 2):
         return _spectra_2x2(m)
     if m.shape[-2:] == (4, 4):
         flat = m.reshape(-1, 4, 4)
-        x = ~flat[:, [1, 2, 3, 3], [0, 0, 1, 2]].any(axis=-1)
-        if x.any():
-            out = np.empty(flat.shape[:-1])
-            # pairs[s, b] is the {0, 3} (b = 0) or {1, 2} (b = 1) block of X-matrix s.
-            pairs = flat[np.flatnonzero(x)[:, None, None, None], [[[0], [3]], [[1], [2]]],
-                         [[[0, 3]], [[1, 2]]]]
-            out[x] = np.sort(_spectra_2x2(pairs).reshape(-1, 4), axis=-1)
-            if not x.all():
-                out[~x] = np.linalg.eigvalsh(flat[~x])
-            return out.reshape(m.shape[:-1])
+        lower = flat[:, _LOWER_4X4[0], _LOWER_4X4[1]].T
+        # With no X-matrix in the stack, LAPACK takes the stack as it is.
+        if lower[_X_COUPLINGS].any(axis=0).all():
+            return np.linalg.eigvalsh(m)
+        return _spectra_4x4(lower).reshape(m.shape[:-1])
     return np.linalg.eigvalsh(m)
 
 

@@ -38,9 +38,12 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _LOWER_4X4,
+    _eigenvalues,
     _finite,
     _matrices,
     _product,
+    _spectra_4x4,
     as_matrix,
     as_stack,
     dagger,
@@ -54,6 +57,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# The antidiagonal of sigma_y (x) sigma_y, from the top right.
+_YY_ANTIDIAGONAL = np.array([-1, 1, 1, -1])
 
 
 def _clamp_nonnegative(x) -> np.ndarray:
@@ -69,10 +74,12 @@ def _entropies(spectra) -> np.ndarray:
     are summed in groups of equal length after the floor, so each sum runs
     over the kept eigenvalues alone, as the sum of one row by itself does.
     """
-    lo = float(spectra.min())
+    lo = float(spectra.min(initial=0.0))
     if lo < -DEFAULT_TOL:
         raise ValueError(f"state has eigenvalue {lo:.3e} below tolerance")
     keep = spectra > ENTROPY_EIGENVALUE_FLOOR
+    if keep.all():
+        return 0.0 - (spectra * np.log(spectra)).sum(axis=-1)
     counts = keep.sum(axis=-1)
     out = np.empty(len(spectra))
     for m in np.flatnonzero(np.bincount(counts)):
@@ -241,19 +248,28 @@ def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
     spectrum: no root of rounding noise.  sigma_y (x) sigma_y is the
     antidiagonal (-1, 1, 1, -1), so a row times it is the row reversed and
     signed.
+    """
+    tau = _product(rows[..., ::-1] * _YY_ANTIDIAGONAL, rows.swapaxes(-1, -2)) / n_in
+    return _tau_concurrences(np.moveaxis(tau, 0, -1))
+
+
+def _tau_concurrences(tau: np.ndarray) -> np.ndarray:
+    """The concurrence of :func:`_concurrence_of_factors` from its m x m
+    matrices tau, held entry-major: tau[a, b] is entry (a, b) of every
+    matrix, an array over the stack.
 
     A 2 x 2 tau takes the closed form C = gap / (s1 + s2), with tau^dagger tau
     = [[p, r], [r*, q]], gap = sqrt((p - q)^2 + 4|r|^2) and s1 + s2 = sqrt(p
     + q + 2|det tau|): nothing cancels as C -> 0, and tau = 0 gives +0.0.
+    Every other size takes the SVD.
     """
-    tau = _product(rows[..., ::-1] * [-1, 1, 1, -1], rows.swapaxes(-1, -2)) / n_in
-    if tau.shape[-1] == 2:
-        (t00, t01), (t10, t11) = tau[:, 0].T, tau[:, 1].T
+    if len(tau) == 2:
+        (t00, t01), (t10, t11) = tau
         p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
         gap = np.hypot(p - q, 2 * abs(t00.conj() * t01 + t10.conj() * t11))
         total = np.sqrt(p + q + 2 * abs(t00 * t11 - t01 * t10))
         return np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
-    lam = np.linalg.svd(tau, compute_uv=False)
+    lam = np.linalg.svd(np.moveaxis(tau, -1, 0), compute_uv=False)
     return _clamp_nonnegative(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
 
 
@@ -307,26 +323,57 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negativity, concurrence and map entropy of the Choi state of each qubit
     channel of a Kraus stack (N, k, 2, 2), from its Kraus entries.
 
-    The Choi state is rho = V V^dagger, Hermitian and PSD by construction, for
-    V with the vectorised K_a / sqrt(n_in) as columns, so the Gram states
-    V^dagger V = G / n_in are validated in its place and give the map entropy.
-    rho's partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k])
-    / n_in is summed as the superoperator is; mirrored entries are conjugate
-    products, so PT is exactly Hermitian.  The concurrence is
-    :func:`_concurrence_of_factors` of the Kraus rows.
+    The stack is checked once, for completeness, then laid out entry-major:
+    v[a, e] is entry e of vec(K_a) over the whole stack, one contiguous (N,)
+    array.  Only the entries that the closed forms read are formed, each a
+    sum of elementwise products over the stack added in the order of the
+    matrix route, so a sample's bits are the ones that route gives and never
+    depend on its stack.  The Choi state is rho = V V^dagger / n_in for V
+    with the columns vec(K_a), Hermitian and PSD by construction, so the
+    Gram states V^dagger V / n_in = G / n_in stand in for it and give the
+    map entropy.  rho's partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l]
+    conj(K_a[j,k]) / n_in is summed one operator at a time, as the
+    superoperator is, and only its lower triangle is formed, which is all
+    that :func:`_spectra_4x4` reads.  The concurrence is that of
+    :func:`_concurrence_of_factors`, from tau = V^T (sigma_y (x) sigma_y) V
+    / n_in.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
-    _, spectra = gram_states(kraus)
-    kraus = np.asarray(kraus, dtype=complex)
+    kraus = require_cptp_stack(kraus)
     n, k, _, n_in = kraus.shape
-    ops = np.moveaxis(kraus, 1, 0)
-    pt = sum(op[:, None, :, :, None] * dagger(op)[:, :, None, None, :] for op in ops)
-    ev = hermitian_eigenvalues(pt.reshape(n, 4, 4) / n_in)
+    # v[a, 2c + r] = K_a[r, c]: row a of V^T, vec(K_a) in the Choi ordering.
+    v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(k, 4, n)
+    vc = v.conj()
+    # G_ab = tr(K_a^dagger K_b), over K's entries row by row as _grams sums them.
+    gram = _pair_sums(vc, v, [0, 2, 1, 3])
+    states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
+    spectra = _eigenvalues(np.moveaxis(states, -1, 0))
+    # K_a[i,l] is v[a, 2l + i] and conj(K_a[j,k]) is vc[a, 2k + j], for the
+    # entry (2k + i, 2l + j) of the partial transpose.
+    lower = np.array([
+        sum(v[:, 2 * (c // 2) + r % 2] * vc[:, 2 * (r // 2) + c % 2])
+        for r, c in zip(*_LOWER_4X4)
+    ])
+    ev = _spectra_4x4(lower / n_in)
     neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
-    # Row a is vec(K_a) in the Choi ordering: rho = V V^dagger / n_in for these rows of V^T.
-    conc = _concurrence_of_factors(kraus.swapaxes(-1, -2).reshape(n, k, 4), n_in)
-    return neg, conc, _entropies(spectra)
+    tau = _pair_sums(v[:, ::-1] * _YY_ANTIDIAGONAL[:, None], v, range(4)) / n_in
+    return neg, _tau_concurrences(tau), _entropies(spectra)
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, order) -> np.ndarray:
+    """out[a, b] = sum_e left[a, e] right[b, e] for entry-major factors
+    (m, 4, N), added over e in the given order, as :func:`_product` adds the
+    matrix product that these entries stand for."""
+    out = np.empty((len(left), len(right), left.shape[-1]), dtype=complex)
+    first, second, *rest = order
+    for a, x in enumerate(left):
+        for b, y in enumerate(right):
+            terms = x * y
+            out[a, b] = terms[first] + terms[second]
+            for e in rest:
+                out[a, b] += terms[e]
+    return out
 
 
 def concurrence_closed_form(theta):

@@ -162,10 +162,13 @@ def test_tol_above_the_cap_exits_2_and_writes_nothing(tmp_path, capsys, command,
 
 # The finiteness passes (linalg._finite) of one call on a qubit channel.
 # Each public function a call goes through coerces its argument once;
-# completeness_residuals takes an accepted stack and makes none.
+# completeness_residuals takes an accepted stack and makes none, and the
+# Gram states and partial transposes built from an accepted stack are
+# eigensolved unchecked.
 FINITE_PASSES = {
     "validate_channel": (channels.validate_channel, 3),
-    "gram_states": (lambda ch: channels.gram_states(ch[None]), 2),
+    "gram_states": (lambda ch: channels.gram_states(ch[None]), 1),
+    "choi_measures": (lambda ch: measures.choi_measures(ch[None]), 1),
     "choi_state": (channels.choi_state, 5),
     "stinespring": (channels.stinespring, 2),
 }

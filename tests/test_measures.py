@@ -25,6 +25,8 @@ from qchan import (
     dephasing,
     dft_matrix,
     entanglement_evolution_factor,
+    gram_states,
+    hermitian_eigenvalues,
     holevo_chis,
     identity_channel,
     map_entropies,
@@ -51,6 +53,7 @@ from qchan.linalg import STACK_BLOCK
 from qchan.measures import (
     ENTROPY_EIGENVALUE_FLOOR,
     _concurrence_of_factors,
+    _entropies,
     choi_measures,
     information_quantities,
 )
@@ -372,7 +375,7 @@ def test_choi_measures_refuse_a_non_qubit_stack_up_front(shape, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validated before the shape was checked")
 
-    monkeypatch.setattr("qchan.measures.gram_states", refuse)
+    monkeypatch.setattr("qchan.measures.require_cptp_stack", refuse)
     with pytest.raises(ValueError, match=re.escape(str(shape))):
         choi_measures(np.zeros(shape, dtype=complex))
 
@@ -477,6 +480,122 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
     # qubit-b's dense partial transposes reach eigvalsh once, as one stack.
     choi_measures(qubit_family_b(np.linspace(0.1, 1.0, 7), 0.3))
     assert shapes == [(7, 4, 4)]
+
+
+# The matrix route of choi_measures before it went entry-major: the partial
+# transpose as one broadcast product per operator, gram_states' Gram states
+# and _concurrence_of_factors' tau, each from linalg._product as it was.
+
+
+def broadcast_product(a, b):
+    """a @ b over stacks, one broadcast elementwise product per index of a
+    contraction of at most 4."""
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., j, None, :]
+    return out
+
+
+def broadcast_choi_measures(kraus):
+    n, k, _, n_in = kraus.shape
+    flat = kraus.reshape(n, k, 4)
+    g = broadcast_product(flat.conj(), flat.swapaxes(-1, -2))
+    spectra = hermitian_eigenvalues((g + g.conj().swapaxes(-1, -2)) / 2 / n_in)
+    ops = np.moveaxis(kraus, 1, 0)
+    pt = sum(op[:, None, :, :, None] * op.conj().swapaxes(-1, -2)[:, :, None, None, :] for op in ops)
+    ev = hermitian_eigenvalues(pt.reshape(n, 4, 4) / n_in)
+    neg = (np.abs(ev).sum(axis=-1) - 1.0) / 2.0
+    rows = kraus.swapaxes(-1, -2).reshape(n, k, 4)
+    tau = broadcast_product(rows[..., ::-1] * [-1, 1, 1, -1], rows.swapaxes(-1, -2)) / n_in
+    if k == 2:
+        (t00, t01), (t10, t11) = tau[:, 0].T, tau[:, 1].T
+        p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
+        gap = np.hypot(p - q, 2 * abs(t00.conj() * t01 + t10.conj() * t11))
+        total = np.sqrt(p + q + 2 * abs(t00 * t11 - t01 * t10))
+        conc = np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
+    else:
+        lam = np.linalg.svd(tau, compute_uv=False)
+        conc = lam[:, 0] - lam[:, 1:4].sum(axis=-1)
+    clamp = lambda x: np.where(x > 0.0, x, 0.0)  # noqa: E731
+    return clamp(neg), conc if k == 2 else clamp(conc), _entropies(spectra)
+
+
+def pauli_channels(rng, n):
+    """sqrt(p_i) sigma_i for random weights: four operators whose Gram state
+    is diagonal, a 4 x 4 X-matrix."""
+    paulis = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return np.sqrt(rng.dirichlet(np.ones(4), n))[:, :, None, None] * paulis
+
+
+def entry_major_stacks():
+    rng = np.random.default_rng(23)
+    theta = np.linspace(0.0, math.pi, 4097)
+    stacks = {
+        "qubit-a-0": qubit_family_a(theta, 0.0),
+        "qubit-a-0.9": qubit_family_a(theta, 0.9),
+        "qubit-b": qubit_family_b(theta, 0.4),
+        "ad": amplitude_damping(np.linspace(0.0, 1.0, 4097)),
+    }
+    mixed = np.concatenate([qubit_family_a(rng.uniform(0.0, math.pi, 60), 0.9),
+                            amplitude_damping(rng.uniform(0.0, 1.0, 60)),
+                            qubit_family_b(rng.uniform(0.1, 3.0, 60), 1.3),
+                            np.array([random_cptp(2, 2, 2, rng) for _ in range(60)])])
+    stacks["mixed"] = mixed[rng.permutation(len(mixed))]
+    for k in range(1, 5):
+        stacks[f"random-k{k}"] = np.array([random_cptp(2, 2, k, rng) for _ in range(200)])
+    stacks["pauli"] = pauli_channels(rng, 200)
+    stacks["one"] = qubit_family_b(np.array([0.7]), 0.2)
+    return stacks
+
+
+@pytest.mark.parametrize("name", list(entry_major_stacks()))
+def test_choi_measures_equal_the_broadcast_route_bitwise(name):
+    kraus = entry_major_stacks()[name]
+    got, expected = choi_measures(kraus), broadcast_choi_measures(kraus)
+    for g, e in zip(got, expected):
+        assert g.shape == (len(kraus),) and bits(g) == bits(e)
+
+
+def test_the_entry_major_stacks_reach_every_route(monkeypatch):
+    # X-shaped and dense partial transposes in one stack, and 4 x 4 Gram
+    # states both X-shaped (Pauli channels, whose partial transposes are
+    # X-matrices too) and dense.
+    stacks = entry_major_stacks()
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    choi_measures(stacks["mixed"])
+    assert shapes == [(120, 4, 4)]
+    shapes.clear()
+    choi_measures(stacks["pauli"])
+    assert shapes == []
+    shapes.clear()
+    choi_measures(stacks["random-k4"])
+    assert shapes == [(200, 4, 4), (200, 4, 4)]
+
+
+EMPTY_STACK_CALLS = {
+    "gram_states": lambda: gram_states(np.zeros((0, 2, 2, 2))),
+    "map_entropies": lambda: (map_entropies(np.zeros((0, 3, 2, 2))),),
+    "choi_measures": lambda: choi_measures(np.zeros((0, 2, 2, 2))),
+    "choi_measures-k4": lambda: choi_measures(np.zeros((0, 4, 2, 2))),
+    "capacity_lower_bounds": lambda: (capacity_lower_bounds(np.zeros((0, 2, 2, 2)), np.eye(2)),),
+    "von_neumann_entropies": lambda: (von_neumann_entropies(np.zeros((0, 2, 2))),),
+    "negativities": lambda: (negativities(np.zeros((0, 4, 4)), (2, 2)),),
+    "concurrences": lambda: (concurrences(np.zeros((0, 4, 4))),),
+    "holevo_chis": lambda: (holevo_chis([0.5, 0.5], np.zeros((0, 2, 2, 2))),),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_STACK_CALLS))
+def test_an_empty_stack_gives_empty_results(name):
+    for result in EMPTY_STACK_CALLS[name]():
+        assert isinstance(result, np.ndarray) and len(result) == 0
 
 
 def test_concurrence_closed_form_values_and_domain():
