@@ -11,8 +11,9 @@
 # The set covers every command: dynamics of each driven family with and
 # without --bits, sweep (with and without --bits), bloch single and --batch,
 # runs that cross block boundaries (dynamics of qubit-b and ad at 4097
-# samples, four full blocks and a one-sample tail; sweep at 3000 points,
-# blocks of 1024, 1024 and 952; the figure script's qubit-a at 4097),
+# samples, blocks of 1025, 1024, 1024 and 1024; sweep at 3000 points, three
+# blocks of 1000; the figure script's qubit-a at 4097), sweep at 1535 points,
+# the largest single block, of 1535 rows,
 # family then analyze for each family (ndim-theta0 at several n, analyzed
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
 # whose off-diagonal entries are all -0.0), six refusals, and
@@ -63,6 +64,7 @@ for family in qubit-b ad; do
 done
 run sweep sweep --points 300 --phi 0.4 --out sweep.csv
 run sweep-blocks sweep --points 3000 --out sweep-blocks.csv
+run sweep-one-block sweep --points 1535 --out sweep-one-block.csv
 run sweep-bits sweep --points 57 --theta-max 1.0 --bits --out sweep-bits.csv
 run bloch bloch --family qubit-b --theta 0.7 --phi 0.3 --points 200 --out bloch.csv
 run bloch-batch bloch --batch --points 200 --out bloch-batch.csv

@@ -67,12 +67,133 @@ MAX_POINTS = 2**20
 MAX_TOL = 1e-6
 
 
+# The %.12g kernel of _csv gives each value a 40-byte row of five 8-byte words:
+#   0  "-0.000" and two unused bytes: the sign and the zeros of 0.000ddd
+#   1  d0 . d1 . d2 . d3 .    the 12 significant digits, each followed by a
+#   2  d4 . d5 . d6 . d7 .    decimal point slot, looked up four at a time
+#   3  d8 . d9 . d10 . d11 e  (the last slot holds the exponent's "e")
+#   4  the exponent's sign and two digits, the separator, four unused bytes
+# A keep-mask row per layout zeroes the bytes the value does not print, and
+# bytes.translate deletes the zeros.  The words are made from bytes, so they
+# read the same on either byte order.
+_U64 = np.dtype(np.uint64)
+
+
+@functools.cache
+def _g12_tables() -> tuple:
+    """The kernel's tables: powers of ten, digit groups, the XOR that turns
+    word 3's last point into "e", group lengths, exponent words, word 0,
+    layout offsets and the keep-masks.  They are built on the first CSV
+    write, so family and analyze never build them, and shared, so never
+    changed."""
+    powers = np.array([float(f"1e{k}") for k in range(-88, 112)])  # correctly rounded
+    # Group g = d0 d1 d2 d3 is entry g of the (10, 10, 10, 10) grids; digit
+    # k adds dk to byte 2 k of the word "0.0.0.0.".
+    d = np.arange(10, dtype=_U64)
+    grid = [d.reshape(-1, 1, 1, 1), d.reshape(-1, 1, 1), d.reshape(-1, 1), d]
+    unit = np.eye(8, dtype=np.uint8)[::2].copy().view(_U64)[:, 0]
+    groups = functools.reduce(np.add, [dk * unit[k] for k, dk in enumerate(grid)])
+    groups = (groups + np.frombuffer(b"0.0.0.0.", _U64)).ravel()
+    dot_to_e = np.frombuffer(bytes(7) + bytes([ord(".") ^ ord("e")]), _U64)[0]
+    # The digits a group adds to a value, up to its last nonzero one: none
+    # for 0000 after the first group, which is at least 1000.
+    length = [np.int8(k + 1) * (dk != 0) for k, dk in enumerate(grid)]
+    length = functools.reduce(np.maximum, length).ravel()
+    lengths = (length + np.array([[0], [4], [8]], np.int8)) * (length != 0)
+    # Word 4 for exponent e (row e + 99), in an inner and in the last column.
+    e = np.arange(-99, 100)
+    tails = np.zeros((199, 2, 8), np.uint8)
+    sign = np.where(e < 0, ord("-"), ord("+"))
+    tails[:, :, :3] = np.stack([sign, abs(e) // 10 + ord("0"), abs(e) % 10 + ord("0")], -1)[:, None]
+    tails[:, :, 3] = [ord(","), ord("\n")]
+    head = np.frombuffer(b"-0.000\0\0", _U64)[0]
+    # Layouts: form e + 4 for a fixed exponent e in -4..11, form 16 for
+    # scientific; then the number of significant digits, 1..12, and the
+    # sign.  A value's layout is forms[e + 99] + 2 * digits + (v < 0).
+    forms = np.where((e >= -4) & (e < 12), e + 4, 16) * 24 - 2
+    form = np.arange(17).reshape(-1, 1, 1, 1)
+    e, sci = form - 4, form == 16
+    nd = np.arange(1, 13).reshape(-1, 1, 1)
+    wide = ~sci & (e >= 0)  # fixed, the point after digit e
+    j = np.arange(12)  # digit j sits in byte 8 + 2 j, the point after it in 9 + 2 j
+    keep = np.zeros((17, 12, 2, 40), bool)
+    keep[:, :, 1, 0] = True
+    keep[..., 1:6] = ~sci & (e < 0) & (j[1:6] <= 1 - e)
+    keep[..., 8:32:2] = (j < nd) | (wide & (j <= e))
+    keep[..., 9:31:2] = (sci & (j[:11] == 0) & (nd > 1)) | (wide & (j[:11] == e) & (nd > e + 1))
+    keep[..., 31:35] = sci
+    keep[..., 35] = True
+    masks = (keep * np.uint8(255)).reshape(-1, 40).view(_U64).T.copy()
+    return powers, groups, dot_to_e, lengths, tails.view(_U64).ravel(), head, forms, masks
+
+
+def _g12_significands(v: np.ndarray, powers: np.ndarray) -> tuple:
+    """The decimal exponents x of the values v, the three 4-digit groups of
+    their 12-digit significands, and the indices of the values that % must
+    format.
+
+    |v| in [1e-99, 1e99) is scaled to s = |v| 10^(11 - x) in [1e11, 1e12)
+    with a correctly rounded power: s is within 2.3e-16 s of the exact
+    product, two roundings, so away from a decimal tie rint(s) is the
+    correctly rounded significand.  Its groups come from exact floor
+    divisions of integers below 2^53.  Zeros, NaN, infinities, values
+    outside the range and values within 8.9e-16 s of a tie (four times the
+    error) are left to %."""
+    a = np.abs(v)
+    fast = (a >= 1e-99) & (a < 1e99)
+    np.copyto(a, 1.0, where=~fast)
+    # floor(log10) is off by one only next to a power of 10; the scaled
+    # value's range corrects it.
+    x = np.floor(np.log10(a)).astype(np.intp)
+    s = a * powers[99 - x]
+    x += s >= 1e12
+    x -= s < 1e11
+    s = a * powers[99 - x]
+    m = np.rint(s)
+    slow = np.flatnonzero((np.abs(np.abs(s - m) - 0.5) <= 8.9e-16 * s) | ~fast)
+    rollover = m == 1e12  # 999999999999.5 and up round to 1e12: 1.0 at x + 1
+    np.copyto(m, 1e11, where=rollover)
+    x += rollover
+    g0 = np.floor(m / 1e8)
+    m -= g0 * 1e8
+    g1 = np.floor(m / 1e4)
+    m -= g1 * 1e4
+    return x, [g.astype(np.intp) for g in (g0, g1, m)], slow
+
+
+def _g12(block: np.ndarray) -> str:
+    """The comma-separated lines of an (n, c) float block, every value as
+    "%.12g" % v gives it."""
+    powers, digit_groups, dot_to_e, lengths, tails, head, forms, masks = _g12_tables()
+    rows, cols = block.shape
+    v = block.ravel()
+    x, groups, slow = _g12_significands(v, powers)
+    digits = functools.reduce(np.maximum, [n[g] for n, g in zip(lengths, groups)])
+    layout = forms[x + 99] + 2 * digits + (v < 0)
+    tail = (x + 99).reshape(rows, cols) * 2
+    tail[:, -1] += 1
+    text = bytearray(40 * v.size)
+    out = np.frombuffer(text, _U64).reshape(-1, 5)
+    out[:, 0] = head
+    out[:, 1] = digit_groups[groups[0]]
+    out[:, 2] = digit_groups[groups[1]]
+    out[:, 3] = digit_groups[groups[2]] ^ dot_to_e
+    out[:, 4] = tails[tail.ravel()]
+    for word, mask in enumerate(masks):
+        out[:, word] &= mask[layout]
+    del x, groups, digits, layout, tail  # freed before the text is copied out
+    if slow.size:
+        cells = b"".join((b"%.12g" % u).ljust(35, b"\0") for u in v[slow].tolist())
+        out.view(np.uint8)[slow, :35] = np.frombuffer(cells, np.uint8).reshape(-1, 35)
+    return text.translate(None, b"\0").decode("ascii")
+
+
 def _csv(header: list[str], table: np.ndarray) -> str:
     """The CSV of an (N, c) float table, each value with 12 significant
-    digits, from one row template."""
-    rows, cols = table.shape
-    row = ",".join(["%.12g"] * cols) + "\n"
-    return ",".join(header) + "\n" + (row * rows) % tuple(table.ravel().tolist())
+    digits as "%.12g" gives it, formatted one block of rows at a time."""
+    lines = [",".join(header) + "\n"]
+    lines += [_g12(table[block]) for block in blocks(len(table))]
+    return "".join(lines)
 
 
 def _load_w(source: str, dim: int) -> np.ndarray:

@@ -98,7 +98,7 @@ def run_trajectory(
     p(t) = 1 - exp(-omega t) for the amplitude-damping schedule.
     ``records`` is (3, n_steps): negativity, concurrence and map entropy, in
     :func:`~qchan.measures.choi_measures` order.  The family's constructor
-    and choi_measures build and score STACK_BLOCK channels at once.
+    and choi_measures build and score one block of linalg.blocks at once.
     """
     if n_steps < 2:
         raise ValueError("need at least two samples")

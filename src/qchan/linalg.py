@@ -21,8 +21,11 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-# Long stacks are evaluated this many samples at a time: those of the qubit
-# commands dynamics and sweep, whose numpy temporaries take about 256 KB each.
+# Long stacks are evaluated about this many samples at a time: those of the
+# qubit commands dynamics and sweep, whose numpy temporaries take about 256 KB
+# each, and the rows of their CSV tables.  blocks(n) cuts n samples into
+# max(1, round(n / STACK_BLOCK)) near-equal blocks, each of fewer than
+# 1.5 * STACK_BLOCK samples.
 STACK_BLOCK = 1024
 
 
@@ -55,8 +58,11 @@ def dagger(a) -> np.ndarray:
 
 
 def blocks(n: int) -> list:
-    """Slices that cover ``range(n)`` in runs of STACK_BLOCK samples."""
-    return [slice(lo, lo + STACK_BLOCK) for lo in range(0, n, STACK_BLOCK)]
+    """Slices that cover ``range(n)`` in max(1, round(n / STACK_BLOCK)) runs
+    whose lengths differ by at most one, the longer runs first."""
+    k = max(1, round(n / STACK_BLOCK))
+    bounds = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def max_abs(a) -> float:

@@ -243,4 +243,4 @@ def test_sweep_checks_each_block_once(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--points", "3000", "--out", str(out)]) == 0
     # One completeness sum per block, over the block's channels.
-    assert sizes == [len(range(3000)[block]) for block in linalg.blocks(3000)] == [1024, 1024, 952]
+    assert sizes == [len(range(3000)[block]) for block in linalg.blocks(3000)] == [1000, 1000, 1000]

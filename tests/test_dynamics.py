@@ -276,7 +276,7 @@ def test_increase_duration_refuses_unaligned_or_unordered_grids():
 @pytest.mark.parametrize("family", ["qubit-a", "qubit-b", "ad"])
 @pytest.mark.parametrize("n_steps", [2, STACK_BLOCK + 1, 4097])
 def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
-    # 1025 and 4097 samples end in a partial block of one sample.
+    # 1025 samples are one block; 4097 are four, the first of 1025 samples.
     _, parameter, records = run_trajectory(family, omega=1.3, t_max=2.9, n_steps=n_steps)
     param, neg, conc, ent = reference_trajectory(family, 1.3, 2.9, n_steps)
     # The per-sample N = 1 calls of the library give the stacked bits.

@@ -17,7 +17,7 @@ from qchan import (
     validate_states,
 )
 from qchan.channels import _grams
-from qchan.linalg import _product, as_matrix
+from qchan.linalg import STACK_BLOCK, _product, as_matrix, blocks
 from qchan.measures import choi_measures
 
 from conftest import bell_state, random_cptp, two_operator_qubit_stacks
@@ -177,6 +177,15 @@ def test_product_sums_a_short_contraction_within_rounding(rng, shapes):
 def test_product_of_a_longer_contraction_is_matmul(rng, n):
     a, b = complex_normal(rng, (4, 3, n)), complex_normal(rng, (4, n, 6))
     assert np.array_equal(_product(a, b), a @ b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1535, 1536, 2560, 4097, 2**20 + 1])
+def test_blocks_are_near_equal_and_shorter_than_one_and_a_half_stack_blocks(n):
+    slices = blocks(n)
+    sizes = [len(range(n)[block]) for block in slices]
+    assert len(slices) == max(1, round(n / STACK_BLOCK))
+    assert [block.start for block in slices] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == n and max(sizes) - min(sizes) <= 1 and max(sizes) < 1.5 * STACK_BLOCK
 
 
 @pytest.mark.parametrize("name", sorted(two_operator_qubit_stacks()))

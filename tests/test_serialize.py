@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from qchan.channels import validate_channel
 from qchan.cli import _csv, main
 from qchan.families import FAMILIES, dft_matrix
+from qchan.linalg import STACK_BLOCK
 from qchan.serialize import (
     ChannelFormatError,
     channel_to_dict,
@@ -177,9 +178,17 @@ def test_matrix_from_pairs_refuses_a_part(case, where):
         matrix_from_pairs([[[1.0, 0.0], entry], [[0.0, 0.0], [1.0, 0.0]]])
 
 
+# Decimal near-ties of the 12th digit, the edges of the writer's scaled
+# range, values that round up to the next power of ten, and non-finite values.
+NEAR_TIES = [float("1.000000000005e-3"), 0.1234567890125, -2.5e-7 * (1 + 2e-12)]
+RANGE_EDGES = [1e-99, -1e-99, 1e99, -1e99]
 CSV_VALUES = [
     -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 99999999999.95, 999999999999.5,
     0.1, 1 / 3, -1e-5, 1e-4, 1e16, 123456789012.5, math.pi, -1e300,
+    *[float(np.nextafter(v, t)) for v in NEAR_TIES + RANGE_EDGES for t in (-np.inf, np.inf)],
+    *NEAR_TIES, *RANGE_EDGES,
+    9.99999999999949e-5, 9.9999999999995e-5, 999999999999.4, -999999999999.4,
+    math.nan, math.inf, -math.inf,
 ]
 
 
@@ -189,6 +198,16 @@ def test_csv_template_matches_per_value_formatting(cols):
     header = [f"c{i}" for i in range(cols)]
     assert _csv(header, table) == reference_csv(header, table)
     assert _csv(header, table[:0]) == reference_csv(header, table[:0])
+
+
+def test_csv_of_a_multi_block_table_matches_per_value_formatting():
+    # Every decade from 1e-110 to 1e110, across the rows of several blocks.
+    rng = np.random.default_rng(24)
+    shape = (3 * STACK_BLOCK + 7, 5)
+    decades = (np.arange(shape[0] * shape[1]) % 220 - 110).reshape(shape)
+    table = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0**decades
+    header = [f"c{i}" for i in range(shape[1])]
+    assert _csv(header, table) == reference_csv(header, table)
 
 
 @given(
