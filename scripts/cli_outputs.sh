@@ -16,8 +16,9 @@
 # the largest single block, of 1535 rows,
 # family then analyze for each family (ndim-theta0 at several n, analyzed
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
-# whose off-diagonal entries are all -0.0), six refusals, and
-# scripts/make_figure_data.py.
+# whose off-diagonal entries are all -0.0), analyze of a fixed dense channel
+# with n = 4 and k = 2, whose 4 x 4 output spectrum is not an X-matrix and
+# takes eigvalsh, six refusals, and scripts/make_figure_data.py.
 #
 # usage: scripts/cli_outputs.sh SRC OUTDIR
 
@@ -74,7 +75,7 @@ pair qubit-b "--bits" --id qubit-b --theta 0.3
 pair ad "" --id ad --p 0.3
 pair qutrit "" --id qutrit --theta 0.3 --w fourier
 pair ndim "--bits" --id ndim --n 4 --theta 0.5
-for n in 2 5 16 32; do
+for n in 2 4 5 16 32; do
     pair "ndim-theta0-n$n" "" --id ndim-theta0 --n "$n"
     pair "ndim-theta0-n$n-tol" "--tol 1e-6" --id ndim-theta0 --n "$n"
 done
@@ -88,6 +89,19 @@ for theta in 0 0.5; do
     pair "qutrit-minus-identity-$theta" "" --id qutrit --theta "$theta" --w minus-identity.json
     pair "ndim-minus-identity-$theta" "" --id ndim --n 3 --theta "$theta" --w minus-identity.json
 done
+# Rows of K_0 then K_1 = rows 0-3 and 4-7 of three 8 x 8 Householder
+# reflections times a diagonal of phases, cut to its first four columns: an
+# isometry with dyadic entries, so its completeness residual is exactly 0.
+printf '{"n_in": 4, "n_out": 4, "kraus": [
+ [[[0.0, 0.0], [-0.375, 0.0], [-0.625, 0.0], [-0.5, 0.0]],
+  [[0.0, -0.375], [0.0, 0.5625], [0.0, -0.0625], [0.0, -0.125]],
+  [[0.375, 0.0], [-0.0625, 0.0], [-0.4375, 0.0], [0.125, 0.0]],
+  [[0.0, -0.625], [0.0, -0.1875], [0.0, -0.3125], [0.0, 0.625]]],
+ [[[-0.125, 0.0], [-0.4375, 0.0], [-0.0625, 0.0], [0.125, 0.0]],
+  [[0.0, 0.0], [0.0, 0.5], [0.0, -0.5], [0.0, 0.0]],
+  [[-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]],
+  [[-0.25, 0.0], [-0.25, 0.0], [0.25, 0.0], [-0.25, 0.0]]]]}\n' > dense-n4-k2.json
+run analyze-dense-n4-k2 analyze --in dense-n4-k2.json --out dense-n4-k2.report.json
 
 run refuse-tol analyze --in qubit-a.json --tol 1e-3 --out refuse-tol.report.json
 run refuse-family-tol family --id ndim-theta0 --n 4 --tol 1e-6 --out refuse-family-tol.json

@@ -84,41 +84,26 @@ def _as_kraus(kraus) -> np.ndarray:
 
 def completeness_residuals(kraus: np.ndarray) -> np.ndarray:
     """max |sum_i K_i^dagger K_i - 1| of each channel of an accepted Kraus
-    stack (:func:`_as_kraus_stack`); nothing is checked here.
+    stack (:func:`_as_kraus_stack`), each K_i^dagger K_i summed over the
+    output index in order, as :func:`_product` sums it, and the operators
+    added one at a time; nothing is checked here."""
+    acc = sum(_product(dagger(op), op) for op in np.moveaxis(kraus, 1, 0))
+    return np.abs(acc - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
 
-    Each K_i^dagger K_i is summed over the output index in order, as
-    :func:`_product` sums it, and the operators are added one at a time.  A
-    stack of small sides (a contraction of at most 4, at most 64 products
-    per channel) is summed entry-major, each entry from contiguous arrays
-    over the stack: numpy's loops then run over the stack, not over axes of
-    length 2.  A single channel has no stack to run over.
-    """
-    n, k, n_out, n_in = kraus.shape
-    if n == 1 or n_out > 4 or k * n_out * n_in * n_in > 64:
-        acc = sum(_product(dagger(op), op) for op in np.moveaxis(kraus, 1, 0))
-        return np.abs(acc - np.eye(n_in)).max(axis=(-2, -1))
-    # e[i, j, l] is entry (j, l) of K_i over the stack, one contiguous array.
-    e = np.ascontiguousarray(np.moveaxis(kraus, 0, -1))
-    ec = e.conj()
-    acc = []
-    for l in range(n_in):
-        for m in range(n_in):
-            # terms[i, j] = conj(K_i[j, l]) K_i[j, m]
-            terms = ec[:, :, l] * e[:, :, m]
-            per_op = terms[:, 0]
-            for j in range(1, n_out):
-                per_op = per_op + terms[:, j]
-            acc.append(sum(per_op))
-    return np.abs(np.array(acc) - np.eye(n_in).reshape(-1, 1)).max(axis=0)
+
+def _require_complete(residuals: np.ndarray) -> None:
+    """Refuse a stack unless every completeness residual in it is within
+    DEFAULT_TOL."""
+    res = float(residuals.max(initial=0.0))
+    if res > DEFAULT_TOL:
+        raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {DEFAULT_TOL:.3e}")
 
 
 def require_cptp_stack(kraus) -> np.ndarray:
     """Coerce a Kraus stack, refusing it unless every channel in it is trace
     preserving within DEFAULT_TOL."""
     kraus = _as_kraus_stack(kraus)
-    res = float(completeness_residuals(kraus).max(initial=0.0))
-    if res > DEFAULT_TOL:
-        raise ValueError(f"channel is not trace preserving: residual {res:.3e} > {DEFAULT_TOL:.3e}")
+    _require_complete(completeness_residuals(kraus))
     return kraus
 
 

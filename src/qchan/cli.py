@@ -188,12 +188,11 @@ def _g12(block: np.ndarray) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _csv(header: list[str], table: np.ndarray) -> str:
-    """The CSV of an (N, c) float table, each value with 12 significant
-    digits as "%.12g" gives it, formatted one block of rows at a time."""
-    lines = [",".join(header) + "\n"]
-    lines += [_g12(table[block]) for block in blocks(len(table))]
-    return "".join(lines)
+def _csv(header: list[str], table: np.ndarray) -> list[str]:
+    """The CSV of an (N, c) float table in parts, for write_text_atomic: the
+    header line, then the text of each block of rows, each value with 12
+    significant digits as "%.12g" gives it."""
+    return [",".join(header) + "\n"] + [_g12(table[block]) for block in blocks(len(table))]
 
 
 def _load_w(source: str, dim: int) -> np.ndarray:
@@ -285,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _entropy_key("chi_bound_nats", args.bits),
         _entropy_key("map_entropy_nats", args.bits),
     ]
-    write_text_atomic(args.out, _csv(header, table))
+    write_text_atomic(args.out, *_csv(header, table))
     return EXIT_OK
 
 
@@ -297,10 +296,10 @@ def cmd_bloch(args: argparse.Namespace) -> int:
         for k in range(9):
             member = argparse.Namespace(**{**vars(args), "theta": k * math.pi / 8.0})
             points = bloch_image(_build(member), args.points)
-            write_text_atomic(f"{stem}_k{k}{ext}", _csv(header, points))
+            write_text_atomic(f"{stem}_k{k}{ext}", *_csv(header, points))
         return EXIT_OK
     points = bloch_image(_build(args), args.points)
-    write_text_atomic(args.out, _csv(header, points))
+    write_text_atomic(args.out, *_csv(header, points))
     return EXIT_OK
 
 
@@ -321,7 +320,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         _entropy_key("map_entropy_nats", args.bits),
     ]
     table = np.column_stack([times, theta, negativity, concurrence, map_entropy * scale])
-    write_text_atomic(args.out, _csv(header, table))
+    write_text_atomic(args.out, *_csv(header, table))
     summary = {
         "family": args.family,
         "omega": args.omega,

@@ -157,11 +157,7 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] == (2, 2):
         return _spectra_2x2(m)
     if m.shape[-2:] == (4, 4):
-        flat = m.reshape(-1, 4, 4)
-        lower = flat[:, _LOWER_4X4[0], _LOWER_4X4[1]].T
-        # With no X-matrix in the stack, LAPACK takes the stack as it is.
-        if lower[_X_COUPLINGS].any(axis=0).all():
-            return np.linalg.eigvalsh(m)
+        lower = m.reshape(-1, 4, 4)[:, _LOWER_4X4[0], _LOWER_4X4[1]].T
         return _spectra_4x4(lower).reshape(m.shape[:-1])
     return np.linalg.eigvalsh(m)
 

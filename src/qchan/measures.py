@@ -30,6 +30,8 @@ import numpy as np
 
 from .channels import (
     _as_kraus,
+    _as_kraus_stack,
+    _require_complete,
     apply,
     apply_kraus,
     complementary,
@@ -241,28 +243,21 @@ def spin_flip(omega) -> np.ndarray:
 
 def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state rho =
-    V V^dagger / n_in of a stack, given the rows (N, m, 4) of V^T.
+    V V^dagger / n_in of a stack, given the rows of V^T entry-major, (m, 4,
+    N): rows[a, e] is entry e of row a, an array over the stack.
 
     Wootters' lambda_i are the singular values of tau = V^T (sigma_y (x)
     sigma_y) V / n_in, as rho rho~ and conj(tau) tau share their nonzero
     spectrum: no root of rounding noise.  sigma_y (x) sigma_y is the
     antidiagonal (-1, 1, 1, -1), so a row times it is the row reversed and
     signed.
-    """
-    tau = _product(rows[..., ::-1] * _YY_ANTIDIAGONAL, rows.swapaxes(-1, -2)) / n_in
-    return _tau_concurrences(np.moveaxis(tau, 0, -1))
-
-
-def _tau_concurrences(tau: np.ndarray) -> np.ndarray:
-    """The concurrence of :func:`_concurrence_of_factors` from its m x m
-    matrices tau, held entry-major: tau[a, b] is entry (a, b) of every
-    matrix, an array over the stack.
 
     A 2 x 2 tau takes the closed form C = gap / (s1 + s2), with tau^dagger tau
     = [[p, r], [r*, q]], gap = sqrt((p - q)^2 + 4|r|^2) and s1 + s2 = sqrt(p
     + q + 2|det tau|): nothing cancels as C -> 0, and tau = 0 gives +0.0.
     Every other size takes the SVD.
     """
+    tau = _pair_sums(rows[:, ::-1] * _YY_ANTIDIAGONAL[:, None], rows, range(4)) / n_in
     if len(tau) == 2:
         (t00, t01), (t10, t11) = tau
         p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
@@ -293,7 +288,7 @@ def concurrences(states) -> np.ndarray:
     validate_states(states)
     if states.shape[-1] != 4:
         raise ValueError(f"concurrence needs a two-qubit state, got dim {states.shape[-1]}")
-    return _concurrence_of_factors(_state_rows(states), 1)
+    return _concurrence_of_factors(np.moveaxis(_state_rows(states), 0, -1), 1)
 
 
 def concurrence(omega) -> float:
@@ -323,28 +318,32 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negativity, concurrence and map entropy of the Choi state of each qubit
     channel of a Kraus stack (N, k, 2, 2), from its Kraus entries.
 
-    The stack is checked once, for completeness, then laid out entry-major:
-    v[a, e] is entry e of vec(K_a) over the whole stack, one contiguous (N,)
-    array.  Only the entries that the closed forms read are formed, each a
-    sum of elementwise products over the stack added in the order of the
-    matrix route, so a sample's bits are the ones that route gives and never
-    depend on its stack.  The Choi state is rho = V V^dagger / n_in for V
-    with the columns vec(K_a), Hermitian and PSD by construction, so the
-    Gram states V^dagger V / n_in = G / n_in stand in for it and give the
-    map entropy.  rho's partial transpose PT[(k,i),(l,j)] = sum_a K_a[i,l]
-    conj(K_a[j,k]) / n_in is summed one operator at a time, as the
-    superoperator is, and only its lower triangle is formed, which is all
-    that :func:`_spectra_4x4` reads.  The concurrence is that of
-    :func:`_concurrence_of_factors`, from tau = V^T (sigma_y (x) sigma_y) V
-    / n_in.
+    The stack is coerced once and laid out entry-major: v[a, e] is entry e of
+    vec(K_a) over the whole stack, one contiguous (N,) array.  Only the
+    entries that the closed forms read are formed, each a sum of elementwise
+    products over the stack added in the order of the matrix route, so a
+    sample's bits are the ones that route gives and never depend on its
+    stack.  Completeness is checked first, from the K_a^dagger K_a summed as
+    :func:`channels.completeness_residuals` sums them.  The Choi state is rho
+    = V V^dagger / n_in for V with the columns vec(K_a), Hermitian and PSD by
+    construction, so the Gram states V^dagger V / n_in = G / n_in stand in
+    for it and give the map entropy.  rho's partial transpose PT[(k,i),(l,j)]
+    = sum_a K_a[i,l] conj(K_a[j,k]) / n_in is summed one operator at a time,
+    as the superoperator is, and only its lower triangle is formed, which is
+    all that :func:`_spectra_4x4` reads.  The concurrence is that of
+    :func:`_concurrence_of_factors`, whose rows are v.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
-    kraus = require_cptp_stack(kraus)
+    kraus = _as_kraus_stack(kraus)
     n, k, _, n_in = kraus.shape
     # v[a, 2c + r] = K_a[r, c]: row a of V^T, vec(K_a) in the Choi ordering.
     v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(k, 4, n)
     vc = v.conj()
+    # (K_a^dagger K_a)[l, m] = sum_r vc[a, 2l + r] v[a, 2m + r], as completeness_residuals sums it.
+    columns = zip(vc.reshape(k, 2, 2, n), v.reshape(k, 2, 2, n))
+    acc = sum(_pair_sums(left, right, range(2)) for left, right in columns)
+    _require_complete(np.abs(acc - np.eye(2)[..., None]).max(axis=(0, 1)))
     # G_ab = tr(K_a^dagger K_b), over K's entries row by row as _grams sums them.
     gram = _pair_sums(vc, v, [0, 2, 1, 3])
     states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
@@ -357,22 +356,17 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ])
     ev = _spectra_4x4(lower / n_in)
     neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
-    tau = _pair_sums(v[:, ::-1] * _YY_ANTIDIAGONAL[:, None], v, range(4)) / n_in
-    return neg, _tau_concurrences(tau), _entropies(spectra)
+    return neg, _concurrence_of_factors(v, n_in), _entropies(spectra)
 
 
 def _pair_sums(left: np.ndarray, right: np.ndarray, order) -> np.ndarray:
     """out[a, b] = sum_e left[a, e] right[b, e] for entry-major factors
-    (m, 4, N), added over e in the given order, as :func:`_product` adds the
-    matrix product that these entries stand for."""
-    out = np.empty((len(left), len(right), left.shape[-1]), dtype=complex)
-    first, second, *rest = order
-    for a, x in enumerate(left):
-        for b, y in enumerate(right):
-            terms = x * y
-            out[a, b] = terms[first] + terms[second]
-            for e in rest:
-                out[a, b] += terms[e]
+    (m, terms, N), added over e in the given order, as :func:`_product` adds
+    the matrix product that these entries stand for."""
+    first, *rest = order
+    out = left[:, None, first] * right[None, :, first]
+    for e in rest:
+        out += left[:, None, e] * right[None, :, e]
     return out
 
 
@@ -425,7 +419,7 @@ def entanglement_evolution_factor(kraus, rho_in) -> tuple[float, float]:
     # Row (a, j) of the output's V^T is v_j^T (1 (x) K_a)^T, for v_j^T row j of the input's.
     extended = np.array([np.kron(np.eye(2), op) for op in ops])
     rows_out = (rows_in @ extended.swapaxes(-1, -2)).reshape(1, -1, 4)
-    c_in = _concurrence_of_factors(rows_in, 1)[0]
-    c_omega = _concurrence_of_factors(ops.swapaxes(-1, -2).reshape(1, -1, 4), 2)[0]
-    c_out = _concurrence_of_factors(rows_out, 1)[0]
+    c_in = _concurrence_of_factors(np.moveaxis(rows_in, 0, -1), 1)[0]
+    c_omega = _concurrence_of_factors(ops.swapaxes(-1, -2).reshape(-1, 4, 1), 2)[0]
+    c_out = _concurrence_of_factors(np.moveaxis(rows_out, 0, -1), 1)[0]
     return float(c_in * c_omega), float(c_out)

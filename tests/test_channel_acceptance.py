@@ -127,10 +127,13 @@ def test_choi_rank_is_cut_at_the_default_tolerance():
 
 def test_capacity_bound_checks_completeness_at_its_tol():
     # The library's tolerance is DEFAULT_TOL: the channel that analyze
-    # accepts at --tol 1e-6 above is refused here.
-    stack = scaled(qubit_family_a(0.3), 2e-8)[None]
-    with pytest.raises(ValueError, match="not trace preserving: residual 2.000e-08 > 1.000e-10"):
-        capacity_lower_bounds(stack, np.eye(2))
+    # accepts at --tol 1e-6 above is refused here, as one sample of a block
+    # by the capacity bound and by choi_measures' own completeness sum.
+    stack = qubit_family_a(np.linspace(0.1, 1.4, 7), 0.3)
+    stack[4] = scaled(stack[4], 2e-8)
+    for call in (lambda s: capacity_lower_bounds(s, np.eye(2)), measures.choi_measures):
+        with pytest.raises(ValueError, match="not trace preserving: residual 2.000e-08 > 1.000e-10"):
+            call(stack)
 
 
 def test_holevo_mixture_of_accepted_states_is_not_rejudged():
@@ -233,14 +236,16 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
 
 def test_sweep_checks_each_block_once(tmp_path, monkeypatch):
     sizes = []
-    residuals = channels.completeness_residuals
+    require = channels._require_complete
 
-    def count_residuals(kraus):
-        sizes.append(len(kraus))
-        return residuals(kraus)
+    def count_residuals(residuals):
+        sizes.append(len(residuals))
+        return require(residuals)
 
-    monkeypatch.setattr(channels, "completeness_residuals", count_residuals)
+    # choi_measures holds its own binding of the name.
+    for module in (channels, measures):
+        monkeypatch.setattr(module, "_require_complete", count_residuals)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--points", "3000", "--out", str(out)]) == 0
-    # One completeness sum per block, over the block's channels.
+    # One completeness verdict per block, over the block's channels.
     assert sizes == [len(range(3000)[block]) for block in linalg.blocks(3000)] == [1000, 1000, 1000]

@@ -289,7 +289,7 @@ def test_two_operator_concurrence_matches_the_svd(name):
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     tau = rows @ np.kron(sigma_y, sigma_y) @ rows.swapaxes(-1, -2) / 2
     lam = np.linalg.svd(tau, compute_uv=False)
-    got = _concurrence_of_factors(rows, 2)
+    got = _concurrence_of_factors(np.moveaxis(rows, 0, -1), 2)
     assert np.abs(got - (lam[:, 0] - lam[:, 1])).max() <= 1e-15
     assert bits(choi_measures(kraus)[1]) == bits(got)
 
@@ -375,7 +375,8 @@ def test_choi_measures_refuse_a_non_qubit_stack_up_front(shape, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validated before the shape was checked")
 
-    monkeypatch.setattr("qchan.measures.require_cptp_stack", refuse)
+    for name in ("_as_kraus_stack", "_require_complete"):
+        monkeypatch.setattr(f"qchan.measures.{name}", refuse)
     with pytest.raises(ValueError, match=re.escape(str(shape))):
         choi_measures(np.zeros(shape, dtype=complex))
 
@@ -544,6 +545,8 @@ def entry_major_stacks():
     for k in range(1, 5):
         stacks[f"random-k{k}"] = np.array([random_cptp(2, 2, k, rng) for _ in range(200)])
     stacks["pauli"] = pauli_channels(rng, 200)
+    # The paper's class: self-complementary, with dense partial transposes.
+    stacks["symmetric"] = np.array([random_symmetric_channel(2, 2, rng) for _ in range(200)])
     stacks["one"] = qubit_family_b(np.array([0.7]), 0.2)
     return stacks
 
@@ -554,6 +557,16 @@ def test_choi_measures_equal_the_broadcast_route_bitwise(name):
     got, expected = choi_measures(kraus), broadcast_choi_measures(kraus)
     for g, e in zip(got, expected):
         assert g.shape == (len(kraus),) and bits(g) == bits(e)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_choi_measures_check_completeness_as_completeness_residuals_bitwise(k, monkeypatch):
+    rng = np.random.default_rng(40 + k)
+    kraus = np.array([random_cptp(2, 2, k, rng) for _ in range(300)])
+    handed = []
+    monkeypatch.setattr("qchan.measures._require_complete", handed.append)
+    choi_measures(kraus)
+    assert len(handed) == 1 and bits(handed[0]) == bits(completeness_residuals(kraus))
 
 
 def test_the_entry_major_stacks_reach_every_route(monkeypatch):

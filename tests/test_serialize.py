@@ -196,8 +196,8 @@ CSV_VALUES = [
 def test_csv_template_matches_per_value_formatting(cols):
     table = np.resize(np.array(CSV_VALUES), (len(CSV_VALUES) * 2 // cols + 1, cols))
     header = [f"c{i}" for i in range(cols)]
-    assert _csv(header, table) == reference_csv(header, table)
-    assert _csv(header, table[:0]) == reference_csv(header, table[:0])
+    assert "".join(_csv(header, table)) == reference_csv(header, table)
+    assert "".join(_csv(header, table[:0])) == reference_csv(header, table[:0])
 
 
 def test_csv_of_a_multi_block_table_matches_per_value_formatting():
@@ -207,7 +207,7 @@ def test_csv_of_a_multi_block_table_matches_per_value_formatting():
     decades = (np.arange(shape[0] * shape[1]) % 220 - 110).reshape(shape)
     table = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0**decades
     header = [f"c{i}" for i in range(shape[1])]
-    assert _csv(header, table) == reference_csv(header, table)
+    assert "".join(_csv(header, table)) == reference_csv(header, table)
 
 
 @given(
@@ -219,7 +219,7 @@ def test_csv_of_a_multi_block_table_matches_per_value_formatting():
 )
 def test_csv_template_property(table):
     header = [f"c{i}" for i in range(table.shape[1])]
-    assert _csv(header, table) == reference_csv(header, table)
+    assert "".join(_csv(header, table)) == reference_csv(header, table)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
