@@ -9,7 +9,9 @@
 #   diff -r /tmp/a /tmp/b
 #
 # The set covers every command: dynamics of each driven family with and
-# without --bits, sweep (with and without --bits), bloch single and --batch,
+# without --bits, sweep (with and without --bits), bloch single and --batch
+# (qubit-a; qubit-b at 1537 points, two blocks of 769 and 768 rows per file;
+# identity; one point),
 # runs that cross block boundaries (dynamics of qubit-b and ad at 4097
 # samples, blocks of 1025, 1024, 1024 and 1024; sweep at 3000 points, three
 # blocks of 1000; the figure script's qubit-a at 4097), sweep at 1535 points,
@@ -69,6 +71,11 @@ run sweep-one-block sweep --points 1535 --out sweep-one-block.csv
 run sweep-bits sweep --points 57 --theta-max 1.0 --bits --out sweep-bits.csv
 run bloch bloch --family qubit-b --theta 0.7 --phi 0.3 --points 200 --out bloch.csv
 run bloch-batch bloch --batch --points 200 --out bloch-batch.csv
+run bloch-batch-qubit-b bloch --batch --family qubit-b --phi 0.3 --points 1537 \
+    --out bloch-batch-qubit-b.csv
+run bloch-batch-identity bloch --batch --family identity --points 200 \
+    --out bloch-batch-identity.csv
+run bloch-batch-one-point bloch --batch --points 1 --out bloch-batch-one-point.csv
 
 pair qubit-a "" --id qubit-a --theta 1.1 --phi 0.4
 pair qubit-b "--bits" --id qubit-b --theta 0.3

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .channels import validate_channel
-from .dynamics import bloch_image, increase_duration, positive_variation, run_trajectory
+from .dynamics import _bloch_images, increase_duration, positive_variation, run_trajectory
 from .families import FAMILIES, dft_matrix, family_ids, qubit_family_a
 from .linalg import DEFAULT_TOL, blocks
 from .measures import (
@@ -108,21 +108,24 @@ def _g12_tables() -> tuple:
     tails[:, :, 3] = [ord(","), ord("\n")]
     head = np.frombuffer(b"-0.000\0\0", _U64)[0]
     # Layouts: form e + 4 for a fixed exponent e in -4..11, form 16 for
-    # scientific; then the number of significant digits, 1..12, and the
-    # sign.  A value's layout is forms[e + 99] + 2 * digits + (v < 0).
-    forms = np.where((e >= -4) & (e < 12), e + 4, 16) * 24 - 2
+    # scientific; then the number of significant digits, 0..12, and the
+    # sign bit.  A value's layout is forms[e + 99] + 2 * digits + signbit(v).
+    forms = np.where((e >= -4) & (e < 12), e + 4, 16) * 26
     form = np.arange(17).reshape(-1, 1, 1, 1)
     e, sci = form - 4, form == 16
-    nd = np.arange(1, 13).reshape(-1, 1, 1)
+    nd = np.arange(13).reshape(-1, 1, 1)
     wide = ~sci & (e >= 0)  # fixed, the point after digit e
     j = np.arange(12)  # digit j sits in byte 8 + 2 j, the point after it in 9 + 2 j
-    keep = np.zeros((17, 12, 2, 40), bool)
+    keep = np.zeros((17, 13, 2, 40), bool)
     keep[:, :, 1, 0] = True
     keep[..., 1:6] = ~sci & (e < 0) & (j[1:6] <= 1 - e)
     keep[..., 8:32:2] = (j < nd) | (wide & (j <= e))
     keep[..., 9:31:2] = (sci & (j[:11] == 0) & (nd > 1)) | (wide & (j[:11] == e) & (nd > e + 1))
     keep[..., 31:35] = sci
     keep[..., 35] = True
+    # No digits is a zero: "0" or "-0" in every form.
+    keep[:, 0, :, 1:35] = False
+    keep[:, 0, :, 1] = True
     masks = (keep * np.uint8(255)).reshape(-1, 40).view(_U64).T.copy()
     return powers, groups, dot_to_e, lengths, tails.view(_U64).ravel(), head, forms, masks
 
@@ -136,10 +139,12 @@ def _g12_significands(v: np.ndarray, powers: np.ndarray) -> tuple:
     with a correctly rounded power: s is within 2.3e-16 s of the exact
     product, two roundings, so away from a decimal tie rint(s) is the
     correctly rounded significand.  Its groups come from exact floor
-    divisions of integers below 2^53.  Zeros, NaN, infinities, values
-    outside the range and values within 8.9e-16 s of a tie (four times the
-    error) are left to %."""
+    divisions of integers below 2^53.  An exact zero, of either sign, has
+    the significand 0, so no digits.  NaN, infinities, other values outside
+    the range and values within 8.9e-16 s of a tie (four times the error)
+    are left to %."""
     a = np.abs(v)
+    zero = a == 0
     fast = (a >= 1e-99) & (a < 1e99)
     np.copyto(a, 1.0, where=~fast)
     # floor(log10) is off by one only next to a power of 10; the scaled
@@ -150,7 +155,8 @@ def _g12_significands(v: np.ndarray, powers: np.ndarray) -> tuple:
     x -= s < 1e11
     s = a * powers[99 - x]
     m = np.rint(s)
-    slow = np.flatnonzero((np.abs(np.abs(s - m) - 0.5) <= 8.9e-16 * s) | ~fast)
+    slow = np.flatnonzero((np.abs(np.abs(s - m) - 0.5) <= 8.9e-16 * s) | ~(fast | zero))
+    np.copyto(m, 0.0, where=zero)
     rollover = m == 1e12  # 999999999999.5 and up round to 1e12: 1.0 at x + 1
     np.copyto(m, 1e11, where=rollover)
     x += rollover
@@ -169,7 +175,7 @@ def _g12(block: np.ndarray) -> str:
     v = block.ravel()
     x, groups, slow = _g12_significands(v, powers)
     digits = functools.reduce(np.maximum, [n[g] for n, g in zip(lengths, groups)])
-    layout = forms[x + 99] + 2 * digits + (v < 0)
+    layout = forms[x + 99] + 2 * digits + np.signbit(v)
     tail = (x + 99).reshape(rows, cols) * 2
     tail[:, -1] += 1
     text = bytearray(40 * v.size)
@@ -289,17 +295,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
-    header = ["x", "y", "z"]
+    thetas, paths = [args.theta], [args.out]
     if args.batch:
         stem, ext = os.path.splitext(args.out)
-        ext = ext or ".csv"
-        for k in range(9):
-            member = argparse.Namespace(**{**vars(args), "theta": k * math.pi / 8.0})
-            points = bloch_image(_build(member), args.points)
-            write_text_atomic(f"{stem}_k{k}{ext}", *_csv(header, points))
-        return EXIT_OK
-    points = bloch_image(_build(args), args.points)
-    write_text_atomic(args.out, *_csv(header, points))
+        thetas = [k * math.pi / 8.0 for k in range(9)]
+        paths = [f"{stem}_k{k}{ext or '.csv'}" for k in range(9)]
+    members = [_build(argparse.Namespace(**{**vars(args), "theta": t})) for t in thetas]
+    # One check and one transfer-matrix contraction for the stack; each
+    # image is mapped and written before the next one is made.
+    for path, points in zip(paths, _bloch_images(np.stack(members), args.points)):
+        write_text_atomic(path, *_csv(["x", "y", "z"], points))
     return EXIT_OK
 
 

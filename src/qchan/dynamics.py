@@ -35,25 +35,26 @@ def bloch_vector(rho) -> np.ndarray:
     return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
 
 
-def _transfer_matrix(kraus) -> np.ndarray:
-    """The Pauli transfer matrix R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a CPTP
-    qubit channel.
+def _transfer_matrices(kraus: np.ndarray) -> np.ndarray:
+    """The Pauli transfer matrices R_ij = tr(sigma_i Phi(sigma_j)) / 2 of a
+    stack of CPTP qubit channels, (N, 4, 4), from a coerced Kraus stack
+    (N, k, 2, 2).
 
-    The channel's completeness is the one check: the images of the sphere
-    samples that this module maps are states of an accepted channel.
+    The stack's completeness is the one check: the images of the sphere
+    samples that this module maps are states of accepted channels.  A
+    channel's matrix has the same bits in any stack.
     """
-    kraus = _as_kraus(kraus)
-    if kraus.shape[1:] != (2, 2):
+    if kraus.shape[2:] != (2, 2):
         raise ValueError("affine form is defined for qubit channels only")
-    require_cptp_stack(kraus[None])
-    transfer = np.einsum("iab,jba->ij", _PAULI_BASIS, apply_kraus(kraus, _PAULI_BASIS))
-    return transfer.real / 2
+    kraus = require_cptp_stack(kraus)
+    images = apply_kraus(kraus[:, None], _PAULI_BASIS)
+    return np.einsum("iab,njba->nij", _PAULI_BASIS, images).real / 2
 
 
 def affine_of_channel(kraus) -> tuple[np.ndarray, np.ndarray]:
     """The action r -> linear @ r + shift of a qubit channel on Bloch vectors:
     ``(R[1:, 1:], R[1:, 0])`` of its Pauli transfer matrix R."""
-    transfer = _transfer_matrix(kraus)
+    transfer = _transfer_matrices(_as_kraus(kraus)[None])[0]
     return transfer[1:, 1:], transfer[1:, 0]
 
 
@@ -69,17 +70,26 @@ def fibonacci_sphere(n_points: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
 
 
-def bloch_image(kraus, n_points: int) -> np.ndarray:
-    """Image of a Fibonacci-sphere sample of pure states, as Bloch rows.
+def _bloch_images(kraus: np.ndarray, n_points: int):
+    """Images of one Fibonacci-sphere sample of pure states under each
+    channel of a coerced qubit Kraus stack, as Bloch rows, one (n_points, 3)
+    array at a time.
 
     Each point r goes to linear @ r + shift (:func:`affine_of_channel`); no
     state matrix is built and no eigensolver runs.  The sum runs entry by
     entry, so each row is the one its point gets alone; a BLAS product
     rounds a row differently inside a larger block.
     """
-    transfer = _transfer_matrix(kraus)
+    transfers = _transfer_matrices(kraus)
     points = fibonacci_sphere(n_points)
-    return transfer[1:, 0] + sum(points[:, j, None] * transfer[1:, j + 1] for j in range(3))
+    for transfer in transfers:
+        yield transfer[1:, 0] + sum(points[:, j, None] * transfer[1:, j + 1] for j in range(3))
+
+
+def bloch_image(kraus, n_points: int) -> np.ndarray:
+    """Image of a Fibonacci-sphere sample of pure states under one qubit
+    channel, as Bloch rows: :func:`_bloch_images` at N = 1."""
+    return next(_bloch_images(_as_kraus(kraus)[None], n_points))
 
 
 def _require_ascending(times: np.ndarray) -> None:

@@ -701,6 +701,16 @@ def test_bloch_batch_writes_nine_files(tmp_path):
     assert run("bloch", "--batch", "--points", 32, "--out", out) == 0
     for k in range(9):
         assert (tmp_path / f"img_k{k}.csv").exists()
+    # The batch maps its nine members as one stack; each file has the bytes
+    # of the single run at theta = k pi/8.
+    for family in ("qubit-a", "qubit-b", "identity"):
+        common = ["--family", family, "--phi", 0.3, "--points", 300]
+        assert run("bloch", "--batch", *common, "--out", tmp_path / f"{family}.csv") == 0
+        for k in range(9):
+            single = tmp_path / f"{family}-single.csv"
+            assert run("bloch", "--theta", repr(k * math.pi / 8), *common, "--out", single) == 0
+            batch = tmp_path / f"{family}_k{k}.csv"
+            assert batch.read_bytes() == single.read_bytes(), (family, k)
 
 
 def test_dynamics_summary_values(tmp_path):

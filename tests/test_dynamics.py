@@ -20,6 +20,7 @@ from qchan import (
     run_trajectory,
 )
 from qchan.channels import require_cptp_stack
+from qchan.dynamics import _transfer_matrices
 from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK
 from qchan.measures import ENTROPY_EIGENVALUE_FLOOR, choi_measures
@@ -355,6 +356,31 @@ def bloch_channels():
         for phi in (0.0, 1.234)
     ]
     return chans + [random_cptp(2, 2, k, rng) for k in range(1, 6)] + [identity_channel(2)]
+
+
+def test_stacked_transfer_matrices_equal_each_members_bitwise():
+    # 250 stacks of 1 to 12 members with k = 1..5 operators: random channels
+    # and, for k >= 2, members of both families padded with zero operators.
+    rng = np.random.default_rng(26)
+    families = (qubit_family_a, qubit_family_b)
+    for trial in range(250):
+        k = trial % 5 + 1
+        members = []
+        for _ in range(rng.integers(1, 13)):
+            if k == 1 or rng.random() < 0.5:
+                members.append(random_cptp(2, 2, k, rng))
+                continue
+            theta = rng.choice([rng.uniform(0.0, math.pi), rng.integers(9) * math.pi / 8])
+            phi = rng.choice([0.0, rng.uniform(0.0, 2 * math.pi)])
+            channel = families[rng.integers(2)](theta, phi)
+            members.append(np.concatenate([channel, np.zeros((k - 2, 2, 2))]))
+        stack = np.array(members)
+        transfers = _transfer_matrices(stack)
+        assert transfers.shape == (len(stack), 4, 4)
+        for member, transfer in zip(stack, transfers):
+            assert bits(transfer) == bits(_transfer_matrices(member[None])[0])
+            linear, shift = affine_of_channel(member)
+            assert bits(linear) == bits(transfer[1:, 1:]) and bits(shift) == bits(transfer[1:, 0])
 
 
 def test_bloch_image_matches_the_kraus_route():

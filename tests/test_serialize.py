@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qchan.channels import validate_channel
-from qchan.cli import _csv, main
+from qchan.cli import _csv, _g12_significands, _g12_tables, main
 from qchan.families import FAMILIES, dft_matrix
 from qchan.linalg import STACK_BLOCK
 from qchan.serialize import (
@@ -208,6 +208,17 @@ def test_csv_of_a_multi_block_table_matches_per_value_formatting():
     table = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0**decades
     header = [f"c{i}" for i in range(shape[1])]
     assert "".join(_csv(header, table)) == reference_csv(header, table)
+
+
+def test_csv_formats_exact_zeros_of_both_signs_in_the_kernel():
+    # Five values in 1, 3, 4 and 7 columns put 0.0 and -0.0 in every column.
+    values = np.array([0.0, -0.0, 0.25, -1e-7, 3e10])
+    powers = _g12_tables()[0]
+    for cols in (1, 3, 4, 7):
+        table = np.resize(values, (5 * cols, cols))
+        header = [f"c{i}" for i in range(cols)]
+        assert "".join(_csv(header, table)) == reference_csv(header, table)
+        assert _g12_significands(table.ravel(), powers)[2].size == 0
 
 
 @given(
