@@ -20,7 +20,9 @@
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
 # whose off-diagonal entries are all -0.0), analyze of a fixed dense channel
 # with n = 4 and k = 2, whose 4 x 4 output spectrum is not an X-matrix and
-# takes eigvalsh, six refusals, and scripts/make_figure_data.py.
+# takes eigvalsh, analyze of a fixed non-minimal qubit channel with k = 8,
+# whose Gram spectrum keeps 3 of its 8 eigenvalues, six refusals, and
+# scripts/make_figure_data.py.
 #
 # usage: scripts/cli_outputs.sh SRC OUTDIR
 
@@ -109,6 +111,22 @@ printf '{"n_in": 4, "n_out": 4, "kraus": [
   [[-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]],
   [[-0.25, 0.0], [-0.25, 0.0], [0.25, 0.0], [-0.25, 0.0]]]]}\n' > dense-n4-k2.json
 run analyze-dense-n4-k2 analyze --in dense-n4-k2.json --out dense-n4-k2.report.json
+# K_a = rows 2a and 2a + 1 of the first two columns of D H_1 H_2, for two
+# 16 x 16 Householder reflections H_i of integer vectors and a diagonal D of
+# phases in {1, i, -1, -i}: a qubit channel of k = 8 > n_in n_out Kraus
+# operators with dyadic entries, completeness residual exactly 0, whose
+# 8 x 8 Gram state has rank 3, so 5 of its 8 eigenvalues fall below the
+# entropy floor.
+printf '{"n_in": 2, "n_out": 2, "kraus": [
+ [[[0.875, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+ [[[-0.125, 0.0], [0.0, 0.0]], [[0.0, 0.125], [0.0, 0.0]]],
+ [[[0.0, 0.0], [0.0, 0.0]], [[-0.1875, 0.0], [0.0, 0.0]]],
+ [[[0.1875, 0.0], [0.0, 0.0]], [[0.0625, 0.0], [0.0, 0.0]]],
+ [[[0.0, -0.125], [0.0, 0.0]], [[-0.125, 0.0], [0.0, 0.0]]],
+ [[[0.0, -0.1875], [0.0, 0.0]], [[0.0, 0.0625], [0.0, 0.0]]],
+ [[[-0.0625, 0.0], [0.0, 0.0]], [[0.0, -0.125], [0.0, 0.0]]],
+ [[[0.0625, 0.0], [0.0, 0.0]], [[0.1875, 0.0], [0.0, 0.0]]]]}\n' > nonminimal-k8.json
+run analyze-nonminimal-k8 analyze --in nonminimal-k8.json --out nonminimal-k8.report.json
 
 run refuse-tol analyze --in qubit-a.json --tol 1e-3 --out refuse-tol.report.json
 run refuse-family-tol family --id ndim-theta0 --n 4 --tol 1e-6 --out refuse-family-tol.json

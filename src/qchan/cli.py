@@ -25,6 +25,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -194,11 +195,19 @@ def _g12(block: np.ndarray) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _csv(header: list[str], table: np.ndarray) -> list[str]:
-    """The CSV of an (N, c) float table in parts, for write_text_atomic: the
-    header line, then the text of each block of rows, each value with 12
+def _csv(header: list[str], table: np.ndarray) -> Iterator[str]:
+    """The CSV of an (N, c) float table in parts: the header line, then the
+    text of each block of rows, formatted as it is drawn, each value with 12
     significant digits as "%.12g" gives it."""
-    return [",".join(header) + "\n"] + [_g12(table[block]) for block in blocks(len(table))]
+    yield ",".join(header) + "\n"
+    for block in blocks(len(table)):
+        yield _g12(table[block])
+
+
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Write the CSV of a table, each block formatted after the last is written."""
+    parts = _csv(header, table)
+    write_text_atomic(path, next(parts), parts)
 
 
 def _load_w(source: str, dim: int) -> np.ndarray:
@@ -278,7 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         kraus = qubit_family_a(thetas[block], args.phi)
         # choi_measures checks the block once; the capacity bound takes it as accepted.
         neg[block], conc[block], ent[block] = choi_measures(kraus)
-        chi[block] = _capacity_bounds(kraus, np.eye(2, dtype=complex))[1]
+        chi[block] = _capacity_bounds(kraus)[1]
     closed_neg, closed_conc = negativity_closed_form(thetas), concurrence_closed_form(thetas)
     table = np.column_stack([thetas, neg, closed_neg, conc, closed_conc, chi * scale, ent * scale])
     header = [
@@ -290,7 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _entropy_key("chi_bound_nats", args.bits),
         _entropy_key("map_entropy_nats", args.bits),
     ]
-    write_text_atomic(args.out, *_csv(header, table))
+    _write_csv(args.out, header, table)
     return EXIT_OK
 
 
@@ -304,7 +313,7 @@ def cmd_bloch(args: argparse.Namespace) -> int:
     # One check and one transfer-matrix contraction for the stack; each
     # image is mapped and written before the next one is made.
     for path, points in zip(paths, _bloch_images(np.stack(members), args.points)):
-        write_text_atomic(path, *_csv(["x", "y", "z"], points))
+        _write_csv(path, ["x", "y", "z"], points)
     return EXIT_OK
 
 
@@ -325,7 +334,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         _entropy_key("map_entropy_nats", args.bits),
     ]
     table = np.column_stack([times, theta, negativity, concurrence, map_entropy * scale])
-    write_text_atomic(args.out, *_csv(header, table))
+    _write_csv(args.out, header, table)
     summary = {
         "family": args.family,
         "omega": args.omega,

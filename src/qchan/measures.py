@@ -72,24 +72,16 @@ def _clamp_nonnegative(x) -> np.ndarray:
 def _entropies(spectra) -> np.ndarray:
     """-sum ev ln ev of each row of a stack of state spectra, in nats.
 
-    Eigenvalues at or below ENTROPY_EIGENVALUE_FLOOR are exact zeros.  Rows
-    are summed in groups of equal length after the floor, so each sum runs
-    over the kept eigenvalues alone, as the sum of one row by itself does.
+    Eigenvalues at or below ENTROPY_EIGENVALUE_FLOOR are exact zeros: each
+    is replaced by 1, whose term 1 ln 1 is +0.0.  Every row is summed whole,
+    at its full length, so a row's bits never depend on its stack.
     """
     lo = float(spectra.min(initial=0.0))
     if lo < -DEFAULT_TOL:
         raise ValueError(f"state has eigenvalue {lo:.3e} below tolerance")
-    keep = spectra > ENTROPY_EIGENVALUE_FLOOR
-    if keep.all():
-        return 0.0 - (spectra * np.log(spectra)).sum(axis=-1)
-    counts = keep.sum(axis=-1)
-    out = np.empty(len(spectra))
-    for m in np.flatnonzero(np.bincount(counts)):
-        rows = counts == m
-        ev = spectra[rows][keep[rows]].reshape(-1, m)
-        # 0.0 - x, not -x: a zero entropy is +0.0, never -0.0.
-        out[rows] = 0.0 - (ev * np.log(ev)).sum(axis=-1)
-    return out
+    ev = np.where(spectra > ENTROPY_EIGENVALUE_FLOOR, spectra, 1.0)
+    # 0.0 - x, not -x: a zero entropy is +0.0, never -0.0.
+    return 0.0 - (ev * np.log(ev)).sum(axis=-1)
 
 
 def von_neumann_entropies(states) -> np.ndarray:
@@ -154,28 +146,27 @@ def holevo_chis(probabilities, states) -> np.ndarray:
     return _clamp_nonnegative(chi)
 
 
-def _capacity_bounds(kraus: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy of the average output, and Holevo quantity, of an equiprobable
-    alphabet of orthonormal state vectors, the rows of the complex array
-    ``vectors`` (M, n_in), for each channel of an accepted Kraus stack (N, k,
-    n_out, n_in), from small spectra.
+def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy of the average output, and Holevo quantity, of the
+    equiprobable computational basis of the input, for each channel of an
+    accepted Kraus stack (N, k, n_out, n_in), from small spectra.
 
-    The output of psi is W W^dagger, where the columns of W are the vectors
-    K_a psi, so its nonzero spectrum is that of the smaller of W W^dagger
+    The output of |i> is W W^dagger, where the columns of W are the vectors
+    K_a |i>, so its nonzero spectrum is that of the smaller of W W^dagger
     (n_out x n_out) and W^dagger W (k x k).  The average output is
-    Y Y^dagger / M, where Y holds the columns of every W; for a complete
-    basis it is Phi(1/n_in).  These states are eigensolved unchecked.
+    Y Y^dagger / n_in = Phi(1/n_in), where Y holds the columns of every W.
+    These states are eigensolved unchecked.
     """
     n, k, n_out, n_in = kraus.shape
-    m = len(vectors)
-    # w[:, i, :, a] = K_a psi_i, column a of W for the i-th state.
-    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
-    w = w.reshape(n, m, n_out, k)
+    # w[:, i, :, a] = K_a |i>, column a of W for the i-th state; contiguous,
+    # as capacity_lower_bounds' product leaves it, so that both routes hand
+    # matmul the same layout.
+    w = np.ascontiguousarray(kraus.transpose(0, 3, 2, 1))
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
-    parts = _entropies(hermitian_eigenvalues(small.reshape(n * m, side, side))).reshape(n, m)
-    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
-    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / m))
+    parts = _entropies(hermitian_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
+    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, n_in * k)
+    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / n_in))
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
 
@@ -184,7 +175,9 @@ def capacity_lower_bounds(kraus, alphabet) -> np.ndarray:
     orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
     channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
     capacity.  DEFAULT_TOL bounds both the overlaps of the alphabet and the
-    completeness residual of every channel."""
+    completeness residual of every channel.  It is the computational-basis
+    bound of the channel restricted to the alphabet, K_a V^T for V with the
+    columns psi_i."""
     vectors = _finite(alphabet, (2,), "an alphabet (M, n_in) of state vectors")
     if not len(vectors):
         raise ValueError("need at least one basis state")
@@ -200,10 +193,12 @@ def capacity_lower_bounds(kraus, alphabet) -> np.ndarray:
             j = int(bad[0])
             raise ValueError(f"basis states {j} and {i} overlap by {overlaps[j, i]:.3e}")
     kraus = require_cptp_stack(kraus)
-    n_in = kraus.shape[-1]
+    n, k, n_out, n_in = kraus.shape
     if vectors.shape[1] != n_in:
         raise ValueError(f"state dimension {vectors.shape[1]} != channel input dimension {n_in}")
-    return _capacity_bounds(kraus, vectors)[1]
+    # Reshaped by len(vectors): -1 cannot reshape an empty stack.
+    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
+    return _capacity_bounds(w.reshape(n, len(vectors), n_out, k).transpose(0, 3, 2, 1))[1]
 
 
 def classical_capacity_lower_bound(kraus, alphabet) -> float:
@@ -228,7 +223,7 @@ def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, flo
     Quantum Information, 2018, ch. 2).
     """
     entropy = float(_entropies(np.asarray(gram_spectrum)[None])[0])
-    mixed, chi = _capacity_bounds(kraus[None], np.eye(kraus.shape[-1], dtype=complex))
+    mixed, chi = _capacity_bounds(kraus[None])
     return entropy, float(mixed[0]) - entropy, float(chi[0])
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+from collections.abc import Iterable
 from itertools import chain
 
 import numpy as np
@@ -165,12 +166,13 @@ def read_channel(path) -> np.ndarray:
     return _read_json(path, "channel", channel_from_dict)
 
 
-def write_text_atomic(path, *parts: str) -> None:
-    """Write the text parts one by one, then rename, so partially written
-    files are never observed and a text given in parts is never joined or
-    encoded whole.  The kernel gives the file the mode open(path, "w") gives a
-    new file, 0o666 less the umask, which is never set, not even to read it.
-    A failure leaves no temporary file behind and is an OSError that names
+def write_text_atomic(path, head: str, parts: Iterable[str] = ()) -> None:
+    """Write ``head``, then each string of ``parts`` as it is drawn, then
+    rename, so partially written files are never observed and a text given
+    in parts is never joined or encoded whole.  The kernel gives the file
+    the mode open(path, "w") gives a new file, 0o666 less the umask, which
+    is never set, not even to read it.  A failure, also one raised while
+    ``parts`` is drawn, leaves no temporary file behind; an OSError names
     ``path``, not the temporary file's random name."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".qchan-{os.urandom(8).hex()}.tmp")
@@ -178,6 +180,7 @@ def write_text_atomic(path, *parts: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(head)
                 fh.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
@@ -233,4 +236,4 @@ def write_json_atomic(path, obj: dict) -> None:
         parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
         parts.extend(_encode_value(obj[key]))
     parts.append("\n}\n" if parts else "{}\n")
-    write_text_atomic(path, *parts)
+    write_text_atomic(path, parts[0], parts[1:])

@@ -161,7 +161,7 @@ def complex_normal(rng, shape):
 @pytest.mark.parametrize(
     "shapes",
     [((64, 3, n), (64, n, 5)) for n in (1, 2, 3, 4)]
-    # _capacity_bounds multiplies its (M, n_in) alphabet into a Kraus stack.
+    # capacity_lower_bounds multiplies its (M, n_in) alphabet into a Kraus stack.
     + [((3, 2), (7, 2, 4))],
 )
 def test_product_sums_a_short_contraction_within_rounding(rng, shapes):

@@ -49,9 +49,10 @@ from qchan import (
 from qchan.cli import main
 from qchan.channels import completeness_residuals
 from qchan.families import FAMILIES
-from qchan.linalg import STACK_BLOCK
+from qchan.linalg import STACK_BLOCK, _product, dagger
 from qchan.measures import (
     ENTROPY_EIGENVALUE_FLOOR,
+    _capacity_bounds,
     _concurrence_of_factors,
     _entropies,
     choi_measures,
@@ -754,7 +755,11 @@ def bits(values) -> bytes:
 
 def reference_entropy(rho) -> float:
     """The per-state entropy that the stacked kernel replaced."""
-    ev = np.linalg.eigvalsh(rho)
+    return reference_spectrum_entropy(np.linalg.eigvalsh(rho))
+
+
+def reference_spectrum_entropy(ev) -> float:
+    """-sum ev ln ev over the eigenvalues above the floor alone, compacted."""
     ev = ev[ev > ENTROPY_EIGENVALUE_FLOOR]
     return 0.0 - float((ev * np.log(ev)).sum())
 
@@ -898,7 +903,86 @@ def test_stacked_measures_equal_per_state_loop_on_full_rank_states(rng):
     assert bits(von_neumann_entropies(stack)) == bits([reference_entropy(m) for m in stack])
 
 
+# Values at or below the floor, as eigensolves give them.
+FLOORED = [0.0, -0.0, ENTROPY_EIGENVALUE_FLOOR, 1e-15, 5e-324, -1e-17, -DEFAULT_TOL]
+
+
+def floored_spectra(rng, length, rows) -> np.ndarray:
+    """Rows of normalised random spectra, each eigenvalue floored with a
+    probability drawn per row, so that rows keep from none to all of them;
+    the first two rows are a single 1 and all floored."""
+    ev = rng.uniform(0.0, 1.0, (rows, length)) ** 4
+    ev /= ev.sum(axis=-1, keepdims=True)
+    floored = rng.random((rows, length)) < rng.random((rows, 1))
+    floored[0], floored[1] = np.arange(length) > 0, True
+    ev[0, 0] = 1.0
+    return np.where(floored, rng.choice(FLOORED, (rows, length)), ev)
+
+
+def test_entropies_of_a_row_are_its_bits_alone_and_in_any_stack(rng):
+    for length in range(1, 41):
+        stack = floored_spectra(rng, length, 60)
+        got = _entropies(stack)
+        for i, row in enumerate(stack):
+            assert bits(_entropies(stack[i : i + 1])) == bits(got[i : i + 1])
+            ref = reference_spectrum_entropy(row)
+            assert abs(got[i] - ref) <= 2e-15 * ref, (length, i, got[i], ref)
+        perm = rng.permutation(len(stack))
+        assert bits(_entropies(stack[perm])) == bits(got[perm])
+        assert bits(_entropies(stack[::2])) == bits(got[::2])
+        # A zero entropy is +0.0: a single 1, or every eigenvalue floored.
+        assert bits(got[:2]) == bits([0.0, 0.0])
+
+
 # ------------------------------------------ capacity bound, environment side
+
+
+def product_route_capacity_bounds(kraus, alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """The capacity route that multiplied an (M, n_in) alphabet into the Kraus
+    stack with _product before the alphabet left _capacity_bounds: the
+    reference that capacity_lower_bounds keeps bit for bit."""
+    kraus, vectors = (np.asarray(a, dtype=complex) for a in (kraus, alphabet))
+    n, k, n_out, n_in = kraus.shape
+    m = len(vectors)
+    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
+    w = w.reshape(n, m, n_out, k)
+    small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
+    side = small.shape[-1]
+    parts = _entropies(hermitian_eigenvalues(small.reshape(n * m, side, side))).reshape(n, m)
+    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
+    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / m))
+    chi = mixed - parts.mean(axis=-1)
+    return mixed, np.where(chi > 0.0, chi, 0.0)
+
+
+def capacity_draws():
+    """240 stacks of 0 to 3 random channels with n_in = 1..7 and random n_out
+    and k, each with a random rotated alphabet of 1 to n_in states, then
+    family members, whose zero entries carry both signs."""
+    rng = np.random.default_rng(2027)
+    for draw in range(240):
+        n_in = 1 + draw % 7
+        n_out = int(rng.integers(1, 8))
+        k = int(rng.integers(-(-n_in // n_out), 8))
+        n = int(rng.integers(0, 4))
+        stack = np.array([random_cptp(n_in, n_out, k, rng) for _ in range(n)], dtype=complex)
+        alphabet = random_unitary(n_in, rng)[: int(rng.integers(1, n_in + 1))]
+        yield stack.reshape(n, k, n_out, n_in), alphabet
+    members = [qubit_family_a(0.3, 0.7), qubit_family_b(1.1, 0.2), amplitude_damping(0.25),
+               qutrit_family(0.0, dft_matrix(3)), ndim_theta0(5), identity_channel(7)]
+    for ch in members:
+        yield ch[None].astype(complex), random_unitary(ch.shape[-1], rng)
+
+
+def test_capacity_lower_bounds_equal_the_alphabet_product_route_bitwise():
+    for stack, alphabet in capacity_draws():
+        expected = product_route_capacity_bounds(stack, alphabet)[1]
+        assert bits(capacity_lower_bounds(stack, alphabet)) == bits(expected)
+        # The computational basis is the channel's own input basis.
+        basis = np.eye(stack.shape[-1])
+        own = _capacity_bounds(stack)
+        assert bits(capacity_lower_bounds(stack, basis)) == bits(own[1])
+        assert bits(own) == bits(product_route_capacity_bounds(stack, basis))
 
 
 def apply_kraus_route(channel, alphabet) -> tuple[float, float]:

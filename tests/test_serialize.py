@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qchan import cli
 from qchan.channels import validate_channel
 from qchan.cli import _csv, _g12_significands, _g12_tables, main
 from qchan.families import FAMILIES, dft_matrix
@@ -27,6 +28,7 @@ from qchan.serialize import (
     matrix_from_pairs,
     read_channel,
     write_json_atomic,
+    write_text_atomic,
 )
 
 from conftest import random_cptp
@@ -158,6 +160,47 @@ def test_a_non_finite_array_value_raises_and_writes_nothing(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         write_json_atomic(path, {"kraus": np.array([[0.5, bad]]), "n_in": 1})
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_part_that_raises_midway_leaves_the_target_and_no_temporary(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing:
+        path.write_text("old\n")
+
+    def parts():
+        yield "1,2\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_text_atomic(path, "a,b\n", parts())
+    assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
+
+
+def test_csv_formats_each_block_as_it_is_drawn(tmp_path, monkeypatch):
+    formatted = []
+    monkeypatch.setattr(cli, "_g12", lambda block: formatted.append(len(block)) or "")
+    parts = _csv(["x"], np.zeros((3 * STACK_BLOCK, 1)))
+    assert next(parts) == "x\n" and formatted == []
+    for count, _ in enumerate(parts, 1):
+        assert len(formatted) == count
+    assert formatted == [STACK_BLOCK] * 3
+
+    # A block that fails to format stops the write there and leaves no file.
+    formatted.clear()
+
+    def fail_on_the_second(block):
+        formatted.append(len(block))
+        if len(formatted) == 2:
+            raise ValueError("second block")
+        return ""
+
+    monkeypatch.setattr(cli, "_g12", fail_on_the_second)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--points", str(3 * STACK_BLOCK), "--out", str(out)]) == 2
+    assert formatted == [STACK_BLOCK] * 2 and os.listdir(tmp_path) == []
 
 
 # A part json.loads can give that matrix_from_pairs refuses, with its message.
