@@ -15,7 +15,9 @@
 # runs that cross block boundaries (dynamics of qubit-b and ad at 4097
 # samples, blocks of 1025, 1024, 1024 and 1024; sweep at 3000 points, three
 # blocks of 1000; the figure script's qubit-a at 4097), sweep at 1535 points,
-# the largest single block, of 1535 rows,
+# the largest single block, of 1535 rows, ad at omega 40, whose p is exactly
+# 1.0 from t = 0.9375 on, so that its Kraus blocks hold exact zeros, qubit-b
+# over 20 blocks of dense partial transposes with --bits,
 # family then analyze for each family (ndim-theta0 at several n, analyzed
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
 # whose off-diagonal entries are all -0.0), analyze of a fixed dense channel
@@ -67,6 +69,10 @@ for family in qubit-b ad; do
     run "dynamics-$family-blocks" dynamics --family "$family" --steps 4096 \
         --out "dynamics-$family-blocks.csv"
 done
+run dynamics-ad-saturating dynamics --family ad --omega 40 --t-max 30 --steps 8192 \
+    --out dynamics-ad-saturating.csv
+run dynamics-qubit-b-long dynamics --family qubit-b --omega 3.7 --t-max 25 --steps 20000 --bits \
+    --out dynamics-qubit-b-long.csv
 run sweep sweep --points 300 --phi 0.4 --out sweep.csv
 run sweep-blocks sweep --points 3000 --out sweep-blocks.csv
 run sweep-one-block sweep --points 1535 --out sweep-one-block.csv

@@ -192,8 +192,9 @@ def _wrapped_phase(omega: float, times: np.ndarray) -> np.ndarray:
 
 def _decay(omega: float, times: np.ndarray) -> np.ndarray:
     """p = 1 - exp(-omega t), sample by sample through math.exp: np.exp
-    differs from it in the last bit at some t."""
-    return np.array([1.0 - math.exp(-omega * t) for t in times.tolist()])
+    differs from it in the last bit at some t.  The product and the
+    difference are numpy's, the same IEEE operations as Python's."""
+    return 1.0 - np.fromiter(map(math.exp, (-omega * times).tolist()), float, len(times))
 
 
 @dataclass(frozen=True)

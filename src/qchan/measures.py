@@ -326,12 +326,17 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     = sum_a K_a[i,l] conj(K_a[j,k]) / n_in is summed one operator at a time,
     as the superoperator is, and only its lower triangle is formed, which is
     all that :func:`_spectra_4x4` reads.  The concurrence is that of
-    :func:`_concurrence_of_factors`, whose rows are v.
+    :func:`_concurrence_of_factors`, whose rows are v.  A real block of two
+    operators, as every block of dynamics is, runs in float64: the routes
+    differ only in the sign of an exact zero, which nothing reads at k = 2
+    (closed forms, and the partial transpose, summed from 0, has no -0.0).
+    LAPACK's reflectors read it, so other k stay complex.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
     kraus = _as_kraus_stack(kraus)
     n, k, _, n_in = kraus.shape
+    kraus = kraus.real if k == 2 and not kraus.imag.any() else kraus
     # v[a, 2c + r] = K_a[r, c]: row a of V^T, vec(K_a) in the Choi ordering.
     v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(k, 4, n)
     vc = v.conj()

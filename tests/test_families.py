@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,19 @@ def test_qutrit_family_is_bitwise_the_row_build(rng):
         for theta in thetas:
             assert_same_bits(qutrit_family(theta, w), qutrit_by_rows(theta, w))
     assert len(ws) * len(thetas) == 144
+
+
+def test_decay_schedule_is_bitwise_the_per_sample_loop(rng):
+    # One grid saturates: p is exactly 1.0 from t = 0.9375 on.
+    grids = [(40.0, np.linspace(0.0, 30.0, 8193))]
+    for _ in range(250):
+        omega = 10.0 ** rng.uniform(-3.0, 3.0)
+        n = int(rng.integers(1, 600))
+        times = np.linspace(0.0, 10.0 ** rng.uniform(-2.0, 2.0), n)
+        grids.append((omega, times if rng.random() < 0.5 else np.sort(rng.uniform(0.0, 50.0, n))))
+    decay = FAMILIES["ad"].schedule
+    for omega, times in grids:
+        loop = np.array([1.0 - math.exp(-omega * t) for t in times.tolist()])
+        assert decay(omega, times).tobytes() == loop.tobytes()
+    saturated = decay(*grids[0])
+    assert (saturated == 1.0).sum() == 8193 - 256 and saturated[255] < 1.0

@@ -529,6 +529,25 @@ def pauli_channels(rng, n):
     return np.sqrt(rng.dirichlet(np.ones(4), n))[:, :, None, None] * paulis
 
 
+def real_cptp_stack(k, n, rng):
+    """n real qubit channels of k operators, each a random real isometry
+    V (2k, 2), read as K[a, i, j] = V[(a, i), j]: up to two rows of V are
+    exact zeros, every row's sign is flipped at random, so some zeros are
+    -0.0, and the imaginary parts are +-0.0 at random.  Stored as complex,
+    as the families store theirs.  Real arithmetic gives some exact zeros of
+    a Gram state or tau the other sign, which moves LAPACK's bits on 2-4 %
+    of these samples at k = 3, 4 and 5: choi_measures keeps those complex."""
+    v = np.zeros((n, 2 * k, 2))
+    for sample in v:
+        keep = rng.permutation(2 * k)[: max(2, 2 * k - rng.integers(0, 3))]
+        q, r = np.linalg.qr(rng.standard_normal((len(keep), 2)))
+        sample[np.sort(keep)] = q * np.sign(np.diagonal(r))
+    v *= rng.choice([-1.0, 1.0], size=(n, 2 * k, 1))
+    kraus = v.reshape(n, k, 2, 2).astype(complex)
+    kraus.imag = rng.choice([-0.0, 0.0], size=kraus.shape)
+    return kraus
+
+
 def entry_major_stacks():
     rng = np.random.default_rng(23)
     theta = np.linspace(0.0, math.pi, 4097)
@@ -545,6 +564,8 @@ def entry_major_stacks():
     stacks["mixed"] = mixed[rng.permutation(len(mixed))]
     for k in range(1, 5):
         stacks[f"random-k{k}"] = np.array([random_cptp(2, 2, k, rng) for _ in range(200)])
+    for k in range(1, 6):
+        stacks[f"real-k{k}"] = real_cptp_stack(k, 200, rng)
     stacks["pauli"] = pauli_channels(rng, 200)
     # The paper's class: self-complementary, with dense partial transposes.
     stacks["symmetric"] = np.array([random_symmetric_channel(2, 2, rng) for _ in range(200)])
@@ -591,6 +612,51 @@ def test_the_entry_major_stacks_reach_every_route(monkeypatch):
     shapes.clear()
     choi_measures(stacks["random-k4"])
     assert shapes == [(200, 4, 4), (200, 4, 4)]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_real_samples_keep_their_bits_beside_a_complex_sample(k):
+    rng = np.random.default_rng(70 + k)
+    real = real_cptp_stack(k, 300, rng)
+    mixed = np.insert(real, 137, random_cptp(2, 2, k, rng), axis=0)
+    for alone, beside in zip(choi_measures(real), choi_measures(mixed)):
+        assert bits(alone) == bits(np.delete(beside, 137))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_choi_measures_hand_lapack_complex_arrays(k, monkeypatch):
+    # Real operands would round LAPACK's reflectors apart from the complex
+    # route's, so a real block must not reach eigvalsh or svd as real.
+    dtypes = []
+    for name in ("eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+
+        def record(m, *args, solver=solver, **kwargs):
+            dtypes.append(np.asarray(m).dtype)
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    choi_measures(real_cptp_stack(k, 100, np.random.default_rng(80 + k)))
+    assert dtypes and set(dtypes) == {np.dtype(complex)}
+
+
+def test_a_real_block_reaches_the_concurrence_as_float64(monkeypatch):
+    # The float64 route of choi_measures, pinned: its speed comes from it.
+    dtypes = []
+
+    def record(rows, n_in):
+        dtypes.append(rows.dtype)
+        return _concurrence_of_factors(rows, n_in)
+
+    monkeypatch.setattr("qchan.measures._concurrence_of_factors", record)
+    theta = np.linspace(0.0, math.pi, 9)
+    real = [qubit_family_a(theta, 0.0), qubit_family_b(theta, 0.0),
+            amplitude_damping(np.linspace(0.0, 1.0, 9)),
+            real_cptp_stack(2, 9, np.random.default_rng(9))]
+    for kraus in real:
+        choi_measures(kraus)
+    choi_measures(qubit_family_b(theta, 0.3))
+    assert dtypes == [np.dtype(float)] * 4 + [np.dtype(complex)]
 
 
 EMPTY_STACK_CALLS = {
