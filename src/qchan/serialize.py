@@ -14,12 +14,13 @@ Every JSON output is the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set that call runs the
 pure-Python encoder, so ``write_json_atomic`` writes a float ndarray value,
 such as the ``(k, n_out, n_in, 2)`` parts of a channel's Kraus operators, in
-bulk: a %-template of ``%s`` fields laid out as the encoder lays out the
-nested list, filled one item of the first axis at a time with the ``repr``
-of each distinct float64 bit pattern, formatted once.  ``float.__repr__``
-is how ``json`` writes a finite float; a non-finite array value is refused,
+bulk: the separators of the nested list, laid out as the encoder lays them
+out, are joined one item of the first axis at a time with the ``repr`` of
+each distinct float64 bit pattern, formatted once.  ``float.__repr__`` is
+how ``json`` writes a finite float; a non-finite array value is refused,
 since ``json`` would write it as ``NaN`` or ``Infinity``, which are not
-JSON.
+JSON.  A top-level scalar, on which ``indent`` and ``sort_keys`` change no
+byte, goes to the C encoder.
 """
 
 from __future__ import annotations
@@ -56,8 +57,14 @@ def _parts(data) -> list | None:
     """The parts re, im of the entries of a list of rows, in order, or None
     unless every entry is exactly two JSON numbers."""
     # Checked by type, not by conversion: float() would take "1" and true.
+    # One pass over the entries: len() refuses a number, true or null (a
+    # TypeError), and a 2-character string or 2-key object that passes it
+    # yields characters or keys, which the parts' type test refuses.
     entries = list(chain.from_iterable(data))
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+    try:
+        if not set(map(len, entries)) <= {2}:
+            return None
+    except TypeError:
         return None
     parts = list(chain.from_iterable(entries))
     return parts if set(map(type, parts)) <= {int, float} else None
@@ -205,8 +212,11 @@ def _array_template(shape: tuple, indent: str) -> str:
 
 def _encode_value(value) -> list:
     """The text of one top-level value, as a list of strings."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim):
+    if isinstance(value, (dict, list, tuple)):
         return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")]
+    if not (isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim):
+        # A scalar: indent and sort_keys change no byte, so the C encoder writes it.
+        return [json.dumps(value)]
     if not np.isfinite(value).all():
         raise ValueError("a non-finite array value has no JSON encoding")
     if not len(value):
@@ -217,14 +227,19 @@ def _encode_value(value) -> list:
     bits = np.asarray(value, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    # One template per item of the first axis (per Kraus operator) keeps
-    # every string small: one template and one fill of the whole array hold
-    # several copies of its text at once and raise the process's peak RSS.
-    item = _array_template(value.shape[1:], "    ")
+    # One string per item of the first axis (per Kraus operator) keeps every
+    # string small: one fill of the whole array holds several copies of its
+    # text at once and raises the process's peak RSS.  The item's template is
+    # split at its %s fields once; the odd slots of the piece list take the
+    # floats' text and one join fills the item.
+    separators = _array_template(value.shape[1:], "    ").split("%s")
+    pieces = [""] * (2 * len(separators) - 1)
+    pieces[::2] = separators
     parts = []
     for row in index.reshape(len(value), -1):
         parts.append(",\n    " if parts else "[\n    ")
-        parts.append(item % tuple(text[row].tolist()))
+        pieces[1::2] = text[row].tolist()
+        parts.append("".join(pieces))
     return parts + ["\n  ]"]
 
 

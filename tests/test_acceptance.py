@@ -14,6 +14,7 @@ import pytest
 
 from qchan import (
     affine_of_channel,
+    amplitude_damping,
     apply,
     channel_rank,
     choi_matrix,
@@ -418,4 +419,64 @@ def test_criterion_16_approximate_copy_machine():
         f"1/2 + (sqrt 2/4) sin t and universal closed forms hold (worst {worst_form:.2e}); the "
         f"optimal phase-covariant cloner is reached at pi/2, 5/6 is never passed, and ndim-theta0 "
         f"stays below Werner's bound for n = 2..16 (smallest gap {min(gaps):.4f})",
+    )
+
+
+def test_criterion_17_trace_distance_backflow():
+    # BLP measure (Breuer, Laine and Piilo, PRL 103, 210401, 2009): the total
+    # increase of the trace distance of one fixed pair of inputs.  Under a
+    # Bloch map r -> A r + b the pure pair +-r has outputs at trace distance
+    # |A r|, and orthogonal pure pairs are optimal for qubits (Wissmann et
+    # al., PRA 86, 062108, 2012).  The axis pairs give the closed values; no
+    # pair of a Fibonacci sample may beat the best of them.
+    thetas = np.linspace(0.0, math.pi, 2049)
+    sphere = fibonacci_sphere(2000)
+
+    def linear_maps(build, params):
+        return np.array([affine_of_channel(build(float(p)))[0] for p in params])
+
+    def axis_increases(linear):
+        return [positive_variation(d) for d in np.linalg.norm(linear, axis=1).T]
+
+    # qubit-a at phi = 0: A = diag(sin(t + pi/4), -cos(t + pi/4), -cos(2t) / 2).
+    linear = linear_maps(qubit_family_a, thetas)
+    closed = np.zeros_like(linear)
+    closed[:, 0, 0] = np.sin(thetas + math.pi / 4)
+    closed[:, 1, 1] = -np.cos(thetas + math.pi / 4)
+    closed[:, 2, 2] = -np.cos(2 * thetas) / 2
+    worst_closed = float(np.abs(linear - closed).max())
+    assert worst_closed <= 1e-12
+
+    # family, phi: the increase of each axis pair; None where no closed value is held.
+    expected = {
+        (qubit_family_a, 0.0): (1.0, 1.0, 1.0),
+        (qubit_family_a, 0.9): (None, None, 1.0),
+        (qubit_family_b, 0.0): (SQ2, SQ2, 0.5),
+        (qubit_family_b, 0.9): (SQ2, SQ2, 0.5),
+    }
+    worst_axis, worst_excess, best_sampled = 0.0, -math.inf, {}
+    for (family, phi), values in expected.items():
+        linear = linear_maps(lambda t: family(t, phi), thetas)
+        axes = axis_increases(linear)
+        for got, want in zip(axes, values):
+            if want is not None:
+                worst_axis = max(worst_axis, abs(got - want))
+        gram = np.einsum("tji,tjk->tik", linear, linear)
+        distance = np.sqrt(np.einsum("tij,pi,pj->tp", gram, sphere, sphere))
+        sampled = np.maximum(np.diff(distance, axis=0), 0.0).sum(axis=0).max()
+        worst_excess = max(worst_excess, sampled - max(axes))
+        best_sampled[family.__name__] = max(best_sampled.get(family.__name__, 0.0), sampled)
+    assert worst_axis <= 1e-12
+    assert worst_excess <= 1e-12
+
+    # Amplitude damping on the schedule p = 1 - exp(-0.7 t): no backflow.
+    times = np.linspace(0.0, 5.0, 2049)
+    damping = axis_increases(linear_maps(amplitude_damping, 1.0 - np.exp(-0.7 * times)))
+    assert max(damping) <= 1e-12
+    report(
+        17,
+        f"BLP trace-distance backflow per period: qubit-a's axis pairs gain 1 and qubit-b's x, y "
+        f"pairs 1/sqrt 2 (worst {worst_axis:.2e}; A of qubit-a within {worst_closed:.2e} of its "
+        f"closed form); no sampled pair gains more (best {best_sampled['qubit_family_a']:.5f} "
+        f"and {best_sampled['qubit_family_b']:.5f}); amplitude damping gains {max(damping):.1e}",
     )

@@ -12,7 +12,7 @@ import pytest
 from qchan import identity_channel
 from qchan.cli import MAX_POINTS, _check_options, build_parser, main
 from qchan.families import FAMILIES, family_ids
-from qchan.serialize import MAX_DIM, channel_to_dict, read_channel, write_json_atomic
+from qchan.serialize import MAX_DIM, MAX_ENTRY, channel_to_dict, read_channel, write_json_atomic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -261,25 +261,37 @@ BAD_ENTRIES = {
     "bare number": 1,
     "string entry": "10",
     "object entry": {"0": 1, "1": 0},
+    "bool entry": True,
+    "null entry": None,
+    "pair of pairs": [[1, 0], [0, 1]],
     "huge real part": [1e200, 0],
     "huge imaginary part": [0, -1e151],
     "huge integer": [10**400, 0],
 }
 
 
-@pytest.mark.parametrize("entry", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
-def test_bad_matrix_entries_exit_3_without_warnings(tmp_path, capsys, entry):
+@pytest.mark.parametrize("name, entry", list(BAD_ENTRIES.items()), ids=list(BAD_ENTRIES))
+def test_bad_matrix_entries_exit_3_without_warnings(tmp_path, capsys, name, entry):
     doc_path, w_path, out = tmp_path / "ch.json", tmp_path / "w.json", tmp_path / "r.json"
     doc_path.write_text(json.dumps({"n_in": 1, "n_out": 1, "kraus": [[[entry]]]}))
     w = [[[1, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]
     w[0][0] = entry
     w_path.write_text(json.dumps(w))
+    # An entry of the wrong shape or part type gets one message, in a channel
+    # document and a --w file alike; only a part above the cap gets another.
+    if name.startswith("huge"):
+        message = f"matrix entry part above the magnitude cap {MAX_ENTRY:g}"
+    else:
+        message = "matrix entries must be [re, im] pairs of two JSON numbers"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("analyze", "--in", doc_path, "--out", out) == 3
-        assert run("family", "--id", "qutrit", "--theta", 0.2, "--w", w_path, "--out", out) == 3
-    err = capsys.readouterr().err
-    assert "matrix entr" in err and "Warning" not in err
+        for argv in (
+            ("analyze", "--in", doc_path, "--out", out),
+            ("family", "--id", "qutrit", "--theta", 0.2, "--w", w_path, "--out", out),
+        ):
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert message in err and "Warning" not in err, (argv[0], err)
     assert not out.exists()
 
 

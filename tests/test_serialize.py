@@ -70,7 +70,7 @@ FAMILY_OPTIONS = [
     (name, dim)
     for name, family in FAMILIES.items()
     if "family" in family.commands
-    for dim in ((2, 5, 16) if "dim" in family.params else (None,))
+    for dim in ((2, 5, 16, 32) if "dim" in family.params else (None,))
 ]
 
 
@@ -135,6 +135,9 @@ def test_empty_document_and_a_document_without_arrays(tmp_path):
     assert written(tmp_path, {}) == reference_json({})
     obj = {"b": True, "a": None, "c": "text é\n", "d": {"z": 1, "y": [1, {"q": 2.5}]}}
     assert written(tmp_path, obj) == reference_json(obj)
+    # Top-level scalars go to the C encoder; the strategy below draws no NaN.
+    scalars = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "ψ": "θ ☃ \u2028 \x00"}
+    assert written(tmp_path, scalars) == reference_json(scalars)
 
 
 finite_arrays = hnp.arrays(
