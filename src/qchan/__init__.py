@@ -57,19 +57,16 @@ from .linalg import (
 )
 from .measures import (
     capacity_lower_bounds,
-    classical_capacity_lower_bound,
     coherent_information,
     concurrence,
     concurrences,
     concurrence_closed_form,
     entanglement_evolution_factor,
-    holevo_chis,
     map_entropies,
     map_entropy,
     negativities,
     negativity,
     negativity_closed_form,
-    spin_flip,
     von_neumann_entropies,
     von_neumann_entropy,
 )

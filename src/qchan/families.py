@@ -1,14 +1,13 @@
 """Parameterized families of self-complementary channels.
 
-The two qubit families and the theta = 0 family in arbitrary dimension are
-exactly CPTP and exactly self-complementary for every parameter value.  The
-general qutrit and N-dimensional parameterizations are exploratory, reported on
-by :func:`qchan.channels.validate_channel` and refused by operations that
-need a genuine channel.  A strictly self-complementary channel is an
-isometry V into Sym^2(C^m).  Off theta = 0 the qutrit members are symmetric
-tensors (defect 0) whose V columns are not orthonormal (completeness
-residual 0.087 at theta = 0.3 and 0.71 at theta = 1.0 for W = 1); the ndim
-members are not symmetric (defect 0.21-0.60 for theta in [0.3, 1] at n = 4).
+The two qubit families, the qutrit family and the theta = 0 family in
+arbitrary dimension are exactly CPTP and exactly self-complementary for
+every parameter value.  The general N-dimensional parameterization is
+exploratory, reported on by :func:`qchan.channels.validate_channel` and
+refused by operations that need a genuine channel.  A strictly
+self-complementary channel is an isometry V into Sym^2(C^m).  Off theta = 0
+the ndim members are not symmetric (defect 0.21-0.60 for theta in [0.3, 1]
+at n = 4).
 
 Every constructor returns the channel's Kraus array (k, n_out, n_in).  The
 driven families, ``qubit_family_a``, ``qubit_family_b`` and
@@ -114,12 +113,13 @@ def identity_channel(dim: int = 2) -> np.ndarray:
 
 
 def qutrit_family(theta: float, w) -> np.ndarray:
-    """General qutrit parameterization.
+    """General qutrit parameterization, CPTP and self-complementary for
+    every theta in [0, pi] and every unitary W.
 
-    Rows two and three of the second and third operators share the row
-    (W22, W12, W23)/sqrt2, and completeness generally fails for theta != 0;
-    validate before using the result as a channel.  At theta = 0 the family
-    coincides with ``ndim_theta0(3)`` regardless of W.
+    The second and third operators take rows W[:, 0] sin t and W[:, 2] sin t,
+    and share the row W[:, 1] sin t / sqrt2, so that the isometry's columns
+    stay orthonormal.  At theta = 0 the family coincides with
+    ``ndim_theta0(3)`` regardless of W.
     """
     theta = _check_angle("theta", theta, math.pi)
     w = _check_unitary(w, 3)
@@ -130,7 +130,7 @@ def qutrit_family(theta: float, w) -> np.ndarray:
     ops[1, 0, 1] = ops[2, 0, 2] = ch
     ops[1, 1] = w[:, 0] * s
     ops[2, 2] = w[:, 2] * s
-    ops[1, 2] = ops[2, 1] = w[[1, 0, 1], [1, 1, 2]] * s * SQRT_HALF
+    ops[1, 2] = ops[2, 1] = w[:, 1] * s * SQRT_HALF
     return ops
 
 
@@ -141,9 +141,9 @@ def ndim_family(n: int, theta: float, w) -> np.ndarray:
     Operator i (i = 1..n-1, zero-based) has first row cos(t)/sqrt2 placed in
     column i (the cyclic shift of the theta = 0 pattern), middle rows taken
     from columns 1..n-2 of P^(-i) W scaled by sin(t)/sqrt(n-2), and last row
-    from column n of P^(-i) W scaled by sin(t)/sqrt(n-1).  Like the qutrit
-    family this is generally not CPTP away from theta = 0 and carries its
-    verdict in the validation report.
+    from column n of P^(-i) W scaled by sin(t)/sqrt(n-1).  This is generally
+    not CPTP away from theta = 0 and carries its verdict in the validation
+    report.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")

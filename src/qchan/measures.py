@@ -17,7 +17,8 @@ were derived from the exact spectra of the family's Choi states and agree
 with the numeric pipeline to machine precision:
 
 * Choi spectrum: {1/4 + sin^2(t)/2, 1/4 + cos^2(t)/2, 0, 0}
-* spin-flip product spectrum: {sin^2(t)/2, cos^2(t)/2, 0, 0}
+* spectrum of the spin-flip product omega (sigma_y (x) sigma_y) conj(omega)
+  (sigma_y (x) sigma_y): {sin^2(t)/2, cos^2(t)/2, 0, 0}
 * negativity: |cos 2t| / 4
 * concurrence: |sin t - cos t| / sqrt2
 """
@@ -42,8 +43,6 @@ from .linalg import (
     DEFAULT_TOL,
     _LOWER_4X4,
     _eigenvalues,
-    _finite,
-    _matrices,
     _product,
     _spectra_4x4,
     as_matrix,
@@ -57,8 +56,6 @@ from .linalg import (
 # Entropy eigenvalues below this are exact zeros (avoids 0 * log 0 noise).
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 # The antidiagonal of sigma_y (x) sigma_y, from the top right.
 _YY_ANTIDIAGONAL = np.array([-1, 1, 1, -1])
 
@@ -120,32 +117,6 @@ def coherent_information(kraus, rho) -> float:
     return s_out - s_env
 
 
-def holevo_chis(probabilities, states) -> np.ndarray:
-    """S(sum p_i rho_i) - sum p_i S(rho_i) of each row of a stack of ensembles.
-
-    ``states`` has shape (N, M, d, d): N ensembles of M states, all weighted
-    by the M ``probabilities``, which must be nonnegative and sum to 1 within
-    1e-12.  The states are checked by :func:`validate_states`; their mixture
-    is eigensolved unchecked.  Nonnegative by concavity; rounding below zero
-    is clamped.
-    """
-    states = _finite(states, (4,), "a stack of ensembles (N, M, d, d)")
-    n, m, d, _ = states.shape
-    probabilities = [float(p) for p in probabilities]
-    if len(probabilities) != m or not probabilities:
-        raise ValueError(f"need one probability per state: {len(probabilities)} for {m} states")
-    # Written so that a NaN weight fails both checks.
-    if not all(p >= 0 for p in probabilities):
-        raise ValueError("probabilities must be nonnegative")
-    if not abs(sum(probabilities) - 1.0) <= 1e-12:
-        raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
-    parts = von_neumann_entropies(states.reshape(n * m, d, d)).reshape(n, m)
-    mixture = sum(p * states[:, i] for i, p in enumerate(probabilities))
-    mixed = _entropies(hermitian_eigenvalues(mixture))
-    chi = mixed - sum(p * parts[:, i] for i, p in enumerate(probabilities))
-    return _clamp_nonnegative(chi)
-
-
 def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy of the average output, and Holevo quantity, of the
     equiprobable computational basis of the input, for each channel of an
@@ -159,8 +130,8 @@ def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, k, n_out, n_in = kraus.shape
     # w[:, i, :, a] = K_a |i>, column a of W for the i-th state; contiguous,
-    # as capacity_lower_bounds' product leaves it, so that both routes hand
-    # matmul the same layout.
+    # since at n > 4 _product is BLAS's a @ b, whose bits can depend on the
+    # memory layout of its operands.
     w = np.ascontiguousarray(kraus.transpose(0, 3, 2, 1))
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
@@ -170,42 +141,11 @@ def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
 
-def capacity_lower_bounds(kraus, alphabet) -> np.ndarray:
-    """Holevo quantity of the channel outputs for an equiprobable alphabet of
-    orthonormal state vectors, the rows of ``alphabet`` (M, n_in), for each
-    channel of a Kraus stack (N, k, n_out, n_in); lower-bounds the classical
-    capacity.  DEFAULT_TOL bounds both the overlaps of the alphabet and the
-    completeness residual of every channel.  It is the computational-basis
-    bound of the channel restricted to the alphabet, K_a V^T for V with the
-    columns psi_i."""
-    vectors = _finite(alphabet, (2,), "an alphabet (M, n_in) of state vectors")
-    if not len(vectors):
-        raise ValueError("need at least one basis state")
-    inner = vectors.conj() @ vectors.T
-    # |<psi_j|psi_i>|^2 = tr(rho_j rho_i), the overlap of the pure states.
-    overlaps = np.abs(inner) ** 2
-    for i in range(len(vectors)):
-        norm = float(np.real(inner[i, i]))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"basis state {i} is not normalised (<psi|psi> = {norm})")
-        bad = np.flatnonzero(overlaps[:i, i] > DEFAULT_TOL)
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"basis states {j} and {i} overlap by {overlaps[j, i]:.3e}")
-    kraus = require_cptp_stack(kraus)
-    n, k, n_out, n_in = kraus.shape
-    if vectors.shape[1] != n_in:
-        raise ValueError(f"state dimension {vectors.shape[1]} != channel input dimension {n_in}")
-    # Reshaped by len(vectors): -1 cannot reshape an empty stack.
-    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
-    return _capacity_bounds(w.reshape(n, len(vectors), n_out, k).transpose(0, 3, 2, 1))[1]
-
-
-def classical_capacity_lower_bound(kraus, alphabet) -> float:
-    """Holevo quantity of the channel outputs for an equiprobable alphabet of
-    orthonormal state vectors, the rows of ``alphabet``; lower-bounds the
-    classical capacity."""
-    return float(capacity_lower_bounds(_as_kraus(kraus)[None], alphabet)[0])
+def capacity_lower_bounds(kraus) -> np.ndarray:
+    """Holevo quantity of the equiprobable computational basis of the input,
+    for each channel of a Kraus stack (N, k, n_out, n_in), checked for
+    completeness within DEFAULT_TOL; lower-bounds the classical capacity."""
+    return _capacity_bounds(require_cptp_stack(kraus))[1]
 
 
 def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, float, float]:
@@ -225,15 +165,6 @@ def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, flo
     entropy = float(_entropies(np.asarray(gram_spectrum)[None])[0])
     mixed, chi = _capacity_bounds(kraus[None])
     return entropy, float(mixed[0]) - entropy, float(chi[0])
-
-
-def spin_flip(omega) -> np.ndarray:
-    """(sigma_y (x) sigma_y) conj(omega) (sigma_y (x) sigma_y) on two qubits,
-    matrix by matrix for a stack."""
-    m = _matrices(omega)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"spin flip needs a 4x4 two-qubit matrix, got {m.shape}")
-    return _YY @ m.conj() @ _YY
 
 
 def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:

@@ -19,11 +19,9 @@ from qchan import (
     amplitude_damping,
     bloch_image,
     capacity_lower_bounds,
-    classical_capacity_lower_bound,
     coherent_information,
     entanglement_evolution_factor,
     gram_states,
-    holevo_chis,
     identity_channel,
     map_entropies,
     map_entropy,
@@ -64,8 +62,7 @@ ENTRY_POINTS = {
     "map_entropy": lambda _, ch: map_entropy(ch),
     "map_entropies": lambda _, ch: map_entropies(ch[None]),
     "gram_states": lambda _, ch: gram_states(ch[None])[1],
-    "capacity_lower_bounds": lambda _, ch: capacity_lower_bounds(ch[None], np.eye(2)),
-    "classical_capacity_lower_bound": lambda _, ch: classical_capacity_lower_bound(ch, np.eye(2)),
+    "capacity_lower_bounds": lambda _, ch: capacity_lower_bounds(ch[None]),
     "affine_of_channel": lambda _, ch: np.concatenate([a.ravel() for a in affine_of_channel(ch)]),
     "bloch_image": lambda _, ch: bloch_image(ch, 16),
     "entanglement_evolution_factor": lambda _, ch: entanglement_evolution_factor(ch, bell_state()),
@@ -131,17 +128,9 @@ def test_capacity_bound_checks_completeness_at_its_tol():
     # by the capacity bound and by choi_measures' own completeness sum.
     stack = qubit_family_a(np.linspace(0.1, 1.4, 7), 0.3)
     stack[4] = scaled(stack[4], 2e-8)
-    for call in (lambda s: capacity_lower_bounds(s, np.eye(2)), measures.choi_measures):
+    for call in (capacity_lower_bounds, measures.choi_measures):
         with pytest.raises(ValueError, match="not trace preserving: residual 2.000e-08 > 1.000e-10"):
             call(stack)
-
-
-def test_holevo_mixture_of_accepted_states_is_not_rejudged():
-    # Each weight and each state passes its check; the mixture's trace,
-    # 1 + 1.8e-12, is off by more than the state trace tolerance.
-    states = np.array([[np.diag([1 + 9e-13, 0.0]), np.diag([0.0, 1 + 9e-13])]])
-    chi = holevo_chis([0.5 + 4.5e-13] * 2, states)
-    assert abs(chi[0] - math.log(2.0)) <= 1e-11
 
 
 @pytest.mark.parametrize("command", ["family", "analyze"])
@@ -187,8 +176,9 @@ def test_finiteness_passes_per_call(monkeypatch, name):
         passes.append(args[-1])
         return finite(*args)
 
-    # channels and measures hold their own binding of the name.
-    for module in (linalg, channels, measures):
+    # channels holds its own binding of the name; measures reaches it only
+    # through channels.
+    for module in (linalg, channels):
         monkeypatch.setattr(module, "_finite", count)
     call(qubit_family_a(0.3))
     assert len(passes) == expected, passes

@@ -7,7 +7,6 @@ from qchan import (
     DEFAULT_TOL,
     apply,
     bloch_vector,
-    capacity_lower_bounds,
     channel_rank,
     choi_matrix,
     choi_state,
@@ -485,10 +484,6 @@ LIBRARY_REFUSALS = {
     "validate_states of a non-square state": (
         lambda: validate_states(np.zeros((1, 2, 3))),
         r"density matrix must be square, got \(2, 3\)",
-    ),
-    "capacity_lower_bounds of an empty alphabet": (
-        lambda: capacity_lower_bounds(qubit_family_a(0.3)[None], np.zeros((0, 2))),
-        "need at least one basis state",
     ),
     "concurrences of a qubit state": (
         lambda: concurrences(np.eye(2)[None] / 2), "concurrence needs a two-qubit state, got dim 2"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qchan import (
-    DEFAULT_TOL,
     amplitude_damping,
     apply,
     channel_rank,
@@ -131,11 +130,10 @@ def test_qutrit_family_reduces_to_theta0(rng):
 def test_qutrit_family_validation_reports():
     ok = validate_channel(qutrit_family(0.0, np.eye(3)))
     assert ok.cptp_residual <= 1e-12
-    # Away from theta = 0 this parameterization fails completeness; the
-    # report carries the residual instead of asserting.
+    # Away from theta = 0 every member is a self-complementary channel too.
     report = validate_channel(qutrit_family(np.pi / 4, np.eye(3)))
-    assert report.cptp_residual > DEFAULT_TOL
-    assert abs(report.cptp_residual - 0.5) <= 1e-12
+    assert report.cptp_residual <= 1e-14
+    assert report.selfcomplementary
 
 
 def test_qutrit_family_rejects_non_unitary_parameter():
@@ -240,7 +238,7 @@ def qutrit_by_rows(theta, w):
     s, c = np.sin(theta), np.cos(theta)
     ch = c * SQ2
     w = np.asarray(w, dtype=complex)
-    shared = [w[1, 1] * s * SQ2, w[0, 1] * s * SQ2, w[1, 2] * s * SQ2]
+    shared = [w[0, 1] * s * SQ2, w[1, 1] * s * SQ2, w[2, 1] * s * SQ2]
     k1 = np.diag([c, ch, ch]).astype(complex)
     k2 = np.array([[0.0, ch, 0.0], [w[0, 0] * s, w[1, 0] * s, w[2, 0] * s], shared], dtype=complex)
     k3 = np.array([[0.0, 0.0, ch], shared, [w[0, 2] * s, w[1, 2] * s, w[2, 2] * s]], dtype=complex)

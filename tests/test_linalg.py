@@ -13,7 +13,6 @@ from qchan import (
     partial_transpose,
     qubit_family_a,
     qubit_family_b,
-    spin_flip,
     validate_states,
 )
 from qchan.channels import _grams
@@ -23,6 +22,7 @@ from qchan.measures import choi_measures
 from conftest import bell_state, random_cptp, two_operator_qubit_stacks
 
 SY = np.array([[0, -1j], [1j, 0]])
+YY = np.kron(SY, SY)
 
 
 def small_complex_matrices(n_min=1, n_max=4, square=True):
@@ -38,10 +38,9 @@ def small_complex_matrices(n_min=1, n_max=4, square=True):
 
 def test_kron_sigma_y_pair_is_antidiagonal():
     # choi_measures' signed reversal [-1, 1, 1, -1] of the Kraus rows rests on this.
-    yy = np.kron(SY, SY)
     expected = np.zeros((4, 4))
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-    assert np.allclose(yy, expected)
+    assert np.allclose(YY, expected)
 
 
 def test_dagger():
@@ -161,7 +160,7 @@ def complex_normal(rng, shape):
 @pytest.mark.parametrize(
     "shapes",
     [((64, 3, n), (64, n, 5)) for n in (1, 2, 3, 4)]
-    # capacity_lower_bounds multiplies its (M, n_in) alphabet into a Kraus stack.
+    # One matrix against a stack, broadcast.
     + [((3, 2), (7, 2, 4))],
 )
 def test_product_sums_a_short_contraction_within_rounding(rng, shapes):
@@ -204,8 +203,9 @@ def test_partial_transpose_of_family_choi_has_single_negative_eigenvalue():
 
 
 def spin_flip_product_spectrum(omega):
-    """Eigenvalues of omega * spin_flip(omega), descending; real within 1e-12."""
-    ev = np.linalg.eigvals(omega @ spin_flip(omega))
+    """Eigenvalues of omega (sigma_y (x) sigma_y) conj(omega) (sigma_y (x)
+    sigma_y), descending; real within 1e-12."""
+    ev = np.linalg.eigvals(omega @ YY @ omega.conj() @ YY)
     assert np.abs(ev.imag).max() <= 1e-12
     return np.sort(ev.real)[::-1]
 

@@ -16,7 +16,6 @@ from qchan import (
     channel_rank,
     choi_matrix,
     choi_state,
-    classical_capacity_lower_bound,
     coherent_information,
     complementary,
     concurrence,
@@ -27,7 +26,6 @@ from qchan import (
     entanglement_evolution_factor,
     gram_states,
     hermitian_eigenvalues,
-    holevo_chis,
     identity_channel,
     map_entropies,
     map_entropy,
@@ -40,7 +38,6 @@ from qchan import (
     qubit_family_b,
     qutrit_family,
     selfcomplementarity_defect,
-    spin_flip,
     validate_channel,
     validate_states,
     von_neumann_entropies,
@@ -78,10 +75,6 @@ ANCHOR_ENTROPY = 0.25 * math.log(4.0) + 0.75 * math.log(4.0 / 3.0)
 ANCHOR_CHI = ANCHOR_ENTROPY - LN2 / 2.0
 
 GRID = np.linspace(0.0, math.pi / 2.0, 100)
-
-
-def basis_states(dim=2):
-    return np.array([pure_state(np.eye(dim)[:, i]) for i in range(dim)])
 
 
 # ------------------------------------------------------------ entropy
@@ -122,7 +115,7 @@ def test_map_entropy_values():
 
 def test_map_entropy_refuses_broken_channels():
     with pytest.raises(ValueError, match="trace preserving"):
-        map_entropy(qutrit_family(np.pi / 4, np.eye(3)))
+        map_entropy(ndim_family(4, np.pi / 4, np.eye(4)))
 
 
 def test_map_entropy_equals_output_entropy_of_maximally_mixed():
@@ -168,106 +161,31 @@ def test_coherent_information_of_dephasing_on_classical_input():
 
 
 def test_holevo_chi_of_identical_states():
-    rho = np.eye(2) / 2
-    assert holevo_chis((0.5, 0.5), np.array([[rho, rho]]))[0] <= 1e-12
+    # The completely depolarizing channel, K_ij = |i><j| / sqrt2, maps both
+    # basis states to 1/2.
+    e = np.eye(2)
+    kraus = np.array([np.outer(e[i], e[j]) for i in range(2) for j in range(2)]) / math.sqrt(2.0)
+    assert capacity_lower_bounds(kraus[None])[0] <= 1e-12
 
 
 def test_holevo_chi_of_orthogonal_pure_states():
-    chi = holevo_chis((0.5, 0.5), basis_states()[None])[0]
-    assert abs(chi - LN2) <= 1e-12
+    # The identity channel keeps the n orthogonal basis states: chi = ln n.
+    for n in (2, 3, 5):
+        assert abs(capacity_lower_bounds(identity_channel(n)[None])[0] - math.log(n)) <= 1e-12
 
 
 def test_holevo_chi_anchor():
-    ch = qubit_family_a(0.0)
-    outputs = np.array([apply(ch, s) for s in basis_states()])
-    chi = holevo_chis((0.5, 0.5), outputs[None])[0]
+    chi = capacity_lower_bounds(qubit_family_a(0.0)[None])[0]
     assert abs(chi - 0.215761) <= 1e-5
     assert abs(chi - ANCHOR_CHI) <= 1e-12
 
 
-def test_holevo_chi_nonnegative_on_random_ensembles(rng):
-    for _ in range(30):
-        states = np.array([random_density_matrix(2, rng) for _ in range(3)])
-        w = rng.random(3)
-        w = w / w.sum()
-        assert holevo_chis(w, states[None])[0] >= -1e-12
-
-
-def test_ensemble_validation():
-    pair = np.array([[np.eye(2) / 2] * 2])
-    with pytest.raises(ValueError, match="sum"):
-        holevo_chis((0.5, 0.4), pair)
-    with pytest.raises(ValueError, match="nonnegative"):
-        holevo_chis((1.5, -0.5), pair)
-    with pytest.raises(ValueError, match="stack of ensembles"):
-        holevo_chis((0.5, 0.5), pair[0])
-
-
-@pytest.mark.parametrize(
-    "weights, m, match",
-    [
-        ([1.0], 2, "one probability per state: 1 for 2"),
-        ([0.5, 0.5, 0.0], 2, "one probability per state: 3 for 2"),
-        ([], 2, "one probability per state: 0 for 2"),
-        ([], 0, "one probability per state: 0 for 0"),
-        ([1.5, -0.5], 2, "nonnegative"),
-        ([0.5, 0.5 + 2e-12], 2, "sum"),
-        ([math.nan, 1.0], 2, "probabilities must be nonnegative"),
-        ([1.0, math.nan], 2, "probabilities must be nonnegative"),
-        ([math.nan, math.nan], 2, "probabilities must be nonnegative"),
-    ],
-    ids=["short", "long", "empty", "empty-ensemble", "negative", "sum", "nan", "nan-last", "all-nan"],
-)
-def test_holevo_chis_refuses_bad_weights(weights, m, match):
-    states = np.tile(np.eye(2) / 2, (3, m, 1, 1))
-    with pytest.raises(ValueError, match=match):
-        holevo_chis(weights, states)
-
-
 def test_capacity_bound_anchor_and_positivity():
-    assert abs(classical_capacity_lower_bound(qubit_family_a(0.0), np.eye(2)) - ANCHOR_CHI) <= 1e-5
-    assert abs(classical_capacity_lower_bound(dephasing(), np.eye(2)) - LN2) <= 1e-12
-    for theta in GRID:
-        chi = classical_capacity_lower_bound(qubit_family_a(float(theta)), np.eye(2))
-        assert chi > 0.0
-
-
-def test_capacity_bound_rejects_bad_alphabets():
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    with pytest.raises(ValueError, match="overlap"):
-        classical_capacity_lower_bound(qubit_family_a(0.3), [[1.0, 0.0], plus])
-    with pytest.raises(ValueError, match="not normalised"):
-        classical_capacity_lower_bound(qubit_family_a(0.3), [[1.0, 1.0]])
-    # The first failure in state order is reported, also past the first pair.
-    e = np.eye(3)
-    tilted = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-    short = np.array([0.0, 0.0, 0.5])
-    with pytest.raises(ValueError, match=r"basis states 1 and 2 overlap by 5\.000e-01"):
-        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], tilted, short])
-    diagonal = np.ones(3) / math.sqrt(3.0)
-    with pytest.raises(ValueError, match=r"basis states 0 and 2 overlap by 3\.333e-01"):
-        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], diagonal])
-    with pytest.raises(ValueError, match="basis state 2 is not normalised"):
-        classical_capacity_lower_bound(ndim_theta0(3), [e[0], e[1], short, tilted])
-    with pytest.raises(ValueError, match="state dimension 2 != channel input dimension 3"):
-        classical_capacity_lower_bound(ndim_theta0(3), np.eye(2))
-    with pytest.raises(ValueError, match="non-finite"):
-        classical_capacity_lower_bound(qubit_family_a(0.3), [[np.nan, 0.0]])
+    assert abs(capacity_lower_bounds(dephasing()[None])[0] - LN2) <= 1e-12
+    assert (capacity_lower_bounds(qubit_family_a(GRID)) > 0.0).all()
 
 
 # ------------------------------------------------------- entanglement
-
-
-def test_spin_flip_examples():
-    bell = bell_state()
-    assert np.abs(spin_flip(bell) - bell).max() <= 1e-12
-    ket00 = np.zeros((4, 4), dtype=complex)
-    ket00[0, 0] = 1.0
-    ket11 = np.zeros((4, 4), dtype=complex)
-    ket11[3, 3] = 1.0
-    assert np.abs(spin_flip(ket00) - ket11).max() <= 1e-12
-    with pytest.raises(ValueError, match="4x4"):
-        spin_flip(np.eye(2))
 
 
 def test_concurrence_of_bell_state():
@@ -664,11 +582,10 @@ EMPTY_STACK_CALLS = {
     "map_entropies": lambda: (map_entropies(np.zeros((0, 3, 2, 2))),),
     "choi_measures": lambda: choi_measures(np.zeros((0, 2, 2, 2))),
     "choi_measures-k4": lambda: choi_measures(np.zeros((0, 4, 2, 2))),
-    "capacity_lower_bounds": lambda: (capacity_lower_bounds(np.zeros((0, 2, 2, 2)), np.eye(2)),),
+    "capacity_lower_bounds": lambda: (capacity_lower_bounds(np.zeros((0, 2, 2, 2))),),
     "von_neumann_entropies": lambda: (von_neumann_entropies(np.zeros((0, 2, 2))),),
     "negativities": lambda: (negativities(np.zeros((0, 4, 4)), (2, 2)),),
     "concurrences": lambda: (concurrences(np.zeros((0, 4, 4))),),
-    "holevo_chis": lambda: (holevo_chis([0.5, 0.5], np.zeros((0, 2, 2, 2))),),
 }
 
 
@@ -842,8 +759,8 @@ def reference_capacity_bound(channel) -> float:
 
 def test_stacked_sweep_capacity_bound_equals_per_sample_loop_bitwise():
     channels = [qubit_family_a(float(t), 0.7) for t in np.linspace(0.0, math.pi / 2, 1001)]
-    got = capacity_lower_bounds(np.array(channels), np.eye(2))
-    singles = [classical_capacity_lower_bound(ch, np.eye(2)) for ch in channels]
+    got = capacity_lower_bounds(np.array(channels))
+    singles = [capacity_lower_bounds(ch[None])[0] for ch in channels]
     assert bits(got) == bits(singles)
     # The 2 x 2 output spectra take the closed form; the LAPACK loop holds it.
     assert np.abs(got - [reference_capacity_bound(ch) for ch in channels]).max() <= 1e-15
@@ -954,7 +871,7 @@ def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
     stacked_calls = (
         choi_measures,
         map_entropies,
-        lambda k: capacity_lower_bounds(k, np.eye(2)),
+        capacity_lower_bounds,
     )
     for stacked in stacked_calls:
         with pytest.raises(type(single.value)):
@@ -1003,28 +920,26 @@ def test_entropies_of_a_row_are_its_bits_alone_and_in_any_stack(rng):
 # ------------------------------------------ capacity bound, environment side
 
 
-def product_route_capacity_bounds(kraus, alphabet) -> tuple[np.ndarray, np.ndarray]:
-    """The capacity route that multiplied an (M, n_in) alphabet into the Kraus
-    stack with _product before the alphabet left _capacity_bounds: the
-    reference that capacity_lower_bounds keeps bit for bit."""
-    kraus, vectors = (np.asarray(a, dtype=complex) for a in (kraus, alphabet))
+def product_route_capacity_bounds(kraus) -> tuple[np.ndarray, np.ndarray]:
+    """The capacity route that multiplied the computational basis into the
+    Kraus stack with _product, before _capacity_bounds read the channel's
+    own input basis: the reference that it keeps bit for bit."""
+    kraus = np.asarray(kraus, dtype=complex)
     n, k, n_out, n_in = kraus.shape
-    m = len(vectors)
-    w = _product(vectors, kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
-    w = w.reshape(n, m, n_out, k)
+    w = _product(np.eye(n_in), kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
+    w = w.reshape(n, n_in, n_out, k)
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
-    parts = _entropies(hermitian_eigenvalues(small.reshape(n * m, side, side))).reshape(n, m)
-    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, m * k)
-    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / m))
+    parts = _entropies(hermitian_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
+    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, n_in * k)
+    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / n_in))
     chi = mixed - parts.mean(axis=-1)
     return mixed, np.where(chi > 0.0, chi, 0.0)
 
 
 def capacity_draws():
     """240 stacks of 0 to 3 random channels with n_in = 1..7 and random n_out
-    and k, each with a random rotated alphabet of 1 to n_in states, then
-    family members, whose zero entries carry both signs."""
+    and k, then family members, whose zero entries carry both signs."""
     rng = np.random.default_rng(2027)
     for draw in range(240):
         n_in = 1 + draw % 7
@@ -1032,34 +947,31 @@ def capacity_draws():
         k = int(rng.integers(-(-n_in // n_out), 8))
         n = int(rng.integers(0, 4))
         stack = np.array([random_cptp(n_in, n_out, k, rng) for _ in range(n)], dtype=complex)
-        alphabet = random_unitary(n_in, rng)[: int(rng.integers(1, n_in + 1))]
-        yield stack.reshape(n, k, n_out, n_in), alphabet
+        yield stack.reshape(n, k, n_out, n_in)
     members = [qubit_family_a(0.3, 0.7), qubit_family_b(1.1, 0.2), amplitude_damping(0.25),
                qutrit_family(0.0, dft_matrix(3)), ndim_theta0(5), identity_channel(7)]
     for ch in members:
-        yield ch[None].astype(complex), random_unitary(ch.shape[-1], rng)
+        yield ch[None].astype(complex)
 
 
 def test_capacity_lower_bounds_equal_the_alphabet_product_route_bitwise():
-    for stack, alphabet in capacity_draws():
-        expected = product_route_capacity_bounds(stack, alphabet)[1]
-        assert bits(capacity_lower_bounds(stack, alphabet)) == bits(expected)
-        # The computational basis is the channel's own input basis.
-        basis = np.eye(stack.shape[-1])
+    for stack in capacity_draws():
         own = _capacity_bounds(stack)
-        assert bits(capacity_lower_bounds(stack, basis)) == bits(own[1])
-        assert bits(own) == bits(product_route_capacity_bounds(stack, basis))
+        assert bits(capacity_lower_bounds(stack)) == bits(own[1])
+        assert bits(own) == bits(product_route_capacity_bounds(stack))
 
 
-def apply_kraus_route(channel, alphabet) -> tuple[float, float]:
+def apply_kraus_route(channel) -> tuple[float, float]:
     """The capacity bound and the coherent information at 1/n_in by the route
-    the environment side replaced: each |psi><psi| of the alphabet through
-    apply_kraus, then holevo_chis; the complementary channel's output."""
-    alphabet = np.asarray(alphabet, dtype=complex)
-    outputs = apply_kraus(channel, np.einsum("ij,ik->ijk", alphabet, alphabet.conj()))
-    chi = holevo_chis(np.full(len(alphabet), 1.0 / len(alphabet)), outputs[None])[0]
+    the environment side replaced: each |i><i| of the computational basis
+    through apply_kraus, the Holevo quantity of their per-state entropies,
+    and the complementary channel's output."""
     n_in = channel.shape[-1]
-    return float(chi), coherent_information(channel, np.eye(n_in) / n_in)
+    basis = np.eye(n_in, dtype=complex)
+    outputs = apply_kraus(channel, np.einsum("ij,ik->ijk", basis, basis))
+    parts = np.mean([reference_entropy(out) for out in outputs])
+    chi = max(0.0, reference_entropy(outputs.mean(axis=0)) - parts)
+    return chi, coherent_information(channel, np.eye(n_in) / n_in)
 
 
 def route_channels():
@@ -1080,26 +992,21 @@ def route_channels():
 
 
 @pytest.mark.parametrize("name", list(route_channels()))
-def test_environment_side_matches_the_apply_kraus_route(rng, name):
+def test_environment_side_matches_the_apply_kraus_route(name):
     ch = route_channels()[name]
     entropy, coherent, chi = information_quantities(ch, validate_channel(ch).gram_spectrum)
-    n_in = ch.shape[-1]
-    old_chi, old_coherent = apply_kraus_route(ch, np.eye(n_in))
+    old_chi, old_coherent = apply_kraus_route(ch)
     assert abs(entropy - von_neumann_entropy(choi_state(ch))) <= 1e-12
     assert abs(coherent - old_coherent) <= 1e-12
     assert abs(chi - old_chi) <= 1e-12
-    assert abs(classical_capacity_lower_bound(ch, np.eye(n_in)) - old_chi) <= 1e-12
-    # An incomplete rotated alphabet, whose average output is not Phi(1/n_in).
-    alphabet = random_unitary(n_in, rng)[: max(1, n_in - 1)]
-    got = classical_capacity_lower_bound(ch, alphabet)
-    assert abs(got - apply_kraus_route(ch, alphabet)[0]) <= 1e-12
+    assert abs(capacity_lower_bounds(ch[None])[0] - old_chi) <= 1e-12
 
 
 def test_sweep_chi_column_matches_the_apply_kraus_route(tmp_path):
     thetas = np.linspace(0.0, math.pi / 2, 101)
-    old = [apply_kraus_route(qubit_family_a(float(t), 0.7), np.eye(2))[0] for t in thetas]
+    old = [apply_kraus_route(qubit_family_a(float(t), 0.7))[0] for t in thetas]
     stack = np.array([qubit_family_a(float(t), 0.7) for t in thetas])
-    assert np.abs(capacity_lower_bounds(stack, np.eye(2)) - old).max() <= 1e-12
+    assert np.abs(capacity_lower_bounds(stack) - old).max() <= 1e-12
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--points", "101", "--phi", "0.7", "--out", str(out)]) == 0
     column = np.loadtxt(out, delimiter=",", skiprows=1)[:, 5]

@@ -19,7 +19,6 @@ PUBLIC_API = [
     "choi_state",
     "choi_to_kraus",
     "choi_to_superop",
-    "classical_capacity_lower_bound",
     "coherent_information",
     "complementary",
     "compose",
@@ -33,7 +32,6 @@ PUBLIC_API = [
     "fibonacci_sphere",
     "gram_states",
     "hermitian_eigenvalues",
-    "holevo_chis",
     "identity_channel",
     "increase_duration",
     "is_selfcomplementary",
@@ -54,7 +52,6 @@ PUBLIC_API = [
     "qutrit_family",
     "run_trajectory",
     "selfcomplementarity_defect",
-    "spin_flip",
     "stinespring",
     "superop_to_choi",
     "tensor_channel",
