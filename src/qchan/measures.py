@@ -7,10 +7,10 @@ Each measure is evaluated on stacks: a plural function takes an (N, d, d)
 stack of states or an (N, k, n_out, n_in) Kraus stack, and returns one value
 per sample.  The singular function is its N = 1 call.
 
-A channel is checked once, for completeness within DEFAULT_TOL, and a
-state from the caller once, with ``validate_states``.  A state derived from
-accepted input (a Gram state, an output, a mixture) is W W^dagger for some W,
-Hermitian and PSD by construction: it is eigensolved as it is, not re-judged.
+A channel is checked once, for completeness within DEFAULT_TOL, and a caller's
+state once, by ``validate_states``.  A derived state (a Gram state, an output,
+a mixture) is W W^dagger, Hermitian and PSD by construction, and is not
+re-judged: a 1e-12 trace check would refuse the outputs at a residual 5e-11.
 
 The closed forms for the first qubit family (``qubit_family_a`` at phi = 0)
 were derived from the exact spectra of the family's Choi states and agree
@@ -32,6 +32,7 @@ import numpy as np
 from .channels import (
     _as_kraus,
     _as_kraus_stack,
+    _grams,
     _require_complete,
     apply,
     apply_kraus,
@@ -124,9 +125,9 @@ def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The output of |i> is W W^dagger, where the columns of W are the vectors
     K_a |i>, so its nonzero spectrum is that of the smaller of W W^dagger
-    (n_out x n_out) and W^dagger W (k x k).  The average output is
-    Y Y^dagger / n_in = Phi(1/n_in), where Y holds the columns of every W.
-    These states are eigensolved unchecked.
+    (n_out x n_out) and W^dagger W (k x k).  The average output Phi(1/n_in)
+    is the transposed Gram state G^c / n_in of the complementary tensor,
+    from the Gram kernel of validate_channel.  All are eigensolved unchecked.
     """
     n, k, n_out, n_in = kraus.shape
     # w[:, i, :, a] = K_a |i>, column a of W for the i-th state; contiguous,
@@ -136,8 +137,7 @@ def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
     parts = _entropies(hermitian_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
-    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, n_in * k)
-    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / n_in))
+    mixed = _entropies(_eigenvalues(_grams(np.ascontiguousarray(kraus.swapaxes(1, 2))) / n_in))
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
 
@@ -156,11 +156,11 @@ def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, flo
     :func:`channels.validate_channel`, whose ``cptp_residual`` the caller
     compared with its tolerance.  Nothing is checked here.
 
-    The computational basis is complete, so its average output is
-    Phi(1/n_in), whose entropy serves the capacity bound and the coherent
-    information S(Phi(1/n_in)) - S(Phi^c(1/n_in)) alike; Phi^c(1/n_in) is
-    G^T / n_in, whose entropy is the map entropy (Watrous, The Theory of
-    Quantum Information, 2018, ch. 2).
+    The basis is complete, so its average output Phi(1/n_in) serves the
+    capacity bound and the coherent information S(Phi(1/n_in)) -
+    S(Phi^c(1/n_in)), where Phi^c(1/n_in) = G^T / n_in.  One Gram kernel
+    solves both, so a strictly symmetric tensor, its own complement, gives
+    exactly 0 (Watrous, The Theory of Quantum Information, 2018, ch. 2).
     """
     entropy = float(_entropies(np.asarray(gram_spectrum)[None])[0])
     mixed, chi = _capacity_bounds(kraus[None])
@@ -180,8 +180,8 @@ def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
 
     A 2 x 2 tau takes the closed form C = gap / (s1 + s2), with tau^dagger tau
     = [[p, r], [r*, q]], gap = sqrt((p - q)^2 + 4|r|^2) and s1 + s2 = sqrt(p
-    + q + 2|det tau|): nothing cancels as C -> 0, and tau = 0 gives +0.0.
-    Every other size takes the SVD.
+    + q + 2|det tau|): nothing cancels as C -> 0, unlike sqrt(|tau|_F^2 -
+    2|det tau|), and tau = 0 gives +0.0.  Every other size takes the SVD.
     """
     tau = _pair_sums(rows[:, ::-1] * _YY_ANTIDIAGONAL[:, None], rows, range(4)) / n_in
     if len(tau) == 2:
@@ -245,23 +245,23 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     channel of a Kraus stack (N, k, 2, 2), from its Kraus entries.
 
     The stack is coerced once and laid out entry-major: v[a, e] is entry e of
-    vec(K_a) over the whole stack, one contiguous (N,) array.  Only the
-    entries that the closed forms read are formed, each a sum of elementwise
-    products over the stack added in the order of the matrix route, so a
-    sample's bits are the ones that route gives and never depend on its
+    vec(K_a), one contiguous (N,) array, so numpy loops over the samples, not
+    over axes of length 2 and 4.  Only the entries the closed forms read are
+    formed, each a sum of elementwise products over the stack added in the
+    order of the matrix route: a sample's bits are that route's, in any
     stack.  Completeness is checked first, from the K_a^dagger K_a summed as
     :func:`channels.completeness_residuals` sums them.  The Choi state is rho
-    = V V^dagger / n_in for V with the columns vec(K_a), Hermitian and PSD by
-    construction, so the Gram states V^dagger V / n_in = G / n_in stand in
-    for it and give the map entropy.  rho's partial transpose PT[(k,i),(l,j)]
-    = sum_a K_a[i,l] conj(K_a[j,k]) / n_in is summed one operator at a time,
-    as the superoperator is, and only its lower triangle is formed, which is
-    all that :func:`_spectra_4x4` reads.  The concurrence is that of
-    :func:`_concurrence_of_factors`, whose rows are v.  A real block of two
-    operators, as every block of dynamics is, runs in float64: the routes
-    differ only in the sign of an exact zero, which nothing reads at k = 2
-    (closed forms, and the partial transpose, summed from 0, has no -0.0).
-    LAPACK's reflectors read it, so other k stay complex.
+    = V V^dagger / n_in for V with the columns vec(K_a), so its map entropy
+    is that of the Gram states V^dagger V / n_in = G / n_in.  rho's partial
+    transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k]) / n_in is
+    summed one operator at a time, as the superoperator is, and only the
+    lower triangle that :func:`_spectra_4x4` reads is formed; it is an
+    X-matrix when every K_a is diagonal or anti-diagonal (qubit-a, ad).  The
+    concurrence is :func:`_concurrence_of_factors` of the rows v.  A real
+    block of two operators, as every block of dynamics is, runs in float64:
+    the routes differ only in the sign of an exact zero, which nothing reads
+    at k = 2 (closed forms, and the partial transpose, summed from 0, has no
+    -0.0).  LAPACK's reflectors read it, so other k stay complex.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")

@@ -27,11 +27,14 @@ from qchan import (
     map_entropy,
     ndim_theta0,
     qubit_family_a,
+    qubit_family_b,
+    qutrit_family,
+    selfcomplementarity_defect,
 )
 from qchan import channels, cli, linalg, measures
 from qchan.serialize import channel_to_dict, write_json_atomic
 
-from conftest import bell_state, random_cptp
+from conftest import bell_state, random_cptp, random_unitary
 
 
 def scaled(channel, residual):
@@ -212,16 +215,43 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
         return count_spectra
 
     monkeypatch.setattr(channels, "completeness_residuals", count_residuals)
-    monkeypatch.setattr(channels, "_grams", count_grams)
+    # measures holds its own binding of the name, for the complement's Gram state.
+    for module in (channels, measures):
+        monkeypatch.setattr(module, "_grams", count_grams)
     # A stack of spectra is solved by LAPACK or, at side 2, by the closed form.
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     monkeypatch.setattr(linalg, "_spectra_2x2", counting(linalg._spectra_2x2))
     code, report = analyze(tmp_path, channel)
     assert code == 0 and report["cptp_ok"] and report["chi_bound_nats"] is not None
-    # One Gram state, then the capacity bound's per-state and average outputs.
-    assert counts["completeness"] == 1 and counts["gram"] == 1 and counts["eigensolve"] == 3
+    # One Gram state, then the capacity bound's per-state and average outputs;
+    # the average output is the Gram state of the complementary tensor.
+    assert counts["completeness"] == 1 and counts["gram"] == 2 and counts["eigensolve"] == 3
     if len(channel) != channel.shape[1]:
         assert counts["gram_eigensolve"] == 1
+
+
+def symmetric_members():
+    """Strictly symmetric Kraus tensors: 40 qutrit members with a seeded Haar
+    W at random theta, ndim-theta0 for n = 2..32, and qubit family members."""
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        theta = float(rng.uniform(0.0, math.pi))
+        yield f"qutrit-{i}", qutrit_family(theta, random_unitary(3, rng))
+    for n in range(2, 33):
+        yield f"ndim-theta0-{n}", ndim_theta0(n)
+    for theta, phi in [(0.0, 0.0), (0.3, 0.7), (math.pi / 4, 0.0), (1.2, 2.5), (math.pi / 2, 0.0)]:
+        yield f"qubit-a-{theta:.4f}-{phi}", qubit_family_a(theta, phi)
+        yield f"qubit-b-{theta:.4f}-{phi}", qubit_family_b(theta, phi)
+
+
+def test_analyze_reports_exactly_zero_coherent_information_on_symmetric_tensors(tmp_path):
+    # Phi(1/n_in) and Phi^c(1/n_in) come from one Gram kernel, and a strictly
+    # symmetric tensor is its own complement: the two entropies share every bit.
+    for name, channel in symmetric_members():
+        assert selfcomplementarity_defect(channel) == 0.0, name
+        code, report = analyze(tmp_path, channel)
+        assert code == 0 and report["cptp_ok"] and report["selfcomplementary"], name
+        assert report["coherent_information_nats"] == 0.0, (name, report)
 
 
 def test_sweep_checks_each_block_once(tmp_path, monkeypatch):

@@ -44,7 +44,7 @@ from qchan import (
     von_neumann_entropy,
 )
 from qchan.cli import main
-from qchan.channels import completeness_residuals
+from qchan.channels import _grams, completeness_residuals
 from qchan.families import FAMILIES
 from qchan.linalg import STACK_BLOCK, _product, dagger
 from qchan.measures import (
@@ -923,7 +923,9 @@ def test_entropies_of_a_row_are_its_bits_alone_and_in_any_stack(rng):
 def product_route_capacity_bounds(kraus) -> tuple[np.ndarray, np.ndarray]:
     """The capacity route that multiplied the computational basis into the
     Kraus stack with _product, before _capacity_bounds read the channel's
-    own input basis: the reference that it keeps bit for bit."""
+    own input basis: the reference that it keeps bit for bit.  The mixture
+    is the Gram state of the complementary tensor, w[:, j, a, i] = K_i[a, j]
+    read in (a, i, j) order, by the kernel of validate_channel."""
     kraus = np.asarray(kraus, dtype=complex)
     n, k, n_out, n_in = kraus.shape
     w = _product(np.eye(n_in), kraus.transpose(0, 3, 2, 1).reshape(n, n_in, n_out * k))
@@ -931,8 +933,8 @@ def product_route_capacity_bounds(kraus) -> tuple[np.ndarray, np.ndarray]:
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
     parts = _entropies(hermitian_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
-    y = w.transpose(0, 2, 1, 3).reshape(n, n_out, n_in * k)
-    mixed = _entropies(hermitian_eigenvalues(_product(y, dagger(y)) / n_in))
+    env = np.ascontiguousarray(w.transpose(0, 2, 3, 1))
+    mixed = _entropies(hermitian_eigenvalues(_grams(env) / n_in))
     chi = mixed - parts.mean(axis=-1)
     return mixed, np.where(chi > 0.0, chi, 0.0)
 
