@@ -17,7 +17,7 @@
 # blocks of 1000; the figure script's qubit-a at 4097), sweep at 1535 points,
 # the largest single block, of 1535 rows, ad at omega 40, whose p is exactly
 # 1.0 from t = 0.9375 on, so that its Kraus blocks hold exact zeros, qubit-b
-# over 20 blocks of dense partial transposes with --bits,
+# over 20 blocks of dense Choi states with --bits,
 # family then analyze for each family (ndim-theta0 at several n, analyzed
 # with and without --tol; qutrit and ndim --n 3 with a --w file of -identity,
 # whose off-diagonal entries are all -0.0), analyze of a fixed dense channel

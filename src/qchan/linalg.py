@@ -119,6 +119,10 @@ def _spectra_4x4(lower: np.ndarray) -> np.ndarray:
     the sorted :func:`_pair_spectra` of both.  The others are filled out as
     Hermitian matrices and go to LAPACK's eigvalsh, in one call.  The route
     is chosen matrix by matrix, so a matrix's bits never depend on its stack.
+    Its one caller is :func:`_eigenvalues`, for the 4 x 4 inputs of
+    :func:`hermitian_eigenvalues`: two-qubit states, the partial transposes
+    of :func:`measures.negativities`, and the Gram states of four Kraus
+    operators.
     """
     x = ~lower[_X_COUPLINGS].any(axis=0)
     out = np.empty(lower.shape[1:] + (4,))

@@ -42,10 +42,8 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _LOWER_4X4,
     _eigenvalues,
     _product,
-    _spectra_4x4,
     as_matrix,
     as_stack,
     dagger,
@@ -223,20 +221,20 @@ def concurrence(omega) -> float:
 
 
 def negativities(states, dims: tuple[int, int]) -> np.ndarray:
-    """(trace norm of the partial transpose - 1) / 2 of each state of a
-    stack, which :func:`validate_states` checks."""
+    """Sum of the moduli of the negative eigenvalues of the partial
+    transpose of each state of a stack, which :func:`validate_states`
+    checks: (trace norm - 1) / 2 at unit trace, without its cancellation."""
     states = as_stack(states)
     validate_states(states)
     d1, d2 = dims
     if states.shape[-1] != d1 * d2:
         raise ValueError(f"state dimension {states.shape[-1]} != {d1} * {d2}")
     ev = hermitian_eigenvalues(partial_transpose(states, dims))
-    neg = (np.abs(ev).sum(axis=-1) - 1.0) / 2.0
-    return _clamp_nonnegative(neg)
+    return 0.0 - np.minimum(ev, 0.0).sum(axis=-1)  # +0.0, never -0.0
 
 
 def negativity(omega, dims: tuple[int, int]) -> float:
-    """(trace norm of the partial transpose - 1) / 2."""
+    """Sum of the moduli of the negative eigenvalues of the partial transpose."""
     return float(negativities(np.asarray(omega)[None], dims)[0])
 
 
@@ -250,18 +248,25 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     formed, each a sum of elementwise products over the stack added in the
     order of the matrix route: a sample's bits are that route's, in any
     stack.  Completeness is checked first, from the K_a^dagger K_a summed as
-    :func:`channels.completeness_residuals` sums them.  The Choi state is rho
-    = V V^dagger / n_in for V with the columns vec(K_a), so its map entropy
-    is that of the Gram states V^dagger V / n_in = G / n_in.  rho's partial
-    transpose PT[(k,i),(l,j)] = sum_a K_a[i,l] conj(K_a[j,k]) / n_in is
-    summed one operator at a time, as the superoperator is, and only the
-    lower triangle that :func:`_spectra_4x4` reads is formed; it is an
-    X-matrix when every K_a is diagonal or anti-diagonal (qubit-a, ad).  The
-    concurrence is :func:`_concurrence_of_factors` of the rows v.  A real
-    block of two operators, as every block of dynamics is, runs in float64:
-    the routes differ only in the sign of an exact zero, which nothing reads
-    at k = 2 (closed forms, and the partial transpose, summed from 0, has no
-    -0.0).  LAPACK's reflectors read it, so other k stay complex.
+    :func:`channels.completeness_residuals` sums them.  The Choi state rho =
+    V V^dagger / n_in, V with the columns vec(K_a), has the nonzero spectrum
+    mu of the Gram state V^dagger V / n_in = G / n_in: the map entropy's.
+
+    No partial transpose is formed.  For a trace-preserving qubit channel
+    Phi, the swap F and r = (i s_y (x) 1) rho (i s_y (x) 1)^dagger, rho^T_R
+    = (id (x) Phi)(F) / 2 = 1 (x) rho_out - r and the spin flip r~ = 1 - r_1
+    (x) 1 - 1 (x) r_2 + r with r_1 = 1/2 give rho^T_R = 1/2 - r~, of spectrum
+    1/2 - mu (M. and P. Horodecki, PRA 59, 4206, 1999).  Only mu_max can
+    exceed 1/2, so the negativity (Vidal and Werner, PRA 65, 032314, 2002)
+    is max(0, mu_max - 1/2); at k = 2, the half-gap hypot((a - d) / 2, |b|)
+    of the Gram state [[a, b*], [b, d]] (:func:`linalg._pair_spectra`),
+    mu_max - 1/2 at a + d = 1 with no cancellation.  Off trace preservation,
+    sum_a K_a^dagger K_a = 1 + E adds (E / 2) (x) 1 to rho^T_R and tr E / 2
+    to a + d: to first order the two routes stay within the completeness
+    residual max|E_ij|.  The concurrence is :func:`_concurrence_of_factors`
+    of the rows v.  A real block of two operators, as in dynamics, runs in
+    float64: the routes differ only in the sign of an exact zero, which no
+    closed form reads, but LAPACK's reflectors do, so other k stay complex.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
@@ -279,14 +284,8 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gram = _pair_sums(vc, v, [0, 2, 1, 3])
     states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
     spectra = _eigenvalues(np.moveaxis(states, -1, 0))
-    # K_a[i,l] is v[a, 2l + i] and conj(K_a[j,k]) is vc[a, 2k + j], for the
-    # entry (2k + i, 2l + j) of the partial transpose.
-    lower = np.array([
-        sum(v[:, 2 * (c // 2) + r % 2] * vc[:, 2 * (r // 2) + c % 2])
-        for r, c in zip(*_LOWER_4X4)
-    ])
-    ev = _spectra_4x4(lower / n_in)
-    neg = _clamp_nonnegative((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
+    neg = (np.hypot((states[0, 0].real - states[1, 1].real) / 2, np.abs(states[1, 0])) if k == 2
+           else _clamp_nonnegative(spectra[:, -1] - 0.5))
     return neg, _concurrence_of_factors(v, n_in), _entropies(spectra)
 
 

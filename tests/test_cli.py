@@ -775,10 +775,9 @@ def test_dynamics_subnormal_t_max_exits_2(tmp_path, capsys, t_max):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["analyze", "dynamics"])
+@pytest.mark.parametrize("command", ["analyze"])
 def test_eigensolver_failure_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    # The analyze document's 3 x 3 Gram state and qubit-b's dense 4 x 4
-    # partial transposes are solved by LAPACK's eigvalsh.
+    # The analyze document's 3 x 3 Gram state is solved by LAPACK's eigvalsh.
     doc = tmp_path / "ch.json"
     assert run("family", "--id", "ndim-theta0", "--n", 3, "--out", doc) == 0
     capsys.readouterr()
@@ -788,13 +787,24 @@ def test_eigensolver_failure_exits_4_and_writes_nothing(tmp_path, capsys, monkey
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     out = tmp_path / "out"
-    if command == "analyze":
-        argv = ["analyze", "--in", doc]
-    else:
-        argv = ["dynamics", "--family", "qubit-b", "--steps", 8]
-    assert run(*argv, "--out", out) == 4
+    assert run(command, "--in", doc, "--out", out) == 4
     assert capsys.readouterr().err == "qchan: numerical failure: Eigenvalues did not converge\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ch.json"]
+
+
+def test_dynamics_reaches_no_eigensolver(tmp_path, monkeypatch):
+    # qubit-b's Choi states are dense, but every measure of a two-operator
+    # block takes a closed form: no eigensolve is left to fail.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigvalsh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "b.csv"
+    assert run("dynamics", "--family", "qubit-b", "--steps", 8, "--out", out) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "b.summary.json"]
+    _, rows = read_csv(out)
+    assert rows.shape == (9, 5)
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -283,16 +283,12 @@ def test_stacked_trajectory_equals_per_sample_loop_bitwise(family, n_steps):
     # The per-sample N = 1 calls of the library give the stacked bits.
     singles = np.array([choi_measures(reference_kraus(family, p)[None]) for p in param])
     assert bits(records) == bits(singles[:, :, 0].T)
-    # The parameter equals the independent LAPACK loop bit for bit, and so
-    # does qubit-b's negativity, whose dense partial transposes LAPACK
-    # solves.  qubit-a's and ad's partial transposes are X-matrices, solved
-    # as two 2 x 2 closed forms; they, the concurrence and the map entropy
-    # are held to the loop's eigvalsh and SVD.
+    # The parameter equals the independent LAPACK loop bit for bit.  The
+    # negativity, read off the Gram state, the concurrence and the map
+    # entropy are held to the loop's eigvalsh of the partial transpose, its
+    # SVD and its eigvalsh of the Choi state.
     assert bits(parameter) == bits(param)
-    if family == "qubit-b":
-        assert bits(records[0]) == bits(neg)
-    else:
-        assert np.abs(records[0] - neg).max() <= 1e-15
+    assert np.abs(records[0] - neg).max() <= 1e-15
     assert np.abs(records[1] - conc).max() <= 1e-15
     assert np.abs(records[2] - ent).max() <= 1e-15
 

@@ -34,6 +34,7 @@ from qchan import (
     negativity,
     negativity_closed_form,
     ndim_theta0,
+    partial_transpose,
     qubit_family_a,
     qubit_family_b,
     qutrit_family,
@@ -280,13 +281,75 @@ def factor_route_channels():
 def test_choi_measures_match_the_choi_state_routes():
     # concurrences() factors each Choi state by its eigensolve, cut to
     # numerical rank; choi_measures() factors it by the Kraus rows.  Without
-    # the cut the ad states differ by 6.0e-9.
+    # the cut the ad states differ by 6.0e-9.  negativities() takes the
+    # partial transpose, choi_measures() the Gram spectrum.
     for kraus in factor_route_channels():
         neg, conc, ent = choi_measures(kraus)
         states = np.array([choi_state(ops) for ops in kraus])
-        assert bits(neg) == bits(negativities(states, (2, 2)))
+        assert np.abs(neg - negativities(states, (2, 2))).max() <= 1e-15
         assert np.abs(conc - concurrences(states)).max() <= 1e-12
         assert np.abs(ent - von_neumann_entropies(states)).max() <= 1e-12
+
+
+def identity_channels():
+    """Random qubit channels of 1 to 6 Kraus operators, both qubit families
+    at phi = 0 and 0.9, and strictly self-complementary qubit channels."""
+    rng = np.random.default_rng(33)
+    theta = np.linspace(0.0, math.pi, 101)
+    stacks = [np.array([random_cptp(2, 2, k, rng) for _ in range(100)]) for k in range(1, 7)]
+    for phi in (0.0, 0.9):
+        stacks += [qubit_family_a(theta, phi), qubit_family_b(theta, phi)]
+    stacks.append(np.array([random_symmetric_channel(2, 2, rng) for _ in range(100)]))
+    return stacks
+
+
+def test_partial_transpose_spectrum_is_half_less_the_gram_spectrum():
+    # For a trace-preserving qubit channel, spec(rho^T) = 1/2 - spec(rho),
+    # and rho's nonzero spectrum is the Gram state's: at most 4 of its k
+    # eigenvalues are nonzero, and k < 4 is padded with zeros.
+    for kraus in identity_channels():
+        states = np.array([choi_state(ops) for ops in kraus])
+        pt = hermitian_eigenvalues(partial_transpose(states, (2, 2)))
+        mu = gram_states(kraus)[1]
+        mu = np.concatenate([np.zeros((len(mu), 4)), mu], axis=1)[:, -4:]
+        assert np.abs(pt - np.sort(0.5 - mu, axis=1)).max() <= 2e-15
+        assert np.abs(choi_measures(kraus)[0] - negativities(states, (2, 2))).max() <= 1e-15
+
+
+def test_choi_negativity_at_the_completeness_tolerance_stays_within_the_residual():
+    # K_0 scaled by 1 + 2.4e-11 leaves a residual of up to 4.8e-11, inside
+    # DEFAULT_TOL; the identity then holds to the residual.
+    rng = np.random.default_rng(34)
+    theta = np.linspace(0.0, math.pi, 101)
+    stacks = [qubit_family_a(theta, 0.4), qubit_family_b(theta, 0.4),
+              amplitude_damping(np.linspace(0.0, 1.0, 101))]
+    stacks += [np.array([random_cptp(2, 2, k, rng) for _ in range(100)]) for k in range(1, 7)]
+    for kraus in stacks:
+        kraus = kraus.copy()
+        kraus[:, 0] *= 1 + 2.4e-11
+        residual = completeness_residuals(kraus)
+        assert 2e-11 <= residual.max() <= DEFAULT_TOL
+        # The Choi states' traces are off by up to the residual, which
+        # negativities() would refuse: the partial transpose directly.
+        states = np.array([choi_state(ops) for ops in kraus])
+        ev = hermitian_eigenvalues(partial_transpose(states, (2, 2)))
+        gap = np.abs(choi_measures(kraus)[0] - (0.0 - np.minimum(ev, 0.0).sum(axis=-1)))
+        assert (gap <= residual).all()
+
+
+def test_negativities_of_amplitude_damping_keep_their_relative_accuracy():
+    # The Choi state of amplitude damping has negativity (1 - p) / 2, exact
+    # in floats for p >= 1/2.  (sum |ev| - 1) / 2 cancels to an absolute
+    # error of eps, a relative error of 1e-3 at 1 - p = 1e-13; the sum of
+    # the negative eigenvalues keeps a few eps relative.
+    p = 1.0 - np.logspace(-13, -1, 49)
+    states = np.array([choi_state(amplitude_damping(x)) for x in p])
+    exact = (1.0 - p) / 2
+    ev = hermitian_eigenvalues(partial_transpose(states, (2, 2)))
+    old = (np.abs(ev).sum(axis=-1) - 1.0) / 2.0
+    new_error = (np.abs(negativities(states, (2, 2)) - exact) / exact).max()
+    old_error = (np.abs(old - exact) / exact).max()
+    assert new_error <= 1e-15 < 1e-6 <= old_error
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 3, 3), (4, 2, 2, 3), (2, 2, 2), (1, 1, 4, 4)])
@@ -393,18 +456,19 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    # The 2 x 2 Gram states and tau take closed forms, and so do qubit-a's
-    # X-shaped partial transposes: nothing reaches LAPACK.
+    # The 2 x 2 Gram states and tau take closed forms, and the negativity
+    # is read off the Gram state: nothing reaches LAPACK, for qubit-b's
+    # dense Choi states either.
     choi_measures(qubit_family_a(np.linspace(0.0, 1.0, 7), 0.3))
     assert shapes == []
-    # qubit-b's dense partial transposes reach eigvalsh once, as one stack.
     choi_measures(qubit_family_b(np.linspace(0.1, 1.0, 7), 0.3))
-    assert shapes == [(7, 4, 4)]
+    assert shapes == []
 
 
-# The matrix route of choi_measures before it went entry-major: the partial
-# transpose as one broadcast product per operator, gram_states' Gram states
-# and _concurrence_of_factors' tau, each from linalg._product as it was.
+# The matrix route of choi_measures before it went entry-major: gram_states'
+# Gram states, the negativity from them, and _concurrence_of_factors' tau,
+# each from linalg._product as it was; and the partial transpose as one
+# broadcast product per operator, the negativity's independent route.
 
 
 def broadcast_product(a, b):
@@ -420,11 +484,17 @@ def broadcast_choi_measures(kraus):
     n, k, _, n_in = kraus.shape
     flat = kraus.reshape(n, k, 4)
     g = broadcast_product(flat.conj(), flat.swapaxes(-1, -2))
-    spectra = hermitian_eigenvalues((g + g.conj().swapaxes(-1, -2)) / 2 / n_in)
+    states = (g + g.conj().swapaxes(-1, -2)) / 2 / n_in
+    spectra = hermitian_eigenvalues(states)
+    clamp = lambda x: np.where(x > 0.0, x, 0.0)  # noqa: E731
+    if k == 2:
+        neg = np.hypot((states[:, 0, 0].real - states[:, 1, 1].real) / 2, np.abs(states[:, 1, 0]))
+    else:
+        neg = clamp(spectra[:, -1] - 0.5)
     ops = np.moveaxis(kraus, 1, 0)
     pt = sum(op[:, None, :, :, None] * op.conj().swapaxes(-1, -2)[:, :, None, None, :] for op in ops)
     ev = hermitian_eigenvalues(pt.reshape(n, 4, 4) / n_in)
-    neg = (np.abs(ev).sum(axis=-1) - 1.0) / 2.0
+    pt_neg = clamp((np.abs(ev).sum(axis=-1) - 1.0) / 2.0)
     rows = kraus.swapaxes(-1, -2).reshape(n, k, 4)
     tau = broadcast_product(rows[..., ::-1] * [-1, 1, 1, -1], rows.swapaxes(-1, -2)) / n_in
     if k == 2:
@@ -435,9 +505,8 @@ def broadcast_choi_measures(kraus):
         conc = np.divide(gap, total, out=np.zeros_like(gap), where=total > 0)
     else:
         lam = np.linalg.svd(tau, compute_uv=False)
-        conc = lam[:, 0] - lam[:, 1:4].sum(axis=-1)
-    clamp = lambda x: np.where(x > 0.0, x, 0.0)  # noqa: E731
-    return clamp(neg), conc if k == 2 else clamp(conc), _entropies(spectra)
+        conc = clamp(lam[:, 0] - lam[:, 1:4].sum(axis=-1))
+    return (neg, conc, _entropies(spectra)), pt_neg
 
 
 def pauli_channels(rng, n):
@@ -494,9 +563,11 @@ def entry_major_stacks():
 @pytest.mark.parametrize("name", list(entry_major_stacks()))
 def test_choi_measures_equal_the_broadcast_route_bitwise(name):
     kraus = entry_major_stacks()[name]
-    got, expected = choi_measures(kraus), broadcast_choi_measures(kraus)
+    got, (expected, pt_neg) = choi_measures(kraus), broadcast_choi_measures(kraus)
     for g, e in zip(got, expected):
         assert g.shape == (len(kraus),) and bits(g) == bits(e)
+    # The partial transpose's negativity, across routes.
+    assert np.abs(got[0] - pt_neg).max() <= 1e-15
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -510,9 +581,8 @@ def test_choi_measures_check_completeness_as_completeness_residuals_bitwise(k, m
 
 
 def test_the_entry_major_stacks_reach_every_route(monkeypatch):
-    # X-shaped and dense partial transposes in one stack, and 4 x 4 Gram
-    # states both X-shaped (Pauli channels, whose partial transposes are
-    # X-matrices too) and dense.
+    # 2 x 2 Gram states of every family in one stack, and 4 x 4 Gram states
+    # both X-shaped (Pauli channels) and dense: no partial transpose.
     stacks = entry_major_stacks()
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -523,13 +593,13 @@ def test_the_entry_major_stacks_reach_every_route(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     choi_measures(stacks["mixed"])
-    assert shapes == [(120, 4, 4)]
+    assert shapes == []
     shapes.clear()
     choi_measures(stacks["pauli"])
     assert shapes == []
     shapes.clear()
     choi_measures(stacks["random-k4"])
-    assert shapes == [(200, 4, 4), (200, 4, 4)]
+    assert shapes == [(200, 4, 4)]
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -544,7 +614,9 @@ def test_real_samples_keep_their_bits_beside_a_complex_sample(k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_choi_measures_hand_lapack_complex_arrays(k, monkeypatch):
     # Real operands would round LAPACK's reflectors apart from the complex
-    # route's, so a real block must not reach eigvalsh or svd as real.
+    # route's, so a real block must not reach eigvalsh or svd as real.  At
+    # k = 2, where blocks run real, every measure takes a closed form and
+    # nothing reaches LAPACK.
     dtypes = []
     for name in ("eigvalsh", "svd"):
         solver = getattr(np.linalg, name)
@@ -555,7 +627,10 @@ def test_choi_measures_hand_lapack_complex_arrays(k, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, record)
     choi_measures(real_cptp_stack(k, 100, np.random.default_rng(80 + k)))
-    assert dtypes and set(dtypes) == {np.dtype(complex)}
+    if k == 2:
+        assert dtypes == []
+    else:
+        assert dtypes and set(dtypes) == {np.dtype(complex)}
 
 
 def test_a_real_block_reaches_the_concurrence_as_float64(monkeypatch):
@@ -881,7 +956,7 @@ def test_kraus_stack_with_one_bad_sample_raises_like_its_single_call(bad):
 def test_stacked_measures_equal_per_state_loop_on_full_rank_states(rng):
     stack = np.array([random_density_matrix(4, rng) for _ in range(STACK_BLOCK + 3)])
     pts = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(stack.shape)
-    negs = [max(0.0, float((np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0) / 2.0)) for pt in pts]
+    negs = [0.0 - float(np.minimum(np.linalg.eigvalsh(pt), 0.0).sum()) for pt in pts]
     assert bits(negativities(stack, (2, 2))) == bits(negs)
     assert bits(von_neumann_entropies(stack)) == bits([reference_entropy(m) for m in stack])
 
