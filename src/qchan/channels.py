@@ -51,7 +51,6 @@ from .linalg import (
     _product,
     as_matrix,
     dagger,
-    hermitian_eigenvalues,
     max_abs,
     validate_states,
 )
@@ -249,7 +248,7 @@ def channel_rank(choi) -> int:
     defect = max_abs(m - dagger(m))
     if defect > DEFAULT_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
-    return int(np.count_nonzero(hermitian_eigenvalues(m) > DEFAULT_TOL))
+    return int(np.count_nonzero(_eigenvalues(m) > DEFAULT_TOL))
 
 
 def choi_to_kraus(choi, n_in: int, n_out: int) -> np.ndarray:
@@ -328,7 +327,7 @@ def validate_channel(kraus) -> ChannelValidation:
     non-channels are reported too."""
     kraus = _as_kraus(kraus)
     n_in = kraus.shape[-1]
-    spectrum = hermitian_eigenvalues(_grams(kraus[None]) / n_in)[0]
+    spectrum = _eigenvalues(_grams(kraus[None]) / n_in)[0]
     return ChannelValidation(
         cptp_residual=float(completeness_residuals(kraus[None])[0]),
         selfcomplementary=is_selfcomplementary(kraus),

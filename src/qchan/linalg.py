@@ -96,73 +96,51 @@ def _pair_spectra(a, d, b) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(small, big), np.maximum(small, big)
 
 
-def _spectra_2x2(m: np.ndarray) -> np.ndarray:
-    """:func:`_pair_spectra` of a stack of 2 x 2 matrices, from the lower triangle."""
-    spectra = _pair_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0]))
-    return np.stack(spectra, axis=-1)
-
-
-# Rows and columns of the lower triangle of a 4 x 4 matrix, row by row, as
-# np.tril_indices(4) gives them; that call at import would add 128 KB to the
-# resident set.  The couplings (1,0), (2,0), (3,1) and (3,2) that an
-# X-matrix has zero are at the positions _X_COUPLINGS.
-_LOWER_4X4 = ([0, 1, 1, 2, 2, 2, 3, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
-_X_COUPLINGS = [1, 3, 7, 8]
-
-
-def _spectra_4x4(lower: np.ndarray) -> np.ndarray:
-    """Ascending spectra of 4 x 4 Hermitian matrices from their lower
-    triangles, one row of ``lower`` (10, N) per entry in _LOWER_4X4 order.
+def _spectra_4x4(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack (N, 4, 4) of Hermitian matrices.
 
     A matrix whose couplings (1,0), (2,0), (3,1) and (3,2) are exactly zero
     is an X-matrix, the direct sum of its {0, 3} and {1, 2} blocks, and takes
-    the sorted :func:`_pair_spectra` of both.  The others are filled out as
-    Hermitian matrices and go to LAPACK's eigvalsh, in one call.  The route
-    is chosen matrix by matrix, so a matrix's bits never depend on its stack.
-    Its one caller is :func:`_eigenvalues`, for the 4 x 4 inputs of
-    :func:`hermitian_eigenvalues`: two-qubit states, the partial transposes
-    of :func:`measures.negativities`, and the Gram states of four Kraus
-    operators.
+    the sorted :func:`_pair_spectra` of both.  The others go to LAPACK's
+    eigvalsh as they are, in one call.  The route is chosen matrix by
+    matrix, so a matrix's bits never depend on its stack.
     """
-    x = ~lower[_X_COUPLINGS].any(axis=0)
-    out = np.empty(lower.shape[1:] + (4,))
+    x = ~m[:, [1, 2, 3, 3], [0, 0, 1, 2]].any(axis=1)
+    out = np.empty(m.shape[:-1])
     if x.any():
         # A slice, not a mask, where every matrix is an X-matrix: no copies.
         rows = slice(None) if x.all() else x
+        xs = m[rows]
         # Both blocks at once: [[m00, m03], [m30, m33]] and [[m11, m12], [m21, m22]].
-        xs = lower[:, rows]
-        lo, hi = _pair_spectra(xs[[0, 2]].real, xs[[9, 5]].real, np.abs(xs[[6, 4]]))
-        pairs = np.stack([lo, hi], axis=-1).transpose(1, 0, 2)
-        out[rows] = np.sort(pairs.reshape(-1, 4), axis=-1)
+        lo, hi = _pair_spectra(xs[:, [0, 1], [0, 1]].real, xs[:, [3, 2], [3, 2]].real,
+                               np.abs(xs[:, [3, 2], [0, 1]]))
+        out[rows] = np.sort(np.stack([lo, hi], axis=-1).reshape(-1, 4), axis=-1)
     if not x.all():
-        dense = lower[:, ~x].T
-        m = np.empty((len(dense), 4, 4), dtype=complex)
-        m[:, _LOWER_4X4[1], _LOWER_4X4[0]] = dense.conj()
-        m[:, _LOWER_4X4[0], _LOWER_4X4[1]] = dense
-        out[~x] = np.linalg.eigvalsh(m)
+        out[~x] = np.linalg.eigvalsh(m[~x])
     return out
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; row by row for a stack.
 
-    Hermiticity is not checked: only the lower triangle is read.  Callers
-    pass matrices that are Hermitian by construction, or check them first.
-    There are three routes: a 2 x 2 side takes :func:`_spectra_2x2`, a 4 x 4
-    side :func:`_spectra_4x4`, which solves X-matrices in closed form, and
-    every other side LAPACK's eigvalsh.
+    Hermiticity is not checked: only the lower triangle and the real part of
+    the diagonal are read.  Callers pass matrices that are Hermitian by
+    construction, or check them first.  The input is coerced and checked
+    for finiteness once; the routes are those of :func:`_eigenvalues`.
     """
     return _eigenvalues(_matrices(a))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_eigenvalues` of a complex array (..., d, d) that the
-    caller built or accepted: nothing is coerced or checked."""
+    """:func:`hermitian_eigenvalues` of an array (..., d, d) that the caller
+    built or accepted: nothing is coerced or checked.  A 2 x 2 side takes
+    :func:`_pair_spectra`, a 4 x 4 side :func:`_spectra_4x4`, which solves
+    X-matrices in closed form, and every other side LAPACK's eigvalsh."""
     if m.shape[-2:] == (2, 2):
-        return _spectra_2x2(m)
+        spectra = _pair_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0]))
+        return np.stack(spectra, axis=-1)
     if m.shape[-2:] == (4, 4):
-        lower = m.reshape(-1, 4, 4)[:, _LOWER_4X4[0], _LOWER_4X4[1]].T
-        return _spectra_4x4(lower).reshape(m.shape[:-1])
+        return _spectra_4x4(m.reshape(-1, 4, 4)).reshape(m.shape[:-1])
     return np.linalg.eigvalsh(m)
 
 
@@ -210,7 +188,7 @@ def validate_states(states) -> np.ndarray:
     defect = max_abs(m - dagger(m))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-    spectra = hermitian_eigenvalues(m)
+    spectra = _eigenvalues(m)
     traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():

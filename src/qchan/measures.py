@@ -47,7 +47,6 @@ from .linalg import (
     as_matrix,
     as_stack,
     dagger,
-    hermitian_eigenvalues,
     partial_transpose,
     validate_states,
 )
@@ -112,7 +111,7 @@ def coherent_information(kraus, rho) -> float:
     """
     out = apply(kraus, rho)
     env = apply_kraus(complementary(kraus), np.asarray(rho, dtype=complex))
-    s_out, s_env = (float(_entropies(hermitian_eigenvalues(s[None]))[0]) for s in (out, env))
+    s_out, s_env = (float(_entropies(_eigenvalues(s))) for s in (out, env))
     return s_out - s_env
 
 
@@ -134,7 +133,7 @@ def _capacity_bounds(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.ascontiguousarray(kraus.transpose(0, 3, 2, 1))
     small = _product(dagger(w), w) if k < n_out else _product(w, dagger(w))
     side = small.shape[-1]
-    parts = _entropies(hermitian_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
+    parts = _entropies(_eigenvalues(small.reshape(n * n_in, side, side))).reshape(n, n_in)
     mixed = _entropies(_eigenvalues(_grams(np.ascontiguousarray(kraus.swapaxes(1, 2))) / n_in))
     return mixed, _clamp_nonnegative(mixed - parts.mean(axis=-1))
 
@@ -229,7 +228,7 @@ def negativities(states, dims: tuple[int, int]) -> np.ndarray:
     d1, d2 = dims
     if states.shape[-1] != d1 * d2:
         raise ValueError(f"state dimension {states.shape[-1]} != {d1} * {d2}")
-    ev = hermitian_eigenvalues(partial_transpose(states, dims))
+    ev = _eigenvalues(partial_transpose(states, dims))
     return 0.0 - np.minimum(ev, 0.0).sum(axis=-1)  # +0.0, never -0.0
 
 

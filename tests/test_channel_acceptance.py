@@ -161,7 +161,7 @@ def test_tol_above_the_cap_exits_2_and_writes_nothing(tmp_path, capsys, command,
 # Gram states and partial transposes built from an accepted stack are
 # eigensolved unchecked.
 FINITE_PASSES = {
-    "validate_channel": (channels.validate_channel, 3),
+    "validate_channel": (channels.validate_channel, 2),
     "gram_states": (lambda ch: channels.gram_states(ch[None]), 1),
     "choi_measures": (lambda ch: measures.choi_measures(ch[None]), 1),
     "choi_state": (channels.choi_state, 5),
@@ -220,7 +220,7 @@ def test_analyze_checks_its_channel_once(tmp_path, monkeypatch, channel):
         monkeypatch.setattr(module, "_grams", count_grams)
     # A stack of spectra is solved by LAPACK or, at side 2, by the closed form.
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-    monkeypatch.setattr(linalg, "_spectra_2x2", counting(linalg._spectra_2x2))
+    monkeypatch.setattr(linalg, "_pair_spectra", counting(linalg._pair_spectra))
     code, report = analyze(tmp_path, channel)
     assert code == 0 and report["cptp_ok"] and report["chi_bound_nats"] is not None
     # One Gram state, then the capacity bound's per-state and average outputs;

@@ -136,8 +136,13 @@ def test_four_by_four_x_matrices_take_the_closed_form_sample_by_sample(rng, monk
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     ev = hermitian_eigenvalues(pts)
-    # The dense rows alone reach LAPACK, in one call, and keep its bits.
-    assert shapes == [(78, 4, 4)]
+    # The same stack as a strided view, laid out entry-major as choi_measures
+    # hands its Gram states over at k = 4, gets the same bits.
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, 0, -1)), -1, 0)
+    assert not strided.flags.c_contiguous
+    assert hermitian_eigenvalues(strided).tobytes() == ev.tobytes()
+    # The dense rows alone reach LAPACK, in one call per stack, and keep its bits.
+    assert shapes == [(78, 4, 4)] * 2
     assert ev[~is_x].tobytes() == expected[~is_x].tobytes()
     # X-shaped rows are ascending and within rounding of LAPACK.
     assert np.all(np.diff(ev[is_x], axis=-1) >= 0)

@@ -900,6 +900,15 @@ def test_zero_entropies_are_positive_zero():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def test_entropies_refuse_an_eigenvalue_beyond_the_tolerance():
+    with pytest.raises(ValueError, match=r"^state has eigenvalue -1\.100e-10 below tolerance$"):
+        _entropies(np.array([[0.5, 0.5, -1.1e-10]]))
+    # An eigenvalue at exactly -DEFAULT_TOL is a rounding zero: its term is +0.0.
+    at_tol = _entropies(np.array([[0.5, 0.5, -DEFAULT_TOL]]))
+    assert at_tol.tobytes() == _entropies(np.array([[0.5, 0.5, 0.0]])).tobytes()
+    assert abs(at_tol[0] - math.log(2)) <= 1e-16
+
+
 GOOD_STATE = choi_state(qubit_family_a(0.3))
 BAD_STATES = {
     "non-Hermitian": GOOD_STATE + np.triu(np.full((4, 4), 1e-3), 1),

@@ -66,6 +66,12 @@ def pair_document(channel) -> dict:
     }
 
 
+def same_bits(back, channel) -> bool:
+    """read_channel gave back the float64 bits of the source array."""
+    source = np.asarray(channel, dtype=complex)
+    return back.shape == source.shape and back.tobytes() == source.tobytes()
+
+
 FAMILY_OPTIONS = [
     (name, dim)
     for name, family in FAMILIES.items()
@@ -93,9 +99,10 @@ def test_family_output_is_the_json_module_encoding(tmp_path, name, dim):
         "choi_rank": validation.choi_rank,
     }
     assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert same_bits(read_channel(out), channel)
 
 
-@pytest.mark.parametrize("n_in,n_out", [(1, 3), (2, 3), (3, 2), (4, 1), (5, 7)])
+@pytest.mark.parametrize("n_in,n_out", [(1, 3), (2, 3), (3, 2), (4, 1), (5, 7), (32, 32)])
 @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n, lambda n: 2 * n])
 def test_random_channel_documents_match_the_json_module(tmp_path, n_in, n_out, k_of_n):
     k = max(k_of_n(n_in), -(-n_in // n_out))  # a CPTP channel needs k n_out >= n_in
@@ -104,6 +111,7 @@ def test_random_channel_documents_match_the_json_module(tmp_path, n_in, n_out, k
     assert doc["kraus"].shape == (k, n_out, n_in, 2)
     expected = json.dumps(pair_document(channel), indent=2, sort_keys=True) + "\n"
     assert written(tmp_path, doc) == expected
+    assert same_bits(read_channel(tmp_path / "out.json"), channel)
 
 
 @pytest.mark.parametrize("shape", [(10,), (5, 2), (2, 1, 5), (1, 2, 5, 1), (0,), (2, 0), (3, 0, 2)])
