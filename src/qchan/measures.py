@@ -43,6 +43,7 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     _eigenvalues,
+    _pair_spectra,
     _product,
     as_matrix,
     as_stack,
@@ -264,8 +265,14 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to a + d: to first order the two routes stay within the completeness
     residual max|E_ij|.  The concurrence is :func:`_concurrence_of_factors`
     of the rows v.  A real block of two operators, as in dynamics, runs in
-    float64: the routes differ only in the sign of an exact zero, which no
-    closed form reads, but LAPACK's reflectors do, so other k stay complex.
+    float64 (the routes differ only in the sign of an exact zero, which no
+    closed form reads, but LAPACK's reflectors do, so other k stay complex)
+    and forms c00, c10, c11 of sum_a K_a^T K_a and g00, g10, g11 of G from
+    explicit row products: real products commute bit for bit, so c01 and
+    g01 would repeat c10 and g10, and (G + G^T) / 2 changes no bit.  A
+    complex block forms all four entries and takes b = (g10 + conj g01) / 2
+    / n_in: numpy's complex products do not give g10 and conj g01 the same
+    bits, and a lower triangle moved the bits of random k = 2, 3, 4 stacks.
     """
     if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
         raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
@@ -274,18 +281,31 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kraus = kraus.real if k == 2 and not kraus.imag.any() else kraus
     # v[a, 2c + r] = K_a[r, c]: row a of V^T, vec(K_a) in the Choi ordering.
     v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(k, 4, n)
-    vc = v.conj()
-    # (K_a^dagger K_a)[l, m] = sum_r vc[a, 2l + r] v[a, 2m + r], as completeness_residuals sums it.
-    columns = zip(vc.reshape(k, 2, 2, n), v.reshape(k, 2, 2, n))
-    acc = sum(_pair_sums(left, right, range(2)) for left, right in columns)
-    _require_complete(np.abs(acc - np.eye(2)[..., None]).max(axis=(0, 1)))
-    # G_ab = tr(K_a^dagger K_b), over K's entries row by row as _grams sums them.
-    gram = _pair_sums(vc, v, [0, 2, 1, 3])
-    states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
-    spectra = _eigenvalues(np.moveaxis(states, -1, 0))
-    neg = (np.hypot((states[0, 0].real - states[1, 1].real) / 2, np.abs(states[1, 0])) if k == 2
-           else _clamp_nonnegative(spectra[:, -1] - 0.5))
-    return neg, _concurrence_of_factors(v, n_in), _entropies(spectra)
+    if not np.iscomplexobj(v):
+        # The entries on and below the diagonals, summed in the order of the complex route.
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = v
+        (s0, s1, s2, s3), (t0, t1, t2, t3) = v * v
+        c00, c11 = s0 + s1 + (t0 + t1), s2 + s3 + (t2 + t3)
+        c10 = p2 * p0 + p3 * p1 + (q2 * q0 + q3 * q1)
+        _require_complete(np.maximum(np.maximum(np.abs(c00 - 1), np.abs(c10)), np.abs(c11 - 1)))
+        a, d = (s0 + s2 + s1 + s3) / n_in, (t0 + t2 + t1 + t3) / n_in
+        b = np.abs(q0 * p0 + q2 * p2 + q1 * p1 + q3 * p3) / n_in
+    else:
+        vc = v.conj()
+        # (K_a^dagger K_a)[l, m] = sum_r vc[a, 2l + r] v[a, 2m + r], as completeness_residuals sums it.
+        columns = zip(vc.reshape(k, 2, 2, n), v.reshape(k, 2, 2, n))
+        acc = sum(_pair_sums(left, right, range(2)) for left, right in columns)
+        _require_complete(np.abs(acc - np.eye(2)[..., None]).max(axis=(0, 1)))
+        # G_ab = tr(K_a^dagger K_b), over K's entries row by row as _grams sums them.
+        gram = _pair_sums(vc, v, [0, 2, 1, 3])
+        states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
+        if k != 2:
+            spectra = _eigenvalues(np.moveaxis(states, -1, 0))
+            neg = _clamp_nonnegative(spectra[:, -1] - 0.5)
+            return neg, _concurrence_of_factors(v, n_in), _entropies(spectra)
+        a, d, b = states[0, 0].real, states[1, 1].real, np.abs(states[1, 0])
+    spectra = np.stack(_pair_spectra(a, d, b), axis=-1)
+    return np.hypot((a - d) / 2, b), _concurrence_of_factors(v, n_in), _entropies(spectra)
 
 
 def _pair_sums(left: np.ndarray, right: np.ndarray, order) -> np.ndarray:

@@ -7,6 +7,7 @@ derives from an accepted channel, or from accepted input states, is
 eigensolved as it is and not re-judged at the stricter state tolerances.
 """
 
+import itertools
 import json
 import math
 
@@ -128,10 +129,16 @@ def test_choi_rank_is_cut_at_the_default_tolerance():
 def test_capacity_bound_checks_completeness_at_its_tol():
     # The library's tolerance is DEFAULT_TOL: the channel that analyze
     # accepts at --tol 1e-6 above is refused here, as one sample of a block
-    # by the capacity bound and by choi_measures' own completeness sum.
-    stack = qubit_family_a(np.linspace(0.1, 1.4, 7), 0.3)
-    stack[4] = scaled(stack[4], 2e-8)
-    for call in (capacity_lower_bounds, measures.choi_measures):
+    # by the capacity bound and by choi_measures' own completeness sum, on
+    # complex (phi = 0.3) and real (phi = 0) blocks.
+    stacks = [qubit_family_a(np.linspace(0.1, 1.4, 7), phi) for phi in (0.3, 0.0)]
+    for stack in stacks:
+        stack[4] = scaled(stack[4], 2e-8)
+    # A residual of exactly 2e-8, all of it in the (0, 1) and (1, 0)
+    # entries: the diagonal moves by 4e-16.
+    stacks.append(amplitude_damping(np.linspace(0.1, 0.9, 7)))
+    stacks[-1][4, 0, 0, 1] = 2e-8
+    for stack, call in itertools.product(stacks, (capacity_lower_bounds, measures.choi_measures)):
         with pytest.raises(ValueError, match="not trace preserving: residual 2.000e-08 > 1.000e-10"):
             call(stack)
 

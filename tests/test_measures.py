@@ -572,12 +572,14 @@ def test_choi_measures_equal_the_broadcast_route_bitwise(name):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_choi_measures_check_completeness_as_completeness_residuals_bitwise(k, monkeypatch):
+    # The real stack takes the real route at k = 2, which forms only c00, c10 and c11.
     rng = np.random.default_rng(40 + k)
-    kraus = np.array([random_cptp(2, 2, k, rng) for _ in range(300)])
     handed = []
     monkeypatch.setattr("qchan.measures._require_complete", handed.append)
-    choi_measures(kraus)
-    assert len(handed) == 1 and bits(handed[0]) == bits(completeness_residuals(kraus))
+    for kraus in (np.array([random_cptp(2, 2, k, rng) for _ in range(300)]), real_cptp_stack(k, 300, rng)):
+        handed.clear()
+        choi_measures(kraus)
+        assert len(handed) == 1 and bits(handed[0]) == bits(completeness_residuals(kraus))
 
 
 def test_the_entry_major_stacks_reach_every_route(monkeypatch):
