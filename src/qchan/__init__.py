@@ -7,19 +7,15 @@ entanglement, and non-Markovianity measures on them.
 """
 
 from .channels import (
-    ChannelValidation,
     apply,
     apply_kraus,
     channel_rank,
     choi_matrix,
     choi_state,
     choi_to_kraus,
-    choi_to_superop,
     complementary,
-    compose,
     gram_states,
     is_selfcomplementary,
-    kraus_from_unitary,
     kraus_to_superop,
     selfcomplementarity_defect,
     stinespring,
@@ -30,7 +26,6 @@ from .channels import (
 from .dynamics import (
     affine_of_channel,
     bloch_image,
-    bloch_vector,
     fibonacci_sphere,
     increase_duration,
     positive_variation,
@@ -38,7 +33,6 @@ from .dynamics import (
 )
 from .families import (
     amplitude_damping,
-    dephasing,
     dft_matrix,
     identity_channel,
     ndim_family,
@@ -51,7 +45,6 @@ from .linalg import (
     DEFAULT_TOL,
     dagger,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
     validate_states,
 )

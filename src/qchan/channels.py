@@ -133,7 +133,7 @@ def apply(kraus, rho) -> np.ndarray:
     are checked; the output, a state by construction, is not checked again.
     """
     kraus = _as_kraus(kraus)
-    require_cptp_stack(kraus[None])
+    _require_complete(completeness_residuals(kraus[None]))
     state = as_matrix(rho)
     validate_states(state[None])
     n_in = kraus.shape[-1]
@@ -196,13 +196,6 @@ def superop_to_choi(matrix, n_in: int, n_out: int) -> np.ndarray:
     return t.transpose(2, 0, 3, 1).reshape(n_in * n_out, n_in * n_out)
 
 
-def choi_to_superop(matrix, n_in: int, n_out: int) -> np.ndarray:
-    """Exact inverse of :func:`superop_to_choi` on one Choi matrix."""
-    m = _square(matrix, "Choi matrix", n_in * n_out)
-    t = m.reshape(n_in, n_out, n_in, n_out)
-    return t.transpose(1, 3, 0, 2).reshape(n_out**2, n_in**2)
-
-
 def choi_matrix(kraus) -> np.ndarray:
     """Choi matrix of a channel (via the superoperator reshuffle), trace n_in."""
     kraus = _as_kraus(kraus)
@@ -213,7 +206,8 @@ def choi_matrix(kraus) -> np.ndarray:
 def choi_state(kraus) -> np.ndarray:
     """Normalized Choi state D / n_in of a CPTP channel: exactly Hermitian and
     PSD by construction, of unit trace within the completeness residual."""
-    kraus = require_cptp_stack(_as_kraus(kraus)[None])[0]
+    kraus = _as_kraus(kraus)
+    _require_complete(completeness_residuals(kraus[None]))
     return choi_matrix(kraus) / kraus.shape[-1]
 
 
@@ -286,35 +280,14 @@ def stinespring(kraus) -> np.ndarray:
     k, n_out, n = kraus.shape
     if n != n_out:
         raise ValueError("square dilation requires n_in == n_out")
-    require_cptp_stack(kraus[None])
+    _require_complete(completeness_residuals(kraus[None]))
     column = kraus.reshape(n * k, n)
     return np.concatenate([column, np.linalg.qr(column, mode="complete")[0][:, n:]], axis=1)
-
-
-def kraus_from_unitary(u, n_env: int) -> np.ndarray:
-    """Read the Kraus operators off the first block-column of a square
-    dilation unitary on env (x) sys."""
-    m = _square(u, "unitary")
-    side = m.shape[0]
-    if side % n_env:
-        raise ValueError(f"unitary side {side} not divisible by environment dimension {n_env}")
-    n = side // n_env
-    return np.ascontiguousarray(m[:, :n].reshape(n_env, n, n))
 
 
 def tensor_channel(a, b) -> np.ndarray:
     """Tensor product channel; operator (i, j) = A_i (x) B_j, i-major."""
     return np.array([np.kron(x, y) for x in _as_kraus(a) for y in _as_kraus(b)])
-
-
-def compose(outer, inner) -> np.ndarray:
-    """Concatenation outer after inner; operator (i, j) = A_i B_j, i-major."""
-    outer, inner = _as_kraus(outer), _as_kraus(inner)
-    if inner.shape[1] != outer.shape[2]:
-        raise ValueError(
-            f"inner output dimension {inner.shape[1]} != outer input dimension {outer.shape[2]}"
-        )
-    return np.array([x @ y for x in outer for y in inner])
 
 
 def validate_channel(kraus) -> ChannelValidation:

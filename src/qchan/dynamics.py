@@ -15,24 +15,13 @@ import numpy as np
 
 from .channels import _as_kraus, apply_kraus, require_cptp_stack
 from .families import FAMILIES, family_ids
-from .linalg import as_matrix, blocks, validate_states
+from .linalg import blocks
 from .measures import choi_measures
 
 # sigma_0 = 1, then sigma_x, sigma_y, sigma_z: the Pauli transfer basis.
 _PAULI_BASIS = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
-_PAULIS = _PAULI_BASIS[1:]
-
-
-def bloch_vector(rho) -> np.ndarray:
-    """Pauli expectation values of a qubit state, which :func:`validate_states`
-    checks."""
-    m = as_matrix(rho)
-    validate_states(m[None])
-    if m.shape != (2, 2):
-        raise ValueError(f"Bloch coordinates need a qubit state, got dim {len(m)}")
-    return np.trace(_PAULIS @ m, axis1=-2, axis2=-1).real
 
 
 def _transfer_matrices(kraus: np.ndarray) -> np.ndarray:

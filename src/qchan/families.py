@@ -103,11 +103,6 @@ def amplitude_damping(p) -> np.ndarray:
     return kraus
 
 
-def dephasing() -> np.ndarray:
-    """Remove all off-diagonal elements in the computational basis."""
-    return qubit_family_b(0.0, 0.0)
-
-
 def identity_channel(dim: int = 2) -> np.ndarray:
     return np.eye(dim, dtype=complex)[None]
 

@@ -144,25 +144,6 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite matrix.
-
-    ``dims = (d1, d2)`` are the factor dimensions, ``keep`` selects the
-    surviving subsystem (0 = first factor, 1 = second).  The trace of the
-    result equals the trace of the input.
-    """
-    d1, d2 = dims
-    m = as_matrix(a)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    t = m.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        return np.einsum("ikjk->ij", t)
-    return np.einsum("kikj->ij", t)
-
-
 def partial_transpose(a, dims: tuple[int, int]) -> np.ndarray:
     """Transpose the first tensor factor of a bipartite matrix, or of each
     matrix in a stack."""

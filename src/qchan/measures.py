@@ -37,6 +37,7 @@ from .channels import (
     apply,
     apply_kraus,
     complementary,
+    completeness_residuals,
     gram_states,
     require_cptp_stack,
 )
@@ -362,7 +363,7 @@ def entanglement_evolution_factor(kraus, rho_in) -> tuple[float, float]:
     state = as_matrix(rho_in)
     if state.shape != (4, 4):
         raise ValueError(f"input must be a two-qubit state, got shape {state.shape}")
-    require_cptp_stack(ops[None])
+    _require_complete(completeness_residuals(ops[None]))
     validate_states(state[None])
     rows_in = _state_rows(state[None])
     # Row (a, j) of the output's V^T is v_j^T (1 (x) K_a)^T, for v_j^T row j of the input's.

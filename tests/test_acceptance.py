@@ -25,14 +25,15 @@ from qchan import (
     complementary,
     concurrence,
     concurrence_closed_form,
+    dft_matrix,
     fibonacci_sphere,
     kraus_to_superop,
     map_entropy,
+    negativities,
     negativity,
     negativity_closed_form,
     ndim_family,
     ndim_theta0,
-    partial_trace,
     positive_variation,
     qubit_family_a,
     qubit_family_b,
@@ -236,6 +237,40 @@ def test_criterion_11_concurrence_negativity_ordering():
     report(11, f"concurrence >= negativity across the sweep (minimum gap {margin:.4f})")
 
 
+def test_criterion_11b_qutrit_residual_entanglement():
+    # Beyond qubits: no qutrit member on a 721-point period is separable, for
+    # the identity, Fourier and one Haar W.  The floors are 0.3121, 0.2486
+    # and 0.1418.
+    thetas = np.linspace(0.0, math.pi, 721)
+    unitaries = {
+        "W = 1": np.eye(3),
+        "Fourier W": dft_matrix(3),
+        "Haar W": random_unitary(3, np.random.default_rng(5)),
+    }
+    floors = {}
+    for name, w in unitaries.items():
+        states = np.array([choi_state(qutrit_family(float(t), w)) for t in thetas])
+        floors[name] = float(negativities(states, (3, 3)).min())
+    assert min(floors.values()) > 0.1
+
+    # ndim_theta0(n): K_0 = diag(1, s, ..., s) and K_j = s |0><j| (j >= 1),
+    # s = 1/sqrt2, so the Choi matrix is |v><v| + sum_j |j0><j0| / 2 with
+    # v = |00> + s sum_j |jj>.  Its partial transpose splits into the n - 1
+    # blocks [[1/2, s], [s, 0]] on {|j0>, |0j>} and the (n - 1)(n - 2) / 2
+    # blocks [[0, 1/2], [1/2, 0]] on {|jk>, |kj>}, j < k, each with one
+    # eigenvalue -1/2: n (n - 1) / 4 in all, divided by n for the Choi state.
+    worst = max(
+        abs(negativity(choi_state(ndim_theta0(n)), (n, n)) - (n - 1) / 4) for n in range(2, 9)
+    )
+    assert worst <= 1e-12
+    lines = ", ".join(f"{name} {floor:.4f}" for name, floor in floors.items())
+    report(
+        "11b",
+        f"qutrit Choi negativity stays above 0.1 over [0, pi] ({lines}); "
+        f"ndim-theta0 has (n - 1)/4 for n = 2..8 (worst {worst:.1e})",
+    )
+
+
 def test_criterion_12_non_markovianity():
     times, _, records = run_trajectory("qubit-a", omega=1.0, t_max=math.pi, n_steps=4097)
     variation = positive_variation(records[0])  # the negativity record
@@ -409,10 +444,11 @@ def test_criterion_16_approximate_copy_machine():
                 isometry = stinespring(kraus)[:, :2]
                 linear, shift = affine_of_channel(kraus)
                 for r, rho in zip(sphere, inputs):
-                    joint = isometry @ rho @ isometry.conj().T
+                    joint = (isometry @ rho @ isometry.conj().T).reshape(2, 2, 2, 2)
+                    # Tracing out the environment (axes 0, 2), then the system.
                     output, environment = (
-                        float(np.trace(rho @ partial_trace(joint, (2, 2), keep)).real)
-                        for keep in (1, 0)
+                        float(np.trace(rho @ np.trace(joint, axis1=a, axis2=a + 2)).real)
+                        for a in (0, 1)
                     )
                     worst_copies = max(worst_copies, abs(output - environment))
                     worst_affine = max(worst_affine, abs(output - (1 + r @ (linear @ r + shift)) / 2))

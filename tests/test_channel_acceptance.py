@@ -166,13 +166,19 @@ def test_tol_above_the_cap_exits_2_and_writes_nothing(tmp_path, capsys, command,
 # Each public function a call goes through coerces its argument once;
 # completeness_residuals takes an accepted stack and makes none, and the
 # Gram states and partial transposes built from an accepted stack are
-# eigensolved unchecked.
+# eigensolved unchecked.  A state argument takes two passes: its coercion
+# and validate_states'.
 FINITE_PASSES = {
     "validate_channel": (channels.validate_channel, 2),
     "gram_states": (lambda ch: channels.gram_states(ch[None]), 1),
     "choi_measures": (lambda ch: measures.choi_measures(ch[None]), 1),
-    "choi_state": (channels.choi_state, 5),
-    "stinespring": (channels.stinespring, 2),
+    "choi_state": (channels.choi_state, 4),
+    "stinespring": (channels.stinespring, 1),
+    "apply": (lambda ch: channels.apply(ch, np.eye(2) / 2), 3),
+    "entanglement_evolution_factor": (
+        lambda ch: measures.entanglement_evolution_factor(ch, bell_state()),
+        3,
+    ),
 }
 
 

@@ -6,24 +6,19 @@ from hypothesis import strategies as st
 from qchan import (
     DEFAULT_TOL,
     apply,
-    bloch_vector,
     channel_rank,
     choi_matrix,
     choi_state,
     choi_to_kraus,
-    choi_to_superop,
     complementary,
-    compose,
     concurrences,
-    dephasing,
     identity_channel,
     is_selfcomplementary,
-    kraus_from_unitary,
     kraus_to_superop,
     ndim_theta0,
-    partial_trace,
     partial_transpose,
     qubit_family_a,
+    qubit_family_b,
     selfcomplementarity_defect,
     stinespring,
     superop_to_choi,
@@ -73,7 +68,7 @@ def family_choi_by_hand(theta):
 
 def test_apply_dephasing_removes_coherences():
     rho = np.full((2, 2), 0.5)
-    out = apply(dephasing(), rho)
+    out = apply(qubit_family_b(0.0), rho)
     assert np.abs(out - np.diag([0.5, 0.5])).max() <= 1e-12
 
 
@@ -155,7 +150,7 @@ def test_selfcomplementary_channels_act_like_their_complement(rng):
 
 def test_superop_of_identity_and_dephasing():
     assert np.array_equal(kraus_to_superop(identity_channel(2)), np.eye(4))
-    s = kraus_to_superop(dephasing())
+    s = kraus_to_superop(qubit_family_b(0.0))
     assert np.abs(s - np.diag([1.0, 0.0, 0.0, 1.0])).max() <= 1e-12
 
 
@@ -178,7 +173,7 @@ def test_choi_of_family_matches_hand_construction():
 
 def test_choi_partial_trace_is_identity():
     d = choi_matrix(qubit_family_a(0.0))
-    assert np.abs(partial_trace(d, (2, 2), keep=0) - np.eye(2)).max() <= 1e-12
+    assert np.abs(np.einsum("ikjk->ij", d.reshape(2, 2, 2, 2)) - np.eye(2)).max() <= 1e-12
 
 
 def test_reshuffle_round_trip_on_random_matrices(rng):
@@ -186,13 +181,14 @@ def test_reshuffle_round_trip_on_random_matrices(rng):
         m = rng.standard_normal((n_out**2, n_in**2)) + 1j * rng.standard_normal(
             (n_out**2, n_in**2)
         )
-        back = choi_to_superop(superop_to_choi(m, n_in, n_out), n_in, n_out)
+        t = superop_to_choi(m, n_in, n_out).reshape(n_in, n_out, n_in, n_out)
+        back = t.transpose(1, 3, 0, 2).reshape(n_out**2, n_in**2)
         assert np.array_equal(back, m)
 
 
 def test_superop_choi_round_trip():
     s = kraus_to_superop(qubit_family_a(0.4, 0.2))
-    back = choi_to_superop(superop_to_choi(s, 2, 2), 2, 2)
+    back = superop_to_choi(s, 2, 2).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
     assert np.array_equal(back, s)
 
 
@@ -266,7 +262,7 @@ def test_stinespring_random_channels_are_unitary_with_exact_readback(rng):
             ch = random_cptp(n, n, k, rng)
             u = stinespring(ch)
             assert unitarity_defect(u) <= 1e-12
-            back = kraus_from_unitary(u, k)
+            back = u[:, :n].reshape(k, n, n)
             assert np.array_equal(back, ch)
 
 
@@ -274,36 +270,6 @@ def test_stinespring_rejects_incomplete_channel():
     broken = np.array([np.eye(2, dtype=complex) * 0.5])
     with pytest.raises(ValueError, match="not trace preserving"):
         stinespring(broken)
-
-
-def test_kraus_from_unitary_identity():
-    ks = kraus_from_unitary(np.eye(2, dtype=complex), 1)
-    assert len(ks) == 1 and np.array_equal(ks[0], np.eye(2))
-
-
-def test_kraus_from_swap_unitary_is_reset_channel(rng):
-    swap = np.zeros((4, 4), dtype=complex)
-    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1
-    ks = kraus_from_unitary(swap, 2)
-    rho = random_density_matrix(2, rng)
-    out = apply(ks, rho)
-    assert np.abs(out - np.diag([1.0, 0.0])).max() <= 1e-12
-
-
-def test_kraus_from_tabulated_unitary_recovers_family():
-    theta, phi = 1.1, 0.6
-    s, c = np.sin(theta), np.cos(theta)
-    tabulated = np.array(
-        [
-            [s, 0, 0, -c * np.exp(-1j * phi)],
-            [0, SQ2, SQ2, 0],
-            [0, SQ2, -SQ2, 0],
-            [c * np.exp(1j * phi), 0, 0, s],
-        ]
-    )
-    ks = kraus_from_unitary(tabulated, 2)
-    expected = qubit_family_a(theta, phi)
-    assert np.abs(ks - expected).max() <= 1e-12
 
 
 # ------------------------------------------------------- algebra
@@ -324,28 +290,6 @@ def test_tensor_with_trivial_channel_is_identity_on_superop():
 def test_tensor_dimension_bookkeeping():
     t = tensor_channel(qubit_family_a(0.1), qubit_family_a(0.2))
     assert t.shape == (4, 4, 4)
-
-
-def test_compose_with_identity():
-    ch = qubit_family_a(0.9, 0.2)
-    comp = compose(ch, identity_channel(2))
-    assert np.abs(kraus_to_superop(comp) - kraus_to_superop(ch)).max() <= 1e-12
-
-
-def test_compose_family_members_is_generically_not_selfcomplementary():
-    comp = compose(qubit_family_a(0.4), qubit_family_a(1.0))
-    assert len(comp) == 4
-    assert not is_selfcomplementary(comp)
-
-
-def test_compose_dephasing_is_idempotent():
-    twice = compose(dephasing(), dephasing())
-    assert np.abs(kraus_to_superop(twice) - kraus_to_superop(dephasing())).max() <= 1e-12
-
-
-def test_compose_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        compose(qubit_family_a(0.1), identity_channel(3))
 
 
 def test_validate_channel_cptp_verdicts():
@@ -417,9 +361,7 @@ def test_derived_channels_hold_one_kraus_array(tmp_path, rng):
     write_json_atomic(tmp_path / "ch.json", channel_to_dict(ch))
     assert_kraus_array(read_channel(tmp_path / "ch.json"))
     assert_kraus_array(tensor_channel(ch, qubit_family_a(0.4)))
-    assert_kraus_array(compose(qubit_family_a(0.4), identity_channel(2)))
     assert_kraus_array(choi_to_kraus(choi_matrix(ch), 2, 3))
-    assert_kraus_array(kraus_from_unitary(np.eye(4), 2))
 
 
 def test_conversions_refuse_wrong_shapes():
@@ -429,12 +371,6 @@ def test_conversions_refuse_wrong_shapes():
         choi_to_kraus(np.eye(4)[:, :2], 2, 2)
     with pytest.raises(ValueError, match="Choi matrix shape"):
         channel_rank(np.eye(4)[:, :3])
-    with pytest.raises(ValueError, match="Choi matrix shape"):
-        choi_to_superop(np.eye(6), 2, 2)
-    with pytest.raises(ValueError, match="unitary shape"):
-        kraus_from_unitary(np.eye(4)[:, :2], 2)
-    with pytest.raises(ValueError, match="not divisible"):
-        kraus_from_unitary(np.eye(3), 2)
 
 
 # ------------------------------------- choi_to_kraus against a tuple sort
@@ -453,7 +389,7 @@ PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.
 
 DEGENERATE_CHOI = {
     "qubit-a at pi/4": choi_matrix(qubit_family_a(np.pi / 4)),
-    "dephasing, a tie of exactly equal eigenvalues": choi_matrix(dephasing()),
+    "dephasing, a tie of exactly equal eigenvalues": choi_matrix(qubit_family_b(0.0)),
     "equal-weight Pauli mixture": choi_matrix(PAULIS / 2),
     "equal-weight identity and Z mixture": choi_matrix(PAULIS[[0, 3]] * SQ2),
 }
@@ -487,9 +423,6 @@ LIBRARY_REFUSALS = {
     ),
     "concurrences of a qubit state": (
         lambda: concurrences(np.eye(2)[None] / 2), "concurrence needs a two-qubit state, got dim 2"
-    ),
-    "bloch_vector of a qutrit state": (
-        lambda: bloch_vector(np.eye(3) / 3), "Bloch coordinates need a qubit state, got dim 3"
     ),
 }
 

@@ -8,7 +8,6 @@ from qchan import (
     apply,
     channel_rank,
     choi_matrix,
-    dephasing,
     dft_matrix,
     hermitian_eigenvalues,
     ndim_family,
@@ -99,11 +98,6 @@ def test_amplitude_damping():
 def test_amplitude_damping_selfcomplementary_only_at_half():
     assert selfcomplementarity_defect(amplitude_damping(0.5)) <= 1e-12
     assert selfcomplementarity_defect(amplitude_damping(0.3)) > 1e-6
-
-
-def test_dephasing_alias():
-    for a, b in zip(dephasing(), qubit_family_b(0.0, 0.0)):
-        assert np.array_equal(a, b)
 
 
 def test_ndim_theta0_structure_and_validity():

@@ -9,7 +9,6 @@ from qchan import (
     choi_state,
     dagger,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
     qubit_family_a,
     qubit_family_b,
@@ -233,27 +232,6 @@ def test_spin_flip_product_spectrum_at_family_points():
     assert abs(gap - abs(np.sin(theta) - np.cos(theta)) / np.sqrt(2)) <= 1e-12
 
 
-def test_partial_trace_bell_reduction():
-    reduced = partial_trace(bell_state(), (2, 2), keep=0)
-    assert np.abs(reduced - np.eye(2) / 2).max() <= 1e-12
-
-
-def test_partial_trace_product_rule(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    got = partial_trace(np.kron(a, b), (2, 3), keep=0)
-    assert np.abs(got - a * np.trace(b)).max() <= 1e-12
-    got = partial_trace(np.kron(a, b), (2, 3), keep=1)
-    assert np.abs(got - b * np.trace(a)).max() <= 1e-12
-
-
-def test_partial_trace_errors():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), (2, 3), keep=0)
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), (2, 2), keep=2)
-
-
 def test_partial_transpose_product_rule(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -273,14 +251,6 @@ def test_partial_transpose_of_breaking_point_choi_is_psd():
     omega = choi_state(qubit_family_a(np.pi / 4))
     ev = hermitian_eigenvalues(partial_transpose(omega, (2, 2)))
     assert ev.min() >= -1e-12
-
-
-@given(m=small_complex_matrices(n_min=2, n_max=3))
-def test_partial_trace_composition_is_full_trace(m):
-    big = np.kron(m, m)
-    d = m.shape[0]
-    first = partial_trace(big, (d, d), keep=0)
-    assert abs(np.trace(first) - np.trace(big)) <= 1e-12 * max(1.0, abs(np.trace(big)))
 
 
 @given(m=small_complex_matrices(n_min=2, n_max=3))

@@ -21,7 +21,6 @@ from qchan import (
     concurrence,
     concurrence_closed_form,
     concurrences,
-    dephasing,
     dft_matrix,
     entanglement_evolution_factor,
     gram_states,
@@ -155,7 +154,7 @@ def test_coherent_information_of_dephasing_on_classical_input():
     # dephasing is self-complementary, so system and environment outputs
     # coincide and the coherent information is exactly zero.
     rho = np.diag([0.2, 0.8])
-    assert abs(coherent_information(dephasing(), rho)) <= 1e-12
+    assert abs(coherent_information(qubit_family_b(0.0), rho)) <= 1e-12
 
 
 # ------------------------------------------------------------ Holevo
@@ -182,7 +181,7 @@ def test_holevo_chi_anchor():
 
 
 def test_capacity_bound_anchor_and_positivity():
-    assert abs(capacity_lower_bounds(dephasing()[None])[0] - LN2) <= 1e-12
+    assert abs(capacity_lower_bounds(qubit_family_b(0.0)[None])[0] - LN2) <= 1e-12
     assert (capacity_lower_bounds(qubit_family_a(GRID)) > 0.0).all()
 
 
