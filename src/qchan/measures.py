@@ -182,7 +182,7 @@ def _concurrence_of_factors(rows: np.ndarray, n_in: int) -> np.ndarray:
     + q + 2|det tau|): nothing cancels as C -> 0, unlike sqrt(|tau|_F^2 -
     2|det tau|), and tau = 0 gives +0.0.  Every other size takes the SVD.
     """
-    tau = _pair_sums(rows[:, ::-1] * _YY_ANTIDIAGONAL[:, None], rows, range(4)) / n_in
+    tau = _pair_sums(rows[:, ::-1] * _YY_ANTIDIAGONAL[:, None], rows) / n_in
     if len(tau) == 2:
         (t00, t01), (t10, t11) = tau
         p, q = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
@@ -241,17 +241,19 @@ def negativity(omega, dims: tuple[int, int]) -> float:
 
 def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negativity, concurrence and map entropy of the Choi state of each qubit
-    channel of a Kraus stack (N, k, 2, 2), from its Kraus entries.
+    channel of a two-operator Kraus stack (N, 2, 2, 2), from its Kraus entries.
 
     The stack is coerced once and laid out entry-major: v[a, e] is entry e of
     vec(K_a), one contiguous (N,) array, so numpy loops over the samples, not
     over axes of length 2 and 4.  Only the entries the closed forms read are
     formed, each a sum of elementwise products over the stack added in the
     order of the matrix route: a sample's bits are that route's, in any
-    stack.  Completeness is checked first, from the K_a^dagger K_a summed as
-    :func:`channels.completeness_residuals` sums them.  The Choi state rho =
-    V V^dagger / n_in, V with the columns vec(K_a), has the nonzero spectrum
-    mu of the Gram state V^dagger V / n_in = G / n_in: the map entropy's.
+    stack.  Completeness is checked first, from c00, c10 and c11 of sum_a
+    K_a^dagger K_a summed as :func:`channels.completeness_residuals` sums
+    them.  The Choi state rho = V V^dagger / 2, V with the columns vec(K_a),
+    has the nonzero spectrum mu of the Gram state G / 2 = V^dagger V / 2 =
+    [[a, b*], [b, d]], with b = |g10| / 2 and G summed as
+    :func:`channels._grams` sums it: the map entropy's.
 
     No partial transpose is formed.  For a trace-preserving qubit channel
     Phi, the swap F and r = (i s_y (x) 1) rho (i s_y (x) 1)^dagger, rho^T_R
@@ -259,63 +261,41 @@ def choi_measures(kraus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (x) 1 - 1 (x) r_2 + r with r_1 = 1/2 give rho^T_R = 1/2 - r~, of spectrum
     1/2 - mu (M. and P. Horodecki, PRA 59, 4206, 1999).  Only mu_max can
     exceed 1/2, so the negativity (Vidal and Werner, PRA 65, 032314, 2002)
-    is max(0, mu_max - 1/2); at k = 2, the half-gap hypot((a - d) / 2, |b|)
-    of the Gram state [[a, b*], [b, d]] (:func:`linalg._pair_spectra`),
-    mu_max - 1/2 at a + d = 1 with no cancellation.  Off trace preservation,
-    sum_a K_a^dagger K_a = 1 + E adds (E / 2) (x) 1 to rho^T_R and tr E / 2
-    to a + d: to first order the two routes stay within the completeness
-    residual max|E_ij|.  The concurrence is :func:`_concurrence_of_factors`
-    of the rows v.  A real block of two operators, as in dynamics, runs in
-    float64 (the routes differ only in the sign of an exact zero, which no
-    closed form reads, but LAPACK's reflectors do, so other k stay complex)
-    and forms c00, c10, c11 of sum_a K_a^T K_a and g00, g10, g11 of G from
-    explicit row products: real products commute bit for bit, so c01 and
-    g01 would repeat c10 and g10, and (G + G^T) / 2 changes no bit.  A
-    complex block forms all four entries and takes b = (g10 + conj g01) / 2
-    / n_in: numpy's complex products do not give g10 and conj g01 the same
-    bits, and a lower triangle moved the bits of random k = 2, 3, 4 stacks.
+    is max(0, mu_max - 1/2): the half-gap hypot((a - d) / 2, b)
+    (:func:`linalg._pair_spectra`), mu_max - 1/2 at a + d = 1 with no
+    cancellation.  Off trace preservation, sum_a K_a^dagger K_a = 1 + E adds
+    (E / 2) (x) 1 to rho^T_R and tr E / 2 to a + d: to first order the two
+    routes stay within the completeness residual max|E_ij|.  The concurrence
+    is :func:`_concurrence_of_factors` of the rows v.  A real block, as in
+    dynamics, runs in float64: the routes differ only in the sign of an exact
+    zero, which no closed form reads.
     """
-    if np.ndim(kraus) != 4 or np.shape(kraus)[2:] != (2, 2):
-        raise ValueError(f"need a qubit Kraus stack (N, k, 2, 2), got shape {np.shape(kraus)}")
+    if np.shape(kraus)[1:] != (2, 2, 2):
+        raise ValueError(f"need a two-operator qubit Kraus stack (N, 2, 2, 2), "
+                         f"got shape {np.shape(kraus)}")
     kraus = _as_kraus_stack(kraus)
-    n, k, _, n_in = kraus.shape
-    kraus = kraus.real if k == 2 and not kraus.imag.any() else kraus
+    n = len(kraus)
+    kraus = kraus if kraus.imag.any() else kraus.real
     # v[a, 2c + r] = K_a[r, c]: row a of V^T, vec(K_a) in the Choi ordering.
-    v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(k, 4, n)
-    if not np.iscomplexobj(v):
-        # The entries on and below the diagonals, summed in the order of the complex route.
-        (p0, p1, p2, p3), (q0, q1, q2, q3) = v
-        (s0, s1, s2, s3), (t0, t1, t2, t3) = v * v
-        c00, c11 = s0 + s1 + (t0 + t1), s2 + s3 + (t2 + t3)
-        c10 = p2 * p0 + p3 * p1 + (q2 * q0 + q3 * q1)
-        _require_complete(np.maximum(np.maximum(np.abs(c00 - 1), np.abs(c10)), np.abs(c11 - 1)))
-        a, d = (s0 + s2 + s1 + s3) / n_in, (t0 + t2 + t1 + t3) / n_in
-        b = np.abs(q0 * p0 + q2 * p2 + q1 * p1 + q3 * p3) / n_in
-    else:
-        vc = v.conj()
-        # (K_a^dagger K_a)[l, m] = sum_r vc[a, 2l + r] v[a, 2m + r], as completeness_residuals sums it.
-        columns = zip(vc.reshape(k, 2, 2, n), v.reshape(k, 2, 2, n))
-        acc = sum(_pair_sums(left, right, range(2)) for left, right in columns)
-        _require_complete(np.abs(acc - np.eye(2)[..., None]).max(axis=(0, 1)))
-        # G_ab = tr(K_a^dagger K_b), over K's entries row by row as _grams sums them.
-        gram = _pair_sums(vc, v, [0, 2, 1, 3])
-        states = (gram + gram.conj().swapaxes(0, 1)) / 2 / n_in
-        if k != 2:
-            spectra = _eigenvalues(np.moveaxis(states, -1, 0))
-            neg = _clamp_nonnegative(spectra[:, -1] - 0.5)
-            return neg, _concurrence_of_factors(v, n_in), _entropies(spectra)
-        a, d, b = states[0, 0].real, states[1, 1].real, np.abs(states[1, 0])
+    v = np.ascontiguousarray(kraus.transpose(1, 3, 2, 0)).reshape(2, 4, n)
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = v
+    (_, _, pc2, pc3), (qc0, qc1, qc2, qc3) = vc = v.conj()
+    (s0, s1, s2, s3), (t0, t1, t2, t3) = vc * v
+    c00, c11 = s0 + s1 + (t0 + t1), s2 + s3 + (t2 + t3)
+    c10 = pc2 * p0 + pc3 * p1 + (qc2 * q0 + qc3 * q1)
+    _require_complete(np.maximum(np.maximum(np.abs(c00 - 1), np.abs(c10)), np.abs(c11 - 1)))
+    a, d = (s0 + s2 + s1 + s3).real / 2, (t0 + t2 + t1 + t3).real / 2
+    b = np.abs(qc0 * p0 + qc2 * p2 + qc1 * p1 + qc3 * p3) / 2
     spectra = np.stack(_pair_spectra(a, d, b), axis=-1)
-    return np.hypot((a - d) / 2, b), _concurrence_of_factors(v, n_in), _entropies(spectra)
+    return np.hypot((a - d) / 2, b), _concurrence_of_factors(v, 2), _entropies(spectra)
 
 
-def _pair_sums(left: np.ndarray, right: np.ndarray, order) -> np.ndarray:
+def _pair_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """out[a, b] = sum_e left[a, e] right[b, e] for entry-major factors
-    (m, terms, N), added over e in the given order, as :func:`_product` adds
-    the matrix product that these entries stand for."""
-    first, *rest = order
-    out = left[:, None, first] * right[None, :, first]
-    for e in rest:
+    (m, terms, N), added over e in order, as :func:`_product` adds the matrix
+    product that these entries stand for."""
+    out = left[:, None, 0] * right[None, :, 0]
+    for e in range(1, left.shape[1]):
         out += left[:, None, e] * right[None, :, e]
     return out
 

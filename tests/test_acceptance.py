@@ -615,3 +615,67 @@ def test_criterion_17c_cp_divisibility():
         f"{closest['qubit_family_b']:.3e}, every negativity rise among them; amplitude damping "
         f"is CP-divisible (smallest Choi eigenvalue {smallest.min():.1e})",
     )
+
+
+def test_criterion_17d_qutrit_non_markovianity():
+    # Beyond qubits: the qutrit family driven over one period [0, pi] at
+    # 1025 points, for the identity, Fourier and one Haar W.  CP divisibility
+    # as in 17c.  The volume of accessible states as in 17b, with the 8 x 8
+    # block A_ij = tr(g_i Phi(g_j)) in the generalized Gell-Mann basis,
+    # tr(g_i g_j) = delta_ij.
+    thetas = np.linspace(0.0, math.pi, 1025)
+    unitaries = {
+        "W = 1": np.eye(3),
+        "Fourier W": dft_matrix(3),
+        "Haar W": random_unitary(3, np.random.default_rng(5)),
+    }
+    basis = []
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        e = np.zeros((3, 3))
+        e[j, k] = 1 / math.sqrt(2)
+        basis += [e + e.T, -1j * e + 1j * e.T]
+    basis += [np.diag([1.0, -1.0, 0.0]) / math.sqrt(2), np.diag([1.0, 1.0, -2.0]) / math.sqrt(6)]
+    rows = np.array(basis).reshape(8, 9)
+    eps = np.finfo(float).eps
+    weakest, dets, increases = {}, {}, {}
+    for name, w in unitaries.items():
+        superops = np.array([kraus_to_superop(qutrit_family(float(t), w)) for t in thetas])
+        cond = np.linalg.cond(superops[:-1])
+        kept = cond <= 1e8
+        steps = superops[1:][kept] @ np.linalg.inv(superops[:-1][kept])
+        smallest = np.linalg.eigvalsh(np.array([superop_to_choi(m, 3, 3) for m in steps]))[:, 0]
+        # One step, from theta = pi/2, where S is singular, is skipped.  Every
+        # kept step breaks CP by more than 1e3 times the rounding eps cond(S)
+        # of its Lambda.
+        assert (~kept).sum() == 1, name
+        assert (smallest < -np.maximum(1e-12, 1e3 * eps * cond[kept])).all(), name
+        weakest[name] = float(smallest.max())
+        det = dets[name] = np.abs(np.linalg.det((rows.conj() @ superops @ rows.T).real))
+        increases[name] = positive_variation(det)
+        # |det A| is 1/64 at both ends of the period and 0 at theta = pi/2.
+        assert abs(det[0] - 1 / 64) <= 1e-16 and abs(det[-1] - 1 / 64) <= 1e-16 and det[512] <= 1e-60
+        assert increases[name] >= 1 / 64, name
+
+    # At W = 1, det A = c^8 q(c^2) / 64, c = cos(theta), q = (9 - 6 sqrt2)
+    # (x^3 - 2 x^2 + (7 + 2 sqrt2) x / 3 - 1/3), derived symbolically from
+    # the family's Kraus operators; q(1) = 1.  q has one real root x0 =
+    # 0.10855, so |det A| rises from 0 at theta = pi/2 to a bump of h =
+    # 2.894e-8, where (x^4 q)' = 0, falls to 0 at cos^2 = x0, and only then
+    # climbs to 1/64: the exact increase per period is 1/64 + 2h, not 1/64.
+    root2 = math.sqrt(2)
+    q = (9 - 6 * root2) * np.array([1.0, -2.0, (7 + 2 * root2) / 3, -1 / 3])
+    x = next(r.real for r in np.roots(q * [7, 6, 5, 4]) if r.imag == 0 and 0 < r.real < 1)
+    h = -(x**4) * np.polyval(q, x) / 64
+    c2 = np.cos(thetas) ** 2
+    closed = np.abs(c2**4 * np.polyval(q, c2)) / 64
+    assert np.abs(dets["W = 1"] - closed).max() <= 1e-12
+    assert abs(increases["W = 1"] - positive_variation(closed)) <= 1e-12
+    # The grid catches both bumps, each to within its step.
+    assert 1 / 64 + h < increases["W = 1"] <= 1 / 64 + 2 * h
+    lines = ", ".join(f"{name} {weakest[name]:.2e} and {increases[name]:.5f}" for name in unitaries)
+    report(
+        "17d",
+        f"qutrit CP divisibility fails at all 1023 kept steps (1 skipped) and |det A| gains at "
+        f"least 1/64 per period (weakest violation and gain: {lines}); at W = 1 the exact gain "
+        f"is 1/64 + 2h, h = {h:.4e}, and the grid gives 1/64 + {increases['W = 1'] - 1 / 64:.3e}",
+    )

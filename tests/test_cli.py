@@ -667,6 +667,21 @@ def test_sweep_values(tmp_path):
     assert abs(rows[0, 5] - 0.215761) <= 1e-5
 
 
+def test_sweep_at_phi_follows_the_negativity_closed_form(tmp_path):
+    # The Gram state of the first qubit family is diagonal at every phi,
+    # with a - d = (sin^2 t - cos^2 t) / 2, so its negativity is |cos 2t| / 4
+    # at any phi.  The phase makes every block complex, the one complex
+    # block choi_measures gets from the CLI; 1e-11 covers the %.12g rounding
+    # of the theta column.
+    out = tmp_path / "sweep-phi.csv"
+    assert run("sweep", "--phi", 0.9, "--points", 1001, "--out", out) == 0
+    _, rows = read_csv(out)
+    theta, numeric, closed = rows[:, :3].T
+    worst = max(float(np.abs(numeric - closed).max()),
+                float(np.abs(numeric - np.abs(np.cos(2 * theta)) / 4).max()))
+    assert worst <= 1e-11
+
+
 def test_sweep_bits_flag_rescales_and_renames(tmp_path):
     nats = tmp_path / "n.csv"
     bits = tmp_path / "b.csv"

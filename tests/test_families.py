@@ -21,7 +21,7 @@ from qchan import (
     validate_states,
 )
 from qchan.channels import completeness_residuals
-from qchan.families import FAMILIES
+from qchan.families import FAMILIES, family_ids
 
 from conftest import random_density_matrix, random_unitary
 
@@ -189,6 +189,16 @@ def test_family_table_dispatch():
     assert FAMILIES["qutrit"].build(0.0, np.eye(3)).shape[0] == 3
     assert FAMILIES["ndim"].build(4, 0.0, np.eye(4)).shape[0] == 4
     assert FAMILIES["identity"].build().shape[0] == 1
+
+
+def test_driven_families_build_two_operator_qubit_stacks():
+    # dynamics hands each block of a driven family to choi_measures, which
+    # takes two-operator qubit stacks (N, 2, 2, 2) and refuses any other shape.
+    times = np.linspace(0.0, 5.0, 7)
+    driven = {name: row for name, row in FAMILIES.items() if row.schedule is not None}
+    assert sorted(driven) == sorted(family_ids("dynamics"))
+    for name, row in driven.items():
+        assert row.build(row.schedule(1.3, times)).shape == (7, 2, 2, 2), name
 
 
 def test_random_inputs_spread_through_family(rng):

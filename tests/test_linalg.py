@@ -135,8 +135,7 @@ def test_four_by_four_x_matrices_take_the_closed_form_sample_by_sample(rng, monk
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     ev = hermitian_eigenvalues(pts)
-    # The same stack as a strided view, laid out entry-major as choi_measures
-    # hands its Gram states over at k = 4, gets the same bits.
+    # The same stack as a strided view, laid out entry-major, gets the same bits.
     strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, 0, -1)), -1, 0)
     assert not strided.flags.c_contiguous
     assert hermitian_eigenvalues(strided).tobytes() == ev.tobytes()

@@ -277,13 +277,27 @@ def factor_route_channels():
     return stacks
 
 
+def choi_routes(kraus):
+    """Negativity, concurrence and map entropy of the Choi state of each
+    qubit channel of a Kraus stack: choi_measures at two operators, and at
+    any other k, which it refuses, the public routes it stands for:
+    max(0, mu_max - 1/2) of gram_states, _concurrence_of_factors of the
+    Kraus rows and map_entropies."""
+    n, k = kraus.shape[:2]
+    if k == 2:
+        return choi_measures(kraus)
+    mu = gram_states(kraus)[1]
+    rows = np.moveaxis(kraus.swapaxes(-1, -2).reshape(n, k, 4), 0, -1)
+    return np.maximum(mu[:, -1] - 0.5, 0.0), _concurrence_of_factors(rows, 2), map_entropies(kraus)
+
+
 def test_choi_measures_match_the_choi_state_routes():
     # concurrences() factors each Choi state by its eigensolve, cut to
     # numerical rank; choi_measures() factors it by the Kraus rows.  Without
     # the cut the ad states differ by 6.0e-9.  negativities() takes the
     # partial transpose, choi_measures() the Gram spectrum.
     for kraus in factor_route_channels():
-        neg, conc, ent = choi_measures(kraus)
+        neg, conc, ent = choi_routes(kraus)
         states = np.array([choi_state(ops) for ops in kraus])
         assert np.abs(neg - negativities(states, (2, 2))).max() <= 1e-15
         assert np.abs(conc - concurrences(states)).max() <= 1e-12
@@ -312,7 +326,7 @@ def test_partial_transpose_spectrum_is_half_less_the_gram_spectrum():
         mu = gram_states(kraus)[1]
         mu = np.concatenate([np.zeros((len(mu), 4)), mu], axis=1)[:, -4:]
         assert np.abs(pt - np.sort(0.5 - mu, axis=1)).max() <= 2e-15
-        assert np.abs(choi_measures(kraus)[0] - negativities(states, (2, 2))).max() <= 1e-15
+        assert np.abs(choi_routes(kraus)[0] - negativities(states, (2, 2))).max() <= 1e-15
 
 
 def test_choi_negativity_at_the_completeness_tolerance_stays_within_the_residual():
@@ -332,7 +346,7 @@ def test_choi_negativity_at_the_completeness_tolerance_stays_within_the_residual
         # negativities() would refuse: the partial transpose directly.
         states = np.array([choi_state(ops) for ops in kraus])
         ev = hermitian_eigenvalues(partial_transpose(states, (2, 2)))
-        gap = np.abs(choi_measures(kraus)[0] - (0.0 - np.minimum(ev, 0.0).sum(axis=-1)))
+        gap = np.abs(choi_routes(kraus)[0] - (0.0 - np.minimum(ev, 0.0).sum(axis=-1)))
         assert (gap <= residual).all()
 
 
@@ -351,7 +365,9 @@ def test_negativities_of_amplitude_damping_keep_their_relative_accuracy():
     assert new_error <= 1e-15 < 1e-6 <= old_error
 
 
-@pytest.mark.parametrize("shape", [(1, 3, 3, 3), (4, 2, 2, 3), (2, 2, 2), (1, 1, 4, 4)])
+@pytest.mark.parametrize(
+    "shape", [(1, 3, 3, 3), (4, 2, 2, 3), (2, 2, 2), (1, 1, 4, 4), (3, 1, 2, 2), (3, 4, 2, 2)]
+)
 def test_choi_measures_refuse_a_non_qubit_stack_up_front(shape, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validated before the shape was checked")
@@ -363,10 +379,11 @@ def test_choi_measures_refuse_a_non_qubit_stack_up_front(shape, monkeypatch):
 
 
 def test_choi_measures_of_pure_choi_states(rng):
-    # k = 1: the Choi state is pure, and its concurrence is 2 |ad - bc|.
+    # A unitary and a zero operator: the Choi state is pure, and its
+    # concurrence is 2 |ad - bc|.
     for _ in range(20):
         u = random_unitary(2, rng)
-        _, conc, ent = choi_measures(u[None, None])
+        _, conc, ent = choi_measures(np.array([u, 0 * u])[None])
         assert abs(conc[0] - pure_concurrence(u.T.reshape(4) / math.sqrt(2))) <= 1e-14
         assert abs(conc[0] - 1.0) <= 1e-14 and abs(ent[0]) <= 1e-15
 
@@ -464,10 +481,12 @@ def test_choi_measures_solve_no_general_or_4x4_validation_eigenproblem(monkeypat
     assert shapes == []
 
 
-# The matrix route of choi_measures before it went entry-major: gram_states'
-# Gram states, the negativity from them, and _concurrence_of_factors' tau,
+# The matrix route of choi_measures before it went entry-major: the Gram
+# matrices G, the negativity from them, and _concurrence_of_factors' tau,
 # each from linalg._product as it was; and the partial transpose as one
-# broadcast product per operator, the negativity's independent route.
+# broadcast product per operator, the negativity's independent route.  At
+# k = 2 the Gram state is read as choi_measures reads it, a, d and b =
+# |G10| / n_in; at any other k it is gram_states' (G + G^dagger) / 2 / n_in.
 
 
 def broadcast_product(a, b):
@@ -483,12 +502,14 @@ def broadcast_choi_measures(kraus):
     n, k, _, n_in = kraus.shape
     flat = kraus.reshape(n, k, 4)
     g = broadcast_product(flat.conj(), flat.swapaxes(-1, -2))
-    states = (g + g.conj().swapaxes(-1, -2)) / 2 / n_in
-    spectra = hermitian_eigenvalues(states)
     clamp = lambda x: np.where(x > 0.0, x, 0.0)  # noqa: E731
     if k == 2:
-        neg = np.hypot((states[:, 0, 0].real - states[:, 1, 1].real) / 2, np.abs(states[:, 1, 0]))
+        a, d, b = g[:, 0, 0].real / n_in, g[:, 1, 1].real / n_in, np.abs(g[:, 1, 0]) / n_in
+        states = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+        spectra = hermitian_eigenvalues(states)
+        neg = np.hypot((a - d) / 2, b)
     else:
+        spectra = hermitian_eigenvalues((g + g.conj().swapaxes(-1, -2)) / 2 / n_in)
         neg = clamp(spectra[:, -1] - 0.5)
     ops = np.moveaxis(kraus, 1, 0)
     pt = sum(op[:, None, :, :, None] * op.conj().swapaxes(-1, -2)[:, :, None, None, :] for op in ops)
@@ -520,9 +541,7 @@ def real_cptp_stack(k, n, rng):
     V (2k, 2), read as K[a, i, j] = V[(a, i), j]: up to two rows of V are
     exact zeros, every row's sign is flipped at random, so some zeros are
     -0.0, and the imaginary parts are +-0.0 at random.  Stored as complex,
-    as the families store theirs.  Real arithmetic gives some exact zeros of
-    a Gram state or tau the other sign, which moves LAPACK's bits on 2-4 %
-    of these samples at k = 3, 4 and 5: choi_measures keeps those complex."""
+    as the families store theirs."""
     v = np.zeros((n, 2 * k, 2))
     for sample in v:
         keep = rng.permutation(2 * k)[: max(2, 2 * k - rng.integers(0, 3))]
@@ -561,8 +580,9 @@ def entry_major_stacks():
 
 @pytest.mark.parametrize("name", list(entry_major_stacks()))
 def test_choi_measures_equal_the_broadcast_route_bitwise(name):
+    # choi_measures at k = 2; the public routes of choi_routes at other k.
     kraus = entry_major_stacks()[name]
-    got, (expected, pt_neg) = choi_measures(kraus), broadcast_choi_measures(kraus)
+    got, (expected, pt_neg) = choi_routes(kraus), broadcast_choi_measures(kraus)
     for g, e in zip(got, expected):
         assert g.shape == (len(kraus),) and bits(g) == bits(e)
     # The partial transpose's negativity, across routes.
@@ -571,19 +591,29 @@ def test_choi_measures_equal_the_broadcast_route_bitwise(name):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_choi_measures_check_completeness_as_completeness_residuals_bitwise(k, monkeypatch):
-    # The real stack takes the real route at k = 2, which forms only c00, c10 and c11.
+    # choi_measures forms c00, c10 and c11 only: the lower triangle of
+    # completeness_residuals' own sum.  Any k but 2 is refused before the check.
     rng = np.random.default_rng(40 + k)
     handed = []
     monkeypatch.setattr("qchan.measures._require_complete", handed.append)
     for kraus in (np.array([random_cptp(2, 2, k, rng) for _ in range(300)]), real_cptp_stack(k, 300, rng)):
         handed.clear()
+        if k != 2:
+            with pytest.raises(ValueError, match="two-operator"):
+                choi_measures(kraus)
+            assert handed == []
+            continue
         choi_measures(kraus)
-        assert len(handed) == 1 and bits(handed[0]) == bits(completeness_residuals(kraus))
+        acc = sum(_product(dagger(op), op) for op in np.moveaxis(kraus, 1, 0))
+        lower = np.abs(acc - np.eye(2))[:, [0, 1, 1], [0, 0, 1]].max(axis=-1)
+        assert len(handed) == 1 and bits(handed[0]) == bits(lower)
+        assert bits(np.maximum(lower, np.abs(acc[:, 0, 1]))) == bits(completeness_residuals(kraus))
 
 
 def test_the_entry_major_stacks_reach_every_route(monkeypatch):
     # 2 x 2 Gram states of every family in one stack, and 4 x 4 Gram states
-    # both X-shaped (Pauli channels) and dense: no partial transpose.
+    # both X-shaped (Pauli channels) and dense: no partial transpose.  The
+    # dense ones are solved by gram_states and again by map_entropies.
     stacks = entry_major_stacks()
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -596,11 +626,11 @@ def test_the_entry_major_stacks_reach_every_route(monkeypatch):
     choi_measures(stacks["mixed"])
     assert shapes == []
     shapes.clear()
-    choi_measures(stacks["pauli"])
+    choi_routes(stacks["pauli"])
     assert shapes == []
     shapes.clear()
-    choi_measures(stacks["random-k4"])
-    assert shapes == [(200, 4, 4)]
+    choi_routes(stacks["random-k4"])
+    assert shapes == [(200, 4, 4)] * 2
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -608,16 +638,17 @@ def test_real_samples_keep_their_bits_beside_a_complex_sample(k):
     rng = np.random.default_rng(70 + k)
     real = real_cptp_stack(k, 300, rng)
     mixed = np.insert(real, 137, random_cptp(2, 2, k, rng), axis=0)
-    for alone, beside in zip(choi_measures(real), choi_measures(mixed)):
+    for alone, beside in zip(choi_routes(real), choi_routes(mixed)):
         assert bits(alone) == bits(np.delete(beside, 137))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_choi_measures_hand_lapack_complex_arrays(k, monkeypatch):
     # Real operands would round LAPACK's reflectors apart from the complex
-    # route's, so a real block must not reach eigvalsh or svd as real.  At
-    # k = 2, where blocks run real, every measure takes a closed form and
-    # nothing reaches LAPACK.
+    # route's, so a real stack must not reach eigvalsh or svd as real.  At
+    # k = 2, where choi_measures runs real blocks, every measure takes a
+    # closed form and nothing reaches LAPACK; the public routes of other k
+    # hand it complex arrays.
     dtypes = []
     for name in ("eigvalsh", "svd"):
         solver = getattr(np.linalg, name)
@@ -627,7 +658,7 @@ def test_choi_measures_hand_lapack_complex_arrays(k, monkeypatch):
             return solver(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
-    choi_measures(real_cptp_stack(k, 100, np.random.default_rng(80 + k)))
+    choi_routes(real_cptp_stack(k, 100, np.random.default_rng(80 + k)))
     if k == 2:
         assert dtypes == []
     else:
@@ -657,7 +688,6 @@ EMPTY_STACK_CALLS = {
     "gram_states": lambda: gram_states(np.zeros((0, 2, 2, 2))),
     "map_entropies": lambda: (map_entropies(np.zeros((0, 3, 2, 2))),),
     "choi_measures": lambda: choi_measures(np.zeros((0, 2, 2, 2))),
-    "choi_measures-k4": lambda: choi_measures(np.zeros((0, 4, 2, 2))),
     "capacity_lower_bounds": lambda: (capacity_lower_bounds(np.zeros((0, 2, 2, 2))),),
     "von_neumann_entropies": lambda: (von_neumann_entropies(np.zeros((0, 2, 2))),),
     "negativities": lambda: (negativities(np.zeros((0, 4, 4)), (2, 2)),),
