@@ -4,10 +4,9 @@ The two qubit families, the qutrit family and the theta = 0 family in
 arbitrary dimension are exactly CPTP and exactly self-complementary for
 every parameter value.  The general N-dimensional parameterization is
 exploratory, reported on by :func:`qchan.channels.validate_channel` and
-refused by operations that need a genuine channel.  A strictly
-self-complementary channel is an isometry V into Sym^2(C^m).  Off theta = 0
-the ndim members are not symmetric (defect 0.21-0.60 for theta in [0.3, 1]
-at n = 4).
+refused by operations that need a genuine channel.  Off theta = 0 the
+ndim members are not symmetric: defect 0.21-0.60 for theta in [0.3, 1] at
+n = 4 with W = 1 or the Fourier W; a Haar W moves that range.
 
 Every constructor returns the channel's Kraus array (k, n_out, n_in).  The
 driven families, ``qubit_family_a``, ``qubit_family_b`` and
@@ -56,6 +55,21 @@ def _check_unitary(w, dim: int) -> np.ndarray:
     return m
 
 
+def _symmetric(shape: tuple[int, ...], n: int, rows) -> np.ndarray:
+    """Kraus array shape + (n, n, n) of an isometry V: C^n -> Sym^2(C^n),
+    read as K[a, i, j] = V[(a, i), j]: a strictly self-complementary channel.
+
+    ``rows`` lists the nonzero rows of V as (a, b, j, value), a <= b, with j
+    an input index or ``slice(None)``.  Row (a, b) fills K[a, b, j] and
+    K[b, a, j] from one value, times SQRT_HALF when a != b, so mirrored
+    entries share their bits; CPTP is then V^dagger V = 1.
+    """
+    kraus = np.zeros(shape + (n, n, n), dtype=complex)
+    for a, b, j, value in rows:
+        kraus[..., a, b, j] = kraus[..., b, a, j] = value if a == b else value * SQRT_HALF
+    return kraus
+
+
 def qubit_family_a(theta, phi: float = 0.0) -> np.ndarray:
     """First qubit family, (2, 2, 2) at one theta, (N, 2, 2, 2) at N of them:
 
@@ -67,12 +81,8 @@ def qubit_family_a(theta, phi: float = 0.0) -> np.ndarray:
     """
     theta = _check_range("theta", theta, math.pi)
     phi = _check_angle("phi", phi, 2 * math.pi)
-    kraus = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
-    kraus[..., 0, 0, 0] = np.sin(theta)
-    kraus[..., 0, 1, 1] = SQRT_HALF
-    kraus[..., 1, 0, 1] = SQRT_HALF
-    kraus[..., 1, 1, 0] = np.cos(theta) * np.exp(1j * phi)
-    return kraus
+    return _symmetric(theta.shape, 2, [(0, 0, 0, np.sin(theta)), (0, 1, 1, 1.0),
+                                       (1, 1, 0, np.cos(theta) * np.exp(1j * phi))])
 
 
 def qubit_family_b(theta, phi: float = 0.0) -> np.ndarray:
@@ -85,11 +95,8 @@ def qubit_family_b(theta, phi: float = 0.0) -> np.ndarray:
     """
     theta = _check_range("theta", theta, math.pi)
     phi = _check_angle("phi", phi, 2 * math.pi)
-    kraus = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
-    kraus[..., 0, 0, 0] = 1.0
-    kraus[..., 0, 1, 1] = kraus[..., 1, 0, 1] = np.sin(theta) * SQRT_HALF
-    kraus[..., 1, 1, 1] = np.cos(theta) * np.exp(1j * phi)
-    return kraus
+    return _symmetric(theta.shape, 2, [(0, 0, 0, 1.0), (0, 1, 1, np.sin(theta)),
+                                       (1, 1, 1, np.cos(theta) * np.exp(1j * phi))])
 
 
 def amplitude_damping(p) -> np.ndarray:
@@ -111,22 +118,16 @@ def qutrit_family(theta: float, w) -> np.ndarray:
     """General qutrit parameterization, CPTP and self-complementary for
     every theta in [0, pi] and every unitary W.
 
-    The second and third operators take rows W[:, 0] sin t and W[:, 2] sin t,
-    and share the row W[:, 1] sin t / sqrt2, so that the isometry's columns
-    stay orthonormal.  At theta = 0 the family coincides with
+    Rows of V: (0, a) cos t e_a, (1, 1) W[:, 0] sin t, (2, 2) W[:, 2] sin t
+    and (1, 2) W[:, 1] sin t.  At theta = 0 the family coincides with
     ``ndim_theta0(3)`` regardless of W.
     """
     theta = _check_angle("theta", theta, math.pi)
     w = _check_unitary(w, 3)
     s, c = math.sin(theta), math.cos(theta)
-    ch = c * SQRT_HALF
-    ops = np.zeros((3, 3, 3), dtype=complex)
-    ops[0] = np.diag([c, ch, ch])
-    ops[1, 0, 1] = ops[2, 0, 2] = ch
-    ops[1, 1] = w[:, 0] * s
-    ops[2, 2] = w[:, 2] * s
-    ops[1, 2] = ops[2, 1] = w[:, 1] * s * SQRT_HALF
-    return ops
+    every = slice(None)
+    return _symmetric((), 3, [(0, a, a, c) for a in range(3)] + [
+        (1, 1, every, w[:, 0] * s), (2, 2, every, w[:, 2] * s), (1, 2, every, w[:, 1] * s)])
 
 
 def ndim_family(n: int, theta: float, w) -> np.ndarray:
@@ -167,11 +168,7 @@ def ndim_theta0(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    ops = np.zeros((n, n, n), dtype=complex)
-    ops[0] = np.diag([1.0] + [SQRT_HALF] * (n - 1))
-    rest = np.arange(1, n)
-    ops[rest, 0, rest] = SQRT_HALF
-    return ops
+    return _symmetric((), n, [(0, a, a, 1.0) for a in range(n)])
 
 
 def dft_matrix(n: int) -> np.ndarray:

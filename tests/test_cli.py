@@ -338,13 +338,15 @@ def test_grid_at_cap_is_accepted(tmp_path, command):
     _check_options(build_parser().parse_args(argv))
 
 
-def run_process(*argv, cwd):
-    """``python -m qchan.cli`` in a fresh interpreter, with this checkout's
-    package first on the path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_process(*argv, cwd, program=("-m", "qchan.cli")):
+    """``python -m qchan.cli`` (or another ``program``) in a fresh
+    interpreter, with this checkout's package first on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qchan.cli", *map(str, argv)],
+        [sys.executable, *program, *map(str, argv)],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -365,6 +367,23 @@ def test_module_entry_point_exit_codes(tmp_path):
     for result in (ok, usage, bad):
         assert "Traceback" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "ch.json"]
+
+
+def test_figure_script_data_follows_the_product_rule(tmp_path):
+    # For a pure input and the channel on one qubit, the output concurrence
+    # is the input's times the Choi state's, which is |sin t - cos t| / sqrt 2
+    # for the first qubit family at t = k pi / 8.
+    fig = tmp_path / "fig"
+    done = run_process(fig, cwd=tmp_path, program=(str(ROOT / "scripts" / "make_figure_data.py"),))
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(fig)) == sorted(
+        [f"bloch_k{k}.csv" for k in range(9)]
+        + ["entanglement_evolution.csv", "sweep.csv", "trajectory.csv", "trajectory.summary.json"]
+    )
+    table = np.loadtxt(fig / "entanglement_evolution.csv", delimiter=",", skiprows=2)
+    t = np.arange(table.shape[1] - 1) * math.pi / 8
+    expected = table[:, :1] * np.abs(np.sin(t) - np.cos(t)) / math.sqrt(2)
+    assert float(np.abs(table[:, 1:] - expected).max()) <= 1e-11
 
 
 def test_repeated_main_calls_share_one_parser_and_match_fresh_processes(
@@ -778,6 +797,59 @@ def test_dynamics_two_step_grid(tmp_path):
 
 def test_dynamics_step_validation(tmp_path):
     assert run("dynamics", "--steps", 1, "--out", tmp_path / "x.csv") == 2
+
+
+def test_driven_records_follow_the_closed_forms(tmp_path):
+    # The Choi state of the first qubit family has concurrence
+    # ||sin t| - |cos t|| / sqrt 2 and negativity |cos 2t| / 4 at every t,
+    # and amplitude damping's, with p in the theta column, has concurrence
+    # sqrt(1 - p) and negativity (1 - p) / 2; 1e-11 covers the %.12g
+    # rounding of the theta column.
+    closed_forms = {
+        "qubit-a": lambda t: (np.abs(np.abs(np.sin(t)) - np.abs(np.cos(t))) / math.sqrt(2),
+                              np.abs(np.cos(2 * t)) / 4),
+        "ad": lambda p: (np.sqrt(1 - p), (1 - p) / 2),
+    }
+    for family, closed in closed_forms.items():
+        out = tmp_path / f"{family}.csv"
+        assert run("dynamics", "--family", family, "--steps", 4096, "--out", out) == 0
+        _, theta, negativity, concurrence, _ = np.loadtxt(out, delimiter=",", skiprows=1).T
+        conc, neg = closed(theta)
+        worst = max(float(np.abs(concurrence - conc).max()), float(np.abs(negativity - neg).max()))
+        assert worst <= 1e-11, family
+
+
+def test_driven_record_of_qubit_b_follows_a_numpy_rebuild(tmp_path):
+    # qubit-b's Kraus operators are rebuilt from the theta column and each
+    # measure is recomputed with numpy alone: the negativity from eigvalsh of
+    # the partial transpose, the concurrence from the singular values of tau
+    # and the map entropy from the Gram eigenvalues.  1e-11 covers the %.12g
+    # rounding of theta.
+    out = tmp_path / "qubit-b.csv"
+    assert run("dynamics", "--family", "qubit-b", "--steps", 4096, "--out", out) == 0
+    _, theta, negativity, concurrence, entropy = np.loadtxt(out, delimiter=",", skiprows=1).T
+    s, c, n = np.sin(theta) / math.sqrt(2), np.cos(theta), len(theta)
+    kraus = np.zeros((n, 2, 2, 2))
+    kraus[:, 0, 0, 0] = 1.0
+    kraus[:, 0, 1, 1] = kraus[:, 1, 0, 1] = s
+    kraus[:, 1, 1, 1] = c
+    # Columns of V are vec(K_a) in the Choi ordering, input index first: rho = V V^T / 2.
+    v = kraus.transpose(0, 3, 2, 1).reshape(n, 4, 2)
+    rho = v @ v.transpose(0, 2, 1) / 2
+    pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(n, 4, 4)
+    neg = np.maximum(0.0, (np.abs(np.linalg.eigvalsh(pt)).sum(axis=1) - 1) / 2)
+    # Wootters' lambdas are the singular values of tau = V^T (sigma_y x sigma_y) V / 2.
+    yy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    lam = np.linalg.svd(v.transpose(0, 2, 1) @ yy @ v / 2, compute_uv=False)
+    conc = np.maximum(0.0, lam[:, 0] - lam[:, 1:].sum(axis=1))
+    # The map entropy from the Gram state G / 2, G_ab = tr(K_a^T K_b).
+    gram = np.einsum("nari,nbri->nab", kraus, kraus) / 2
+    ev = np.linalg.eigvalsh(gram)
+    ev = np.where(ev > 1e-14, ev, 1.0)
+    ent = -(ev * np.log(ev)).sum(axis=1)
+    worst = max(float(np.abs(negativity - neg).max()), float(np.abs(concurrence - conc).max()),
+                float(np.abs(entropy - ent).max()))
+    assert worst <= 1e-11
 
 
 @pytest.mark.parametrize("t_max", ["1e-320", "5e-324"])

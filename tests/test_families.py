@@ -249,6 +249,75 @@ def qutrit_by_rows(theta, w):
     return np.array([k1, k2, k3])
 
 
+def qubit_a_by_entries(theta, phi):
+    """The first qubit family laid out entry by entry, at one theta or a
+    stack of them."""
+    theta = np.asarray(theta, dtype=float)
+    k = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
+    k[..., 0, 0, 0] = np.sin(theta)
+    k[..., 0, 1, 1] = SQ2
+    k[..., 1, 0, 1] = SQ2
+    k[..., 1, 1, 0] = np.cos(theta) * np.exp(1j * phi)
+    return k
+
+
+def qubit_b_by_entries(theta, phi):
+    """The second qubit family laid out entry by entry."""
+    theta = np.asarray(theta, dtype=float)
+    k = np.zeros(theta.shape + (2, 2, 2), dtype=complex)
+    k[..., 0, 0, 0] = 1.0
+    k[..., 0, 1, 1] = np.sin(theta) * SQ2
+    k[..., 1, 0, 1] = np.sin(theta) * SQ2
+    k[..., 1, 1, 1] = np.cos(theta) * np.exp(1j * phi)
+    return k
+
+
+def ndim_theta0_by_entries(n):
+    """ndim_theta0 laid out entry by entry."""
+    k = np.zeros((n, n, n), dtype=complex)
+    k[0, 0, 0] = 1.0
+    for a in range(1, n):
+        k[0, a, a] = SQ2
+        k[a, 0, a] = SQ2
+    return k
+
+
+def symmetric_members(rng):
+    """(name, Kraus array, its entry-by-entry build) for the four families
+    built through the Sym^2 embedding: qubit-a and qubit-b as 1001-theta
+    stacks over [0, pi] and at 101 scalar theta, each at five phi; qutrit at
+    101 theta for W = 1, -1, Fourier and Haar; ndim-theta0 for n = 2..32."""
+    thetas = np.linspace(0.0, np.pi, 1001)
+    for phi in (0.0, 0.9, 2.1, 4.4, 2 * np.pi):
+        for name, build, by_entries in (("qubit-a", qubit_family_a, qubit_a_by_entries),
+                                        ("qubit-b", qubit_family_b, qubit_b_by_entries)):
+            yield name, build(thetas, phi), by_entries(thetas, phi)
+            for theta in thetas[::10].tolist():
+                yield name, build(theta, phi), by_entries(theta, phi)
+    for w in (np.eye(3), -np.eye(3, dtype=complex), dft_matrix(3), random_unitary(3, rng)):
+        for theta in np.linspace(0.0, np.pi, 101):
+            yield "qutrit", qutrit_family(theta, w), qutrit_by_rows(theta, w)
+    for n in range(2, 33):
+        yield "ndim-theta0", ndim_theta0(n), ndim_theta0_by_entries(n)
+
+
+def test_symmetric_families_are_bitwise_their_entry_builds(rng):
+    count = 0
+    for _, kraus, expected in symmetric_members(rng):
+        assert_same_bits(kraus, expected)
+        count += 1
+    assert count == 10 * 102 + 4 * 101 + 31
+
+
+def test_symmetric_families_are_exactly_symmetric_and_complete(rng):
+    # The bytes of K equal those of its complementary tensor, signed zeros
+    # included, and every member is complete to within 1e-15.
+    for name, kraus, _ in symmetric_members(rng):
+        stack = kraus.reshape((-1,) + kraus.shape[-3:])
+        assert kraus.tobytes() == kraus.swapaxes(-3, -2).tobytes(), name
+        assert completeness_residuals(stack).max() <= 1e-15, name
+
+
 def unitaries(n, rng):
     """W = identity, Fourier, -identity (every zero part -0.0) and a random
     unitary."""
