@@ -23,7 +23,7 @@
 # whose off-diagonal entries are all -0.0), analyze of a fixed dense channel
 # with n = 4 and k = 2, whose 4 x 4 output spectrum is not an X-matrix and
 # takes eigvalsh, analyze of a fixed non-minimal qubit channel with k = 8,
-# whose Gram spectrum keeps 3 of its 8 eigenvalues, six refusals, and
+# whose Gram spectrum keeps 3 of its 8 eigenvalues, seven refusals, and
 # scripts/make_figure_data.py.
 #
 # usage: scripts/cli_outputs.sh SRC OUTDIR
@@ -145,6 +145,7 @@ printf '[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
  [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]],
  [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]\n' > nan-w.json
 run refuse-nan-w family --id qutrit --w nan-w.json --out refuse-nan-w.json
+run refuse-ndim-n family --id ndim --n -3 --w fourier --out refuse-ndim-n.json
 
 code=0
 PYTHONPATH="$src/src" python3 "$src/scripts/make_figure_data.py" figure_data \

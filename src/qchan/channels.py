@@ -40,7 +40,6 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,24 +105,13 @@ def require_cptp_stack(kraus) -> np.ndarray:
     return kraus
 
 
-def _square(matrix, what: str, side: int | None = None) -> np.ndarray:
-    """A finite matrix, refused unless it is square (of the given side)."""
+def _square(matrix, side: int | None = None) -> np.ndarray:
+    """A finite Choi matrix, refused unless it is square (of the given side)."""
     m = as_matrix(matrix)
     side = m.shape[0] if side is None else side
     if m.shape != (side, side):
-        raise ValueError(f"{what} shape {m.shape} != ({side}, {side})")
+        raise ValueError(f"Choi matrix shape {m.shape} != ({side}, {side})")
     return m
-
-
-@dataclass(frozen=True)
-class ChannelValidation:
-    """Structural report attached to generated channels by the CLI, with the
-    ascending spectrum of the Gram state G / n_in."""
-
-    cptp_residual: float
-    selfcomplementary: bool
-    choi_rank: int
-    gram_spectrum: np.ndarray = field(repr=False, compare=False)
 
 
 def apply(kraus, rho) -> np.ndarray:
@@ -238,7 +226,7 @@ def channel_rank(choi) -> int:
     """Number of eigenvalues above DEFAULT_TOL of a square Choi matrix: the
     minimal Kraus count.  Raises ValueError if the matrix is not Hermitian
     within DEFAULT_TOL."""
-    m = _square(choi, "Choi matrix")
+    m = _square(choi)
     defect = max_abs(m - dagger(m))
     if defect > DEFAULT_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
@@ -253,7 +241,7 @@ def choi_to_kraus(choi, n_in: int, n_out: int) -> np.ndarray:
     broken lexicographically on the real parts of the eigenvector entries.
     Raises on input with an eigenvalue below -DEFAULT_TOL.
     """
-    ev, vec = np.linalg.eigh(_square(choi, "Choi matrix", n_in * n_out))
+    ev, vec = np.linalg.eigh(_square(choi, n_in * n_out))
     lo = float(ev.min())
     if lo < -DEFAULT_TOL:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {lo:.3e}")
@@ -290,9 +278,11 @@ def tensor_channel(a, b) -> np.ndarray:
     return np.array([np.kron(x, y) for x in _as_kraus(a) for y in _as_kraus(b)])
 
 
-def validate_channel(kraus) -> ChannelValidation:
-    """Structural report from one completeness sum, one Gram build and one
-    eigensolve of the Gram state G / n_in.  The completeness residual is
+def validate_channel(kraus) -> tuple[dict, np.ndarray]:
+    """Structural report ``{"cptp_residual", "selfcomplementary",
+    "choi_rank"}``, the ``validation`` block of a ``family`` document, with
+    the ascending spectrum of the Gram state G / n_in, from one completeness
+    sum, one Gram build and one eigensolve.  The completeness residual is
     reported, not judged: the caller compares it with its own tolerance.
     Self-complementarity and the Choi rank, the eigenvalues of G above
     DEFAULT_TOL, are judged as :func:`is_selfcomplementary` and
@@ -301,10 +291,8 @@ def validate_channel(kraus) -> ChannelValidation:
     kraus = _as_kraus(kraus)
     n_in = kraus.shape[-1]
     spectrum = _eigenvalues(_grams(kraus[None]) / n_in)[0]
-    return ChannelValidation(
-        cptp_residual=float(completeness_residuals(kraus[None])[0]),
-        selfcomplementary=is_selfcomplementary(kraus),
-        choi_rank=int(np.count_nonzero(n_in * spectrum > DEFAULT_TOL)),
-        gram_spectrum=spectrum,
-    )
-
+    return {
+        "cptp_residual": float(completeness_residuals(kraus[None])[0]),
+        "selfcomplementary": is_selfcomplementary(kraus),
+        "choi_rank": int(np.count_nonzero(n_in * spectrum > DEFAULT_TOL)),
+    }, spectrum

@@ -233,13 +233,8 @@ def _build(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_family(args: argparse.Namespace) -> int:
     channel = _build(args)
-    validation = validate_channel(channel)
     doc = channel_to_dict(channel)
-    doc["validation"] = {
-        "cptp_residual": validation.cptp_residual,
-        "selfcomplementary": validation.selfcomplementary,
-        "choi_rank": validation.choi_rank,
-    }
+    doc["validation"] = validate_channel(channel)[0]
     write_json_atomic(args.out, doc)
     return EXIT_OK
 
@@ -250,25 +245,17 @@ def _entropy_key(base: str, bits: bool) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     kraus = read_channel(args.channel_path)
-    validation = validate_channel(kraus)
+    validation, gram_spectrum = validate_channel(kraus)
     # The one place --tol is applied: the library reports the residual only.
-    cptp_ok = validation.cptp_residual <= args.tol
+    cptp_ok = validation["cptp_residual"] <= args.tol
     scale = 1.0 / LN2 if args.bits else 1.0
     k, n_out, n_in = kraus.shape
-    report: dict = {
-        "n_in": n_in,
-        "n_out": n_out,
-        "kraus_count": k,
-        "cptp_residual": validation.cptp_residual,
-        "cptp_ok": cptp_ok,
-        "selfcomplementary": validation.selfcomplementary,
-        "choi_rank": validation.choi_rank,
-    }
+    report = {"n_in": n_in, "n_out": n_out, "kraus_count": k, "cptp_ok": cptp_ok, **validation}
     # Information measures are meaningless for a non-channel: a non-channel
     # gets the structural fields and nulls.
     values = [None] * 3
     if cptp_ok:
-        values = [v * scale for v in information_quantities(kraus, validation.gram_spectrum)]
+        values = [v * scale for v in information_quantities(kraus, gram_spectrum)]
     for name, value in zip(("map_entropy", "coherent_information", "chi_bound"), values):
         report[_entropy_key(f"{name}_nats", args.bits)] = value
     write_json_atomic(args.out, report)
@@ -444,8 +431,8 @@ COMMANDS = {
 
 def _check_options(args: argparse.Namespace) -> None:
     """Refuse an empty --out, a non-finite float option, a --tol outside (0,
-    MAX_TOL], an empty grid, a grid above MAX_POINTS and a dimension above
-    MAX_DIM before anything is built."""
+    MAX_TOL], an empty grid, a grid above MAX_POINTS and a dimension outside
+    [2, MAX_DIM] before anything is built."""
     if not args.out:
         raise ValueError("--out must name a file, got ''")
     for name, value in vars(args).items():
@@ -462,8 +449,11 @@ def _check_options(args: argparse.Namespace) -> None:
         size = getattr(args, name, 1)
         if size > MAX_POINTS:
             raise ValueError(f"--{name} {size} is above the grid cap {MAX_POINTS}")
-    if getattr(args, "dim", 1) > MAX_DIM:
-        raise ValueError(f"--n {args.dim} is above the dimension cap {MAX_DIM}")
+    dim = getattr(args, "dim", 2)
+    if dim < 2:
+        raise ValueError(f"--n {dim} is below the dimension floor 2")
+    if dim > MAX_DIM:
+        raise ValueError(f"--n {dim} is above the dimension cap {MAX_DIM}")
 
 
 def main(argv=None) -> int:

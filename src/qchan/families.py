@@ -41,10 +41,6 @@ def _check_range(name: str, values, hi) -> np.ndarray:
     return v
 
 
-def _check_angle(name: str, value: float, hi: float) -> float:
-    return float(_check_range(name, [value], hi)[0])
-
-
 def _check_unitary(w, dim: int) -> np.ndarray:
     m = as_matrix(w)
     if m.shape != (dim, dim):
@@ -80,7 +76,7 @@ def qubit_family_a(theta, phi: float = 0.0) -> np.ndarray:
     theta = pi/2 is amplitude damping with decay probability 1/2.
     """
     theta = _check_range("theta", theta, math.pi)
-    phi = _check_angle("phi", phi, 2 * math.pi)
+    phi = float(_check_range("phi", phi, 2 * math.pi))
     return _symmetric(theta.shape, 2, [(0, 0, 0, np.sin(theta)), (0, 1, 1, 1.0),
                                        (1, 1, 0, np.cos(theta) * np.exp(1j * phi))])
 
@@ -94,7 +90,7 @@ def qubit_family_b(theta, phi: float = 0.0) -> np.ndarray:
     theta = phi = 0 gives the dephasing channel.
     """
     theta = _check_range("theta", theta, math.pi)
-    phi = _check_angle("phi", phi, 2 * math.pi)
+    phi = float(_check_range("phi", phi, 2 * math.pi))
     return _symmetric(theta.shape, 2, [(0, 0, 0, 1.0), (0, 1, 1, np.sin(theta)),
                                        (1, 1, 1, np.cos(theta) * np.exp(1j * phi))])
 
@@ -122,7 +118,7 @@ def qutrit_family(theta: float, w) -> np.ndarray:
     and (1, 2) W[:, 1] sin t.  At theta = 0 the family coincides with
     ``ndim_theta0(3)`` regardless of W.
     """
-    theta = _check_angle("theta", theta, math.pi)
+    theta = float(_check_range("theta", theta, math.pi))
     w = _check_unitary(w, 3)
     s, c = math.sin(theta), math.cos(theta)
     every = slice(None)
@@ -143,7 +139,7 @@ def ndim_family(n: int, theta: float, w) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    theta = _check_angle("theta", theta, math.pi)
+    theta = float(_check_range("theta", theta, math.pi))
     w = _check_unitary(w, n)
     s, c = math.sin(theta), math.cos(theta)
     ch = c * SQRT_HALF

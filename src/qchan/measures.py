@@ -151,9 +151,10 @@ def information_quantities(kraus: np.ndarray, gram_spectrum) -> tuple[float, flo
     """Map entropy, coherent information at the maximally mixed input, and the
     capacity bound of the computational basis, all from small spectra, for a
     Kraus array (k, n_out, n_in) that the caller accepted: ``gram_spectrum``
-    is the spectrum of its Gram state G / n_in from
-    :func:`channels.validate_channel`, whose ``cptp_residual`` the caller
-    compared with its tolerance.  Nothing is checked here.
+    is the spectrum of its Gram state G / n_in, the second value that
+    :func:`channels.validate_channel` returns, and the caller compared the
+    ``cptp_residual`` of its report with its tolerance.  Nothing is checked
+    here.
 
     The basis is complete, so its average output Phi(1/n_in) serves the
     capacity bound and the coherent information S(Phi(1/n_in)) -

@@ -325,9 +325,9 @@ def test_criterion_14_general_family_instrumentation():
     # validation reports are recorded, not asserted.
     recorded = []
     for theta in (math.pi / 6, math.pi / 4, 1.2):
-        rep_n = validate_channel(ndim_family(4, float(theta), random_unitary(4, rng)))
-        assert np.isfinite(rep_n.cptp_residual)
-        recorded.append((theta, rep_n.cptp_residual))
+        rep_n = validate_channel(ndim_family(4, float(theta), random_unitary(4, rng)))[0]
+        assert np.isfinite(rep_n["cptp_residual"])
+        recorded.append((theta, rep_n["cptp_residual"]))
     lines = "; ".join(f"t={t:.3f}: {n:.3f}" for t, n in recorded)
 
     # The qutrit family is a self-complementary channel at every theta: CPTP,
@@ -337,7 +337,7 @@ def test_criterion_14_general_family_instrumentation():
     for theta in GRID:
         ch = qutrit_family(float(theta), w3)
         assert selfcomplementarity_defect(ch) == 0.0
-        worst_residual = max(worst_residual, validate_channel(ch).cptp_residual)
+        worst_residual = max(worst_residual, validate_channel(ch)[0]["cptp_residual"])
         for state in (np.eye(3) / 3, rho):
             worst_coherent = max(worst_coherent, abs(coherent_information(ch, state)))
     assert worst_residual <= 1e-14

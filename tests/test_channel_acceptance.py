@@ -121,9 +121,9 @@ def test_analyze_tol_on_a_family_document_moves_only_the_completeness_verdict(tm
 def test_choi_rank_is_cut_at_the_default_tolerance():
     # Amplitude damping at p = 1e-8 has a Gram eigenvalue of about 1e-8 n_in.
     channel = amplitude_damping(1e-8)
-    report = channels.validate_channel(channel)
-    assert report.cptp_residual <= DEFAULT_TOL and report.choi_rank == 2
-    assert report.choi_rank == channels.channel_rank(channels.choi_matrix(channel))
+    report = channels.validate_channel(channel)[0]
+    assert report["cptp_residual"] <= DEFAULT_TOL and report["choi_rank"] == 2
+    assert report["choi_rank"] == channels.channel_rank(channels.choi_matrix(channel))
 
 
 def test_capacity_bound_checks_completeness_at_its_tol():

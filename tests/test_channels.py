@@ -293,17 +293,17 @@ def test_tensor_dimension_bookkeeping():
 
 
 def test_validate_channel_cptp_verdicts():
-    ok = validate_channel(qubit_family_a(0.8, 0.8))
-    assert ok.cptp_residual <= 1e-12
-    bad = validate_channel(np.array([np.eye(2, dtype=complex)] * 2))
-    assert abs(bad.cptp_residual - 1.0) <= 1e-12
+    ok = validate_channel(qubit_family_a(0.8, 0.8))[0]
+    assert ok["cptp_residual"] <= 1e-12
+    bad = validate_channel(np.array([np.eye(2, dtype=complex)] * 2))[0]
+    assert abs(bad["cptp_residual"] - 1.0) <= 1e-12
     for n in range(2, 7):
-        assert validate_channel(ndim_theta0(n)).cptp_residual <= DEFAULT_TOL
+        assert validate_channel(ndim_theta0(n))[0]["cptp_residual"] <= DEFAULT_TOL
 
 
 def test_validate_channel_report():
-    rep = validate_channel(qubit_family_a(0.25, 0.75))
-    assert rep.cptp_residual <= DEFAULT_TOL and rep.selfcomplementary and rep.choi_rank == 2
+    rep = validate_channel(qubit_family_a(0.25, 0.75))[0]
+    assert rep["cptp_residual"] <= DEFAULT_TOL and rep["selfcomplementary"] and rep["choi_rank"] == 2
 
 
 def test_choi_state_is_valid_density_matrix():

@@ -315,6 +315,23 @@ def test_family_dimension_above_cap_exits_2(tmp_path, capsys, family, n):
     assert run("family", "--id", "qubit-a", "--n", MAX_DIM, "--out", out) == 0
 
 
+@pytest.mark.parametrize(
+    "family", [["ndim", "--w", "identity"], ["ndim", "--w", "fourier"], ["ndim-theta0"], ["qubit-a"]]
+)
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_family_dimension_below_2_exits_2_before_anything_is_built(
+    tmp_path, capsys, monkeypatch, family, n
+):
+    def refuse(*args):
+        raise AssertionError("built before --n was checked")
+
+    monkeypatch.setattr("qchan.cli._build", refuse)
+    out = tmp_path / "small.json"
+    assert run("family", "--id", *family, "--n", n, "--out", out) == 2
+    assert capsys.readouterr().err == f"qchan: --n {n} is below the dimension floor 2\n"
+    assert not out.exists()
+
+
 GRID_COMMANDS = [
     ["dynamics", "--steps"],
     ["sweep", "--points"],

@@ -122,12 +122,12 @@ def test_qutrit_family_reduces_to_theta0(rng):
 
 
 def test_qutrit_family_validation_reports():
-    ok = validate_channel(qutrit_family(0.0, np.eye(3)))
-    assert ok.cptp_residual <= 1e-12
+    ok = validate_channel(qutrit_family(0.0, np.eye(3)))[0]
+    assert ok["cptp_residual"] <= 1e-12
     # Away from theta = 0 every member is a self-complementary channel too.
-    report = validate_channel(qutrit_family(np.pi / 4, np.eye(3)))
-    assert report.cptp_residual <= 1e-14
-    assert report.selfcomplementary
+    report = validate_channel(qutrit_family(np.pi / 4, np.eye(3)))[0]
+    assert report["cptp_residual"] <= 1e-14
+    assert report["selfcomplementary"]
 
 
 def test_qutrit_family_rejects_non_unitary_parameter():
@@ -154,8 +154,8 @@ def test_ndim_family_matches_qutrit_at_shared_point():
 def test_ndim_family_two_dimensional_case_reports():
     ch = ndim_family(2, 0.7, np.eye(2))
     assert ch.shape == (2, 2, 2)
-    report = validate_channel(ch)
-    assert report.cptp_residual >= 0.0  # report-only contract away from theta = 0
+    report = validate_channel(ch)[0]
+    assert report["cptp_residual"] >= 0.0  # report-only contract away from theta = 0
 
 
 def test_ndim_family_dimension_guard():

@@ -365,6 +365,22 @@ def test_negativities_of_amplitude_damping_keep_their_relative_accuracy():
     assert new_error <= 1e-15 < 1e-6 <= old_error
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "FOUND line 63, ROADMAP N: choi_measures' k = 2 half-gap misses the completeness "
+        "residual's first-order term, so it is 1.03e-3 off relative on this grid, where "
+        "negativities, the partial-transpose route, is 4.1e-16 off; N's mend must flip this"
+    ),
+)
+def test_choi_measures_negativity_of_amplitude_damping_keeps_its_relative_accuracy():
+    # (1 - p) / 2 is exact in floats for p >= 1/2.
+    p = 1.0 - np.logspace(-13, math.log10(0.5), 400)
+    exact = (1.0 - p) / 2
+    error = np.abs(choi_measures(amplitude_damping(p))[0] - exact) / exact
+    assert error.max() <= 1e-15
+
+
 @pytest.mark.parametrize(
     "shape", [(1, 3, 3, 3), (4, 2, 2, 3), (2, 2, 2), (1, 1, 4, 4), (3, 1, 2, 2), (3, 4, 2, 2)]
 )
@@ -913,11 +929,11 @@ def gram_vs_choi_channels():
 
 def test_gram_route_matches_choi_route():
     chans = gram_vs_choi_channels()
-    assert validate_channel(chans["ndim-fourier"]).cptp_residual > DEFAULT_TOL
+    assert validate_channel(chans["ndim-fourier"])[0]["cptp_residual"] > DEFAULT_TOL
     for name, ch in chans.items():
-        report = validate_channel(ch)
-        assert report.choi_rank == channel_rank(choi_matrix(ch)), name
-        if report.cptp_residual <= DEFAULT_TOL:
+        report = validate_channel(ch)[0]
+        assert report["choi_rank"] == channel_rank(choi_matrix(ch)), name
+        if report["cptp_residual"] <= DEFAULT_TOL:
             choi_route = von_neumann_entropy(choi_state(ch))
             assert abs(map_entropy(ch) - choi_route) <= 1e-12, name
 
@@ -1111,7 +1127,7 @@ def route_channels():
 @pytest.mark.parametrize("name", list(route_channels()))
 def test_environment_side_matches_the_apply_kraus_route(name):
     ch = route_channels()[name]
-    entropy, coherent, chi = information_quantities(ch, validate_channel(ch).gram_spectrum)
+    entropy, coherent, chi = information_quantities(ch, validate_channel(ch)[1])
     old_chi, old_coherent = apply_kraus_route(ch)
     assert abs(entropy - von_neumann_entropy(choi_state(ch))) <= 1e-12
     assert abs(coherent - old_coherent) <= 1e-12
@@ -1145,7 +1161,7 @@ def test_isometries_into_the_symmetric_subspace_are_selfcomplementary(seed, shap
     ch = random_symmetric_channel(n_in, m, rng)
     assert selfcomplementarity_defect(ch) == 0.0
     assert completeness_residuals(ch[None])[0] <= 1e-12
-    entropy, coherent, _ = information_quantities(ch, validate_channel(ch).gram_spectrum)
+    entropy, coherent, _ = information_quantities(ch, validate_channel(ch)[1])
     assert abs(coherent) <= 1e-10
     for _ in range(3):
         rho = random_density_matrix(n_in, rng)

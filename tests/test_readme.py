@@ -1,7 +1,9 @@
 """README.md as a checked document: every ``qchan`` line of its ``sh`` blocks
-runs and writes the files it names, and its claims table names each
-acceptance criterion exactly once."""
+runs and writes the files it names, its file formats list the keys that
+those commands write, and its claims table names each acceptance criterion
+exactly once."""
 
+import json
 import os
 import re
 from pathlib import Path
@@ -49,6 +51,21 @@ def test_readme_commands_exit_0_and_write_the_files_they_name(tmp_path, monkeypa
         assert set(os.listdir(tmp_path)) - before == set(files), argv
     named = {name for _, files in commands for name in files}
     assert {"image_k8.csv", "traj.summary.json"} <= named
+
+
+def test_file_formats_list_the_keys_that_the_readme_commands_write(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    formats = README.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    validation = re.search(r'"validation": \{([^}]*)\}', formats).group(1)
+    report = re.search(r"\*\*Report JSON\*\* \(`analyze`\):(.*?)\.\n", formats, re.S).group(1)
+    written = {}
+    for argv, files in sh_commands():
+        if argv[0] in ("family", "analyze"):
+            assert main(argv) == 0, argv
+            written[argv[0]] = json.loads(Path(files[0]).read_text(encoding="utf-8"))
+    assert sorted(re.split(r",\s*", validation)) == sorted(written["family"]["validation"])
+    assert sorted(re.findall(r"`(\w+)`", report)) == sorted(written["analyze"])
+    assert len(written["analyze"]) == 10
 
 
 def criterion_id(number: str, letter: str) -> str:

@@ -91,12 +91,12 @@ def test_family_output_is_the_json_module_encoding(tmp_path, name, dim):
     if "w" in family.params:
         options["w"] = dft_matrix(dim or 3)
     channel = family.build(*(options[p] for p in family.params))
-    validation = validate_channel(channel)
+    validation = validate_channel(channel)[0]
     doc = pair_document(channel)
     doc["validation"] = {
-        "cptp_residual": validation.cptp_residual,
-        "selfcomplementary": validation.selfcomplementary,
-        "choi_rank": validation.choi_rank,
+        "cptp_residual": validation["cptp_residual"],
+        "selfcomplementary": validation["selfcomplementary"],
+        "choi_rank": validation["choi_rank"],
     }
     assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert same_bits(read_channel(out), channel)
